@@ -48,7 +48,11 @@ __all__ = [
     "apply_via_choi",
     "channel_robustness_lower",
     "channel_cost_proxy",
+    "OutputWitness",
+    "theorem3_output_witness",
+    "theorem3_report",
     "theorem3_bound",
+    "theorem4_report",
     "theorem4_bound",
 ]
 
@@ -168,6 +172,52 @@ def channel_cost_proxy(E: QuantumChannel, H_AB, beta: float) -> float:
     return free_energy(J.matrix, H_AB, beta) - free_energy(tau, H_AB, beta)
 
 
+@dataclass(frozen=True)
+class OutputWitness:
+    """The (lambda, beta)-independent half of theorem 3: the channel output
+    of a free pure input, its entropy and its certified witness."""
+
+    spec: FreeSet
+    sigma_in: np.ndarray
+    output: np.ndarray
+    S_out: float
+    result: RobustnessResult
+
+
+def theorem3_output_witness(E: QuantumChannel, sigma_in, spec: FreeSet,
+                            tol: float = DEFAULT_TOL) -> OutputWitness:
+    """Validate the free pure input and solve the output state's program."""
+    sigma_in = assert_density(sigma_in)
+    if np.linalg.eigvalsh(sigma_in)[-1] < 1.0 - 1e-9:
+        raise ValueError("sigma_in must be pure")
+    if not membership(spec, sigma_in, tol=1e-6):
+        raise ValueError("sigma_in must be a free state")
+    out = apply_channel(E, sigma_in)
+    result = robustness_dual(out, spec, tol=tol)
+    return OutputWitness(spec, sigma_in, out, von_neumann_entropy(out), result)
+
+
+def theorem3_report(w: OutputWitness, ctx: ThermoContext) -> BoundReport:
+    """Theorem 3 at one (lambda, beta) from a solved OutputWitness."""
+    R = w.result.lower_bound
+    pre = theorem1_precondition(R, w.S_out, ctx)
+    detail = {"R": R, "S_out": w.S_out, "solver_status": w.result.status}
+    if R <= 1e-9:
+        return _report("theorem3", math.inf, math.inf, "upper", False,
+                       detail={**detail, "reason": "channel output is free; bound undefined"})
+
+    H = ctx.lam * w.result.witness
+    f_in = free_energy(w.sigma_in, H, ctx.beta)
+    denom = free_energy(w.output, H, ctx.beta) - f_in
+    if denom <= 0.0:
+        return _report("theorem3", math.inf, math.inf, "upper", False,
+                       detail={**detail, "reason": "nonpositive output work cost"})
+    numer = float(_extreme_free_energies(w.spec, H, ctx.beta).max()) - f_in
+    achieved = numer / denom
+    rhs = 1.0 / (R - ctx.inv_lam_beta * w.S_out)
+    return _report("theorem3", achieved, rhs, "upper", pre, detail=detail)
+
+
 def theorem3_bound(E: QuantumChannel, sigma_in, spec: FreeSet, ctx: ThermoContext,
                    tol: float = DEFAULT_TOL) -> BoundReport:
     """Cost of generating the output state versus any free operation.
@@ -177,44 +227,13 @@ def theorem3_bound(E: QuantumChannel, sigma_in, spec: FreeSet, ctx: ThermoContex
     H = lambda * Y with Y the output state's witness; bound:
     1 / (R - S(out)/(lambda beta)).
     """
-    sigma_in = assert_density(sigma_in)
-    if np.linalg.eigvalsh(sigma_in)[-1] < 1.0 - 1e-9:
-        raise ValueError("sigma_in must be pure")
-    if not membership(spec, sigma_in, tol=1e-6):
-        raise ValueError("sigma_in must be a free state")
-    out = apply_channel(E, sigma_in)
-    result = robustness_dual(out, spec, tol=tol)
+    return theorem3_report(theorem3_output_witness(E, sigma_in, spec, tol=tol), ctx)
+
+
+def theorem4_report(J: ChoiState, bipartite_spec: FreeSet, result: RobustnessResult,
+                    ctx: ThermoContext) -> BoundReport:
+    """Theorem 4 at one (lambda, beta) from the solved Choi program ``result``."""
     R = result.lower_bound
-    S_out = von_neumann_entropy(out)
-    pre = theorem1_precondition(R, S_out, ctx)
-    detail = {"R": R, "S_out": S_out, "solver_status": result.status}
-    if R <= 1e-9:
-        return _report("theorem3", math.inf, math.inf, "upper", False,
-                       detail={**detail, "reason": "channel output is free; bound undefined"})
-
-    H = ctx.lam * result.witness
-    f_in = free_energy(sigma_in, H, ctx.beta)
-    denom = free_energy(out, H, ctx.beta) - f_in
-    if denom <= 0.0:
-        return _report("theorem3", math.inf, math.inf, "upper", False,
-                       detail={**detail, "reason": "nonpositive output work cost"})
-    numer = float(_extreme_free_energies(spec, H, ctx.beta).max()) - f_in
-    achieved = numer / denom
-    rhs = 1.0 / (R - ctx.inv_lam_beta * S_out)
-    return _report("theorem3", achieved, rhs, "upper", pre, detail=detail)
-
-
-def theorem4_bound(E: QuantumChannel, bipartite_spec: FreeSet, ctx: ThermoContext,
-                   tol: float = DEFAULT_TOL) -> BoundReport:
-    """Choi-proxy implementation cost of the channel versus free channels.
-
-    Achieved ratio: max over free bipartite extreme points of
-    W_cost(omega) / W_cost(E) at H_AB = lambda * Z with Z the Choi witness;
-    bound: (1 + S(tau)/(lam beta)) / (1 + R + (S(tau) - S(J))/(lam beta)).
-    """
-    result = channel_robustness_lower(E, bipartite_spec, tol=tol)
-    R = result.lower_bound
-    J = choi_state(E)
     S_J = von_neumann_entropy(J.matrix)
     detail = {"R": R, "S_choi": S_J, "solver_status": result.status}
     if R <= 1e-9:
@@ -236,3 +255,15 @@ def theorem4_bound(E: QuantumChannel, bipartite_spec: FreeSet, ctx: ThermoContex
     rhs = (1.0 + x * S_tau) / (1.0 + R + x * (S_tau - S_J))
     detail["S_tau"] = S_tau
     return _report("theorem4", achieved, rhs, "upper", pre, detail=detail)
+
+
+def theorem4_bound(E: QuantumChannel, bipartite_spec: FreeSet, ctx: ThermoContext,
+                   tol: float = DEFAULT_TOL) -> BoundReport:
+    """Choi-proxy implementation cost of the channel versus free channels.
+
+    Achieved ratio: max over free bipartite extreme points of
+    W_cost(omega) / W_cost(E) at H_AB = lambda * Z with Z the Choi witness;
+    bound: (1 + S(tau)/(lam beta)) / (1 + R + (S(tau) - S(J))/(lam beta)).
+    """
+    result = channel_robustness_lower(E, bipartite_spec, tol=tol)
+    return theorem4_report(choi_state(E), bipartite_spec, result, ctx)

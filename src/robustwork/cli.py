@@ -20,7 +20,7 @@ from .iojson import beta_to_json, matrix_to_json, parse_beta, vector_to_json
 from .linalg import assert_hermitian
 from .scenarios import (
     ScenarioError,
-    _evaluate_channel_point,
+    _channel_entries,
     build_free_set,
     exit_code_of_report,
     load_scenario,
@@ -31,7 +31,7 @@ from .scenarios import (
     sweep,
     sweep_to_csv,
 )
-from .solver import Rank1NotTightError, rank1_witness_from_pure, robustness_dual
+from .solver import Rank1NotTightError, _rank1_truncation, robustness_dual
 from .thermo import ThermoContext, simulate_protocol, verify_eq10_ratio, verify_theorem1
 from .iojson import json_to_matrix
 
@@ -107,7 +107,7 @@ def _cmd_witness(args) -> int:
     payload["rank1"] = None
     if variant.psi is not None and result.value > 10 * tol:
         try:
-            c, y = rank1_witness_from_pure(variant.psi, spec, tol=tol)
+            c, y = _rank1_truncation(variant.psi, spec, result, tol)
             payload["rank1"] = {"c": c, "y": vector_to_json(y)}
         except Rank1NotTightError as exc:
             payload["rank1"] = {"error": str(exc)}
@@ -208,9 +208,7 @@ def _cmd_channel(args) -> int:
         "tol": tol,
         **({"input_state": obj["input_state"]} if "input_state" in obj else {}),
     })
-    entries = _evaluate_channel_point(
-        scenario_like, channel, label, float(obj["lambda"]), parse_beta(obj["beta"])
-    )
+    entries = _channel_entries(scenario_like, channel, label)
     payload = {
         "channel": label,
         "choi": matrix_to_json(choi_state(channel).matrix),

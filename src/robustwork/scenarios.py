@@ -6,14 +6,15 @@ channel) family, a free set, lambda/beta grids, and the checks to run.
 (grid point, check); ``sweep`` flattens the same evaluation into CSV rows.
 
 Re-running a scenario with the same seed is byte-identical apart from the
-``meta`` block (timestamp and wall time).  Grid points are independent pure
-computations and are evaluated on a small thread pool; the report assembly
-is an ordered reduction, so parallelism never affects output.
+``meta`` block (timestamp and wall time).  Every robustness program depends
+only on the state (or channel) and the free set; lambda and beta enter
+afterwards, through the Hamiltonian lambda*Y and its Gibbs state.  So each
+distinct program is solved once per run and shared by all grid points,
+which are then evaluated in a plain loop.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import datetime as _dt
 import json
 import math
@@ -27,8 +28,9 @@ from .channels import (
     choi_state,
     make_channel,
     channel_robustness_lower,
-    theorem3_bound,
-    theorem4_bound,
+    theorem3_output_witness,
+    theorem3_report,
+    theorem4_report,
     unitary_channel,
     depolarizing_channel,
 )
@@ -37,14 +39,14 @@ from .iojson import (
     beta_to_json,
     json_to_matrix,
     json_to_vector,
-    matrix_to_json,
     parse_beta,
 )
 from .linalg import INF_BETA, assert_density, assert_pure, projector
 from .solver import (
     DEFAULT_TOL,
+    MAX_ITERATIONS,
+    _rank1_truncation,
     pure_coherence_witness,
-    rank1_witness_from_pure,
     Rank1NotTightError,
     robustness_dual,
     robustness_pure_coherence,
@@ -56,10 +58,12 @@ from .thermo import (
     ThermoContext,
     _report,
     rank1_work_summary,
+    require_maximally_mixed,
+    residual_weight,
     theorem1_precondition,
+    theorem2_at_weight,
     verify_eq10_ratio,
     verify_theorem1,
-    verify_theorem2,
     verify_xi_cost,
 )
 
@@ -387,7 +391,7 @@ def _resolve_state_witness(variant: _StateVariant, fs_spec: dict, tol: float) ->
     c = y = None
     if variant.psi is not None and result.value > 10 * tol:
         try:
-            c, y = rank1_witness_from_pure(variant.psi, free_set, tol=tol)
+            c, y = _rank1_truncation(variant.psi, free_set, result, tol)
         except Rank1NotTightError:
             pass
     return _Resolved(free_set, result.witness, c, y,
@@ -447,46 +451,55 @@ def _scalar_report(check: str, summary: dict, ctx: ThermoContext, epsilon: float
     raise ValueError(f"no scalar path for check '{check}'")
 
 
-def _evaluate_state_point(scenario: Scenario, variant: _StateVariant, res: _Resolved,
-                          lam: float, beta: float) -> list[dict]:
-    ctx = ThermoContext(beta=beta, lam=lam)
+def _state_report(check: str, scenario: Scenario, variant: _StateVariant, res: _Resolved,
+                  ctx: ThermoContext) -> BoundReport:
+    if res.scalar:
+        overlap = float(np.abs(np.vdot(res.y, variant.psi)) ** 2)
+        summary = rank1_work_summary(res.c, overlap, variant.d, ctx)
+        return _scalar_report(check, summary, ctx, scenario.epsilon,
+                              scenario.min_lambda_beta_factor, variant.d)
+    if check == "theorem1":
+        return verify_theorem1(variant.rho, res.free_set, ctx, witness=res.witness)
+    if check == "eq10":
+        return verify_eq10_ratio(variant.rho, res.free_set, ctx,
+                                 epsilon=scenario.epsilon, witness=res.witness,
+                                 min_lambda_beta_factor=scenario.min_lambda_beta_factor)
+    return verify_xi_cost(variant.rho, res.free_set, ctx, witness=res.witness)
+
+
+def _state_entries(scenario: Scenario, variant: _StateVariant) -> list[dict]:
+    res = _resolve_state_witness(variant, scenario.free_set, scenario.tol)
     robustness = {"value": res.R, "gap": res.gap, "status": res.status}
+    theorem2_skip = None
+    if "theorem2" in scenario.checks:
+        if variant.d > _THEOREM2_DIM_CAP:
+            theorem2_skip = f"dimension {variant.d} above the theorem2 solver cap"
+        elif res.c is None or res.y is None:
+            theorem2_skip = "theorem2 needs a resourceful pure state with a rank-1 witness"
+        else:
+            require_maximally_mixed(res.free_set, variant.d)
+    # the residual state depends on (lambda, beta) only through its weight a,
+    # which is exactly 1.0 wherever beta*lambda*c exceeds ~37
+    theorem2_by_weight: dict[float, BoundReport] = {}
     entries = []
-    for check in scenario.checks:
-        if check in ("theorem1", "eq10", "corollary1"):
-            if res.scalar:
-                overlap = float(np.abs(np.vdot(res.y, variant.psi)) ** 2)
-                summary = rank1_work_summary(res.c, overlap, variant.d, ctx)
-                report = _scalar_report(check, summary, ctx, scenario.epsilon,
-                                        scenario.min_lambda_beta_factor, variant.d)
-            elif check == "theorem1":
-                report = verify_theorem1(variant.rho, res.free_set, ctx, witness=res.witness)
-            elif check == "eq10":
-                report = verify_eq10_ratio(variant.rho, res.free_set, ctx,
-                                           epsilon=scenario.epsilon, witness=res.witness,
-                                           min_lambda_beta_factor=scenario.min_lambda_beta_factor)
-            else:
-                report = verify_xi_cost(variant.rho, res.free_set, ctx, witness=res.witness)
-            skipped = not report.precondition_met
-            reason = "precondition not met" if skipped else None
-            entries.append(_entry(check, variant.label, variant.d, variant.n, lam, beta,
-                                  robustness, report, skipped, reason))
-        elif check == "theorem2":
-            if variant.d > _THEOREM2_DIM_CAP:
+    for lam in scenario.lambda_grid:
+        for beta in scenario.beta_grid:
+            ctx = ThermoContext(beta=beta, lam=lam)
+            for check in scenario.checks:
+                if check != "theorem2":
+                    report = _state_report(check, scenario, variant, res, ctx)
+                    skipped = not report.precondition_met
+                    reason = "precondition not met" if skipped else None
+                elif theorem2_skip is not None:
+                    report, skipped, reason = None, True, theorem2_skip
+                else:
+                    a = residual_weight(res.c, ctx)
+                    if a not in theorem2_by_weight:
+                        theorem2_by_weight[a] = theorem2_at_weight(res.y, a, variant.d,
+                                                                   res.free_set, tol=scenario.tol)
+                    report, skipped, reason = theorem2_by_weight[a], False, None
                 entries.append(_entry(check, variant.label, variant.d, variant.n, lam, beta,
-                                      robustness, None, True,
-                                      f"dimension {variant.d} above the theorem2 solver cap"))
-            elif res.c is None or res.y is None:
-                entries.append(_entry(check, variant.label, variant.d, variant.n, lam, beta,
-                                      robustness, None, True,
-                                      "theorem2 needs a resourceful pure state with a rank-1 witness"))
-            else:
-                report = verify_theorem2(res.y, res.c, ctx, variant.d, res.free_set,
-                                         tol=scenario.tol)
-                entries.append(_entry(check, variant.label, variant.d, variant.n, lam, beta,
-                                      robustness, report))
-        else:  # pragma: no cover - load_scenario rejects channel checks here
-            raise ScenarioError(f"check '{check}' is not valid for state scenarios")
+                                      robustness, report, skipped, reason))
     return entries
 
 
@@ -501,77 +514,65 @@ def _lift_bipartite(fs_spec: dict, d: int) -> FreeSet | None:
     return None
 
 
-def _evaluate_channel_point(scenario: Scenario, channel: QuantumChannel, label: str,
-                            lam: float, beta: float) -> list[dict]:
-    ctx = ThermoContext(beta=beta, lam=lam)
+def _channel_input(scenario: Scenario, d: int) -> np.ndarray:
+    if scenario.input_state is None:
+        return projector(basis_state(d, 0))
+    variants = parse_state_spec(scenario.input_state, "input_state")
+    if len(variants) != 1:
+        raise ScenarioError("input_state: must name a single state")
+    return variants[0].rho
+
+
+def _channel_entries(scenario: Scenario, channel: QuantumChannel, label: str) -> list[dict]:
     d = channel.dim
     bipartite = _lift_bipartite(scenario.free_set, d)
-    robustness = None
+    choi = robustness = None
     if bipartite is not None:
-        rr = channel_robustness_lower(channel, bipartite, tol=scenario.tol)
-        robustness = {"value": rr.value, "gap": rr.gap, "status": rr.status}
+        # one Choi solve serves the robustness block and theorem4
+        choi = channel_robustness_lower(channel, bipartite, tol=scenario.tol)
+        robustness = {"value": choi.value, "gap": choi.gap, "status": choi.status}
+        J = choi_state(channel)
+    output = None
+    if "theorem3" in scenario.checks:
+        output = theorem3_output_witness(channel, _channel_input(scenario, d),
+                                         build_free_set(scenario.free_set, d), tol=scenario.tol)
     entries = []
-    for check in scenario.checks:
-        if check == "theorem3":
-            if scenario.input_state is not None:
-                variants = parse_state_spec(scenario.input_state, "input_state")
-                if len(variants) != 1:
-                    raise ScenarioError("input_state: must name a single state")
-                sigma_in = variants[0].rho
-            else:
-                sigma_in = projector(basis_state(d, 0))
-            spec = build_free_set(scenario.free_set, d)
-            report = theorem3_bound(channel, sigma_in, spec, ctx, tol=scenario.tol)
-            skipped = not report.precondition_met
-            entries.append(_entry(check, label, d, None, lam, beta, robustness, report,
-                                  skipped, report.detail.get("reason")))
-        elif check == "theorem4":
-            if bipartite is None:
-                entries.append(_entry(check, label, d, None, lam, beta, robustness, None, True,
-                                      "free set kind cannot be lifted to the bipartite space"))
-                continue
-            report = theorem4_bound(channel, bipartite, ctx, tol=scenario.tol)
-            skipped = not report.precondition_met
-            entries.append(_entry(check, label, d, None, lam, beta, robustness, report,
-                                  skipped, report.detail.get("reason")))
-        else:  # pragma: no cover
-            raise ScenarioError(f"check '{check}' is not valid for channel scenarios")
+    for lam in scenario.lambda_grid:
+        for beta in scenario.beta_grid:
+            ctx = ThermoContext(beta=beta, lam=lam)
+            for check in scenario.checks:
+                if check == "theorem3":
+                    report = theorem3_report(output, ctx)
+                elif bipartite is not None:
+                    report = theorem4_report(J, bipartite, choi, ctx)
+                else:
+                    report = None
+                if report is None:
+                    skipped, reason = True, "free set kind cannot be lifted to the bipartite space"
+                else:
+                    skipped, reason = not report.precondition_met, report.detail.get("reason")
+                entries.append(_entry(check, label, d, None, lam, beta, robustness, report,
+                                      skipped, reason))
     return entries
 
 
 def _grid_entries(scenario: Scenario) -> list[dict]:
-    points = []
     if scenario.state is not None:
-        variants = parse_state_spec(scenario.state)
-        resolved = {v.label: _resolve_state_witness(v, scenario.free_set, scenario.tol)
-                    for v in variants}
-        for v in variants:
-            for lam in scenario.lambda_grid:
-                for beta in scenario.beta_grid:
-                    points.append(("state", v, resolved[v.label], lam, beta))
+        entries = [e for v in parse_state_spec(scenario.state) for e in _state_entries(scenario, v)]
     else:
         channel, label = parse_channel_spec(scenario.channel)
-        for lam in scenario.lambda_grid:
-            for beta in scenario.beta_grid:
-                points.append(("channel", channel, label, lam, beta))
-
-    def evaluate(point):
-        if point[0] == "state":
-            _, v, res, lam, beta = point
-            return _evaluate_state_point(scenario, v, res, lam, beta)
-        _, channel, label, lam, beta = point
-        return _evaluate_channel_point(scenario, channel, label, lam, beta)
-
-    if len(points) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=min(4, len(points))) as pool:
-            chunks = list(pool.map(evaluate, points))
-    else:
-        chunks = [evaluate(p) for p in points]
-    entries = [e for chunk in chunks for e in chunk]
+        entries = _channel_entries(scenario, channel, label)
     entries.sort(key=lambda e: (e["d"], e["n"] if e["n"] is not None else -1,
                                 e["lambda"], math.inf if e["beta"] == "inf" else e["beta"],
                                 e["check"]))
     return entries
+
+
+def _solver_statuses(entry: dict) -> tuple:
+    """Statuses of the solves behind an entry: its robustness block and its report."""
+    detail = (entry["report"] or {}).get("detail") or {}
+    return ((entry["robustness"] or {}).get("status"), detail.get("status"),
+            detail.get("solver_status"))
 
 
 def exit_code_of_report(report: dict) -> int:
@@ -582,10 +583,7 @@ def exit_code_of_report(report: dict) -> int:
     )
     if failed:
         return 2
-    nonconverged = any(
-        e["robustness"] is not None and e["robustness"]["status"] == "max_iterations"
-        for e in report["entries"]
-    )
+    nonconverged = any(MAX_ITERATIONS in _solver_statuses(e) for e in report["entries"])
     return 3 if nonconverged else 0
 
 
@@ -676,7 +674,3 @@ def sweep(scenario: Scenario) -> list[list[str]]:
 
 def sweep_to_csv(rows: list[list[str]]) -> str:
     return "\n".join(",".join(row) for row in rows) + "\n"
-
-
-def choi_to_json(channel: QuantumChannel) -> list:
-    return matrix_to_json(choi_state(channel).matrix)

@@ -597,7 +597,12 @@ def rank1_witness_from_pure(psi, spec: FreeSet, tol: float = DEFAULT_TOL) -> tup
     of the certified objective.
     """
     psi = assert_pure(psi)
-    result = robustness_dual(projector(psi), spec, tol=tol)
+    return _rank1_truncation(psi, spec, robustness_dual(projector(psi), spec, tol=tol), tol)
+
+
+def _rank1_truncation(psi: np.ndarray, spec: FreeSet, result: RobustnessResult,
+                      tol: float) -> tuple[float, np.ndarray]:
+    """Rank-1 witness from an already solved program for |psi><psi|."""
     if result.value <= tol:
         raise ValueError("state is free; a rank-1 witness requires robustness > tol")
     _, V = np.linalg.eigh(result.witness)

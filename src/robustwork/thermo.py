@@ -49,6 +49,9 @@ __all__ = [
     "verify_theorem1",
     "verify_eq10_ratio",
     "residual_thermal_closed_form",
+    "residual_weight",
+    "require_maximally_mixed",
+    "theorem2_at_weight",
     "verify_theorem2",
     "corollary1_bound",
     "verify_xi_cost",
@@ -374,16 +377,42 @@ def residual_thermal_closed_form(y, c: float, ctx: ThermoContext, d: int) -> np.
 
         (I - (1 - e^{-beta lambda c}) |y><y|) / (d - (1 - e^{-beta lambda c}))
     """
-    y = assert_pure(y)
-    if y.shape[0] != d:
-        raise ValueError(f"y has dimension {y.shape[0]}, expected {d}")
+    return _residual_state(y, residual_weight(c, ctx), d)
+
+
+def residual_weight(c: float, ctx: ThermoContext) -> float:
+    """a = 1 - e^{-beta lambda c}, the only way (lambda, beta) enter the residual state."""
     if c <= 0:
         raise ValueError("c must be positive")
     if ctx.beta == INF_BETA:
-        a = 1.0
-    else:
-        a = 1.0 - math.exp(-ctx.beta * ctx.lam * c)
+        return 1.0
+    return 1.0 - math.exp(-ctx.beta * ctx.lam * c)
+
+
+def _residual_state(y, a: float, d: int) -> np.ndarray:
+    y = assert_pure(y)
+    if y.shape[0] != d:
+        raise ValueError(f"y has dimension {y.shape[0]}, expected {d}")
     return (np.eye(d, dtype=complex) - a * np.outer(y, y.conj())) / (d - a)
+
+
+def require_maximally_mixed(spec_prime: FreeSet, d: int) -> None:
+    """Theorem 2's precondition on the free set, checked by membership."""
+    if not membership(spec_prime, maximally_mixed(d), tol=1e-6):
+        raise ValueError("spec_prime must contain the maximally mixed state")
+
+
+def theorem2_at_weight(y, a: float, d: int, spec_prime: FreeSet, tol: float = DEFAULT_TOL,
+                       max_newton: int = 400) -> BoundReport:
+    """Theorem 2 for the residual state of weight ``a`` (see residual_weight).
+
+    Assumes ``require_maximally_mixed(spec_prime, d)`` has passed.  Grid
+    points sharing ``a`` share this report.
+    """
+    result = robustness_dual(_residual_state(y, a, d), spec_prime, tol=tol, max_newton=max_newton)
+    detail = {"upper_bound": result.upper_bound, "gap": result.gap, "status": result.status}
+    return _report("theorem2", result.value, 1.0 / (d - 1), "upper", True,
+                   tolerance=1e-7, detail=detail)
 
 
 def verify_theorem2(y, c: float, ctx: ThermoContext, d: int, spec_prime: FreeSet,
@@ -393,13 +422,9 @@ def verify_theorem2(y, c: float, ctx: ThermoContext, d: int, spec_prime: FreeSet
     ``spec_prime`` may be any free set containing the maximally mixed state
     (checked via membership; violation is rejected, not silently computed).
     """
-    if not membership(spec_prime, maximally_mixed(d), tol=1e-6):
-        raise ValueError("spec_prime must contain the maximally mixed state")
-    tau = residual_thermal_closed_form(y, c, ctx, d)
-    result = robustness_dual(tau, spec_prime, tol=tol, max_newton=max_newton)
-    detail = {"upper_bound": result.upper_bound, "gap": result.gap, "status": result.status}
-    return _report("theorem2", result.value, 1.0 / (d - 1), "upper", True,
-                   tolerance=1e-7, detail=detail)
+    require_maximally_mixed(spec_prime, d)
+    return theorem2_at_weight(y, residual_weight(c, ctx), d, spec_prime, tol=tol,
+                              max_newton=max_newton)
 
 
 # ---------------------------------------------------------------------------

@@ -286,6 +286,39 @@ class TestExitCodes:
         }]}
         assert exit_code_of_report(report) == 3
 
+    @pytest.mark.parametrize("key", ["status", "solver_status"])
+    def test_nonconverged_report_detail_gives_three(self, key):
+        # theorem2 reports its residual solve as detail.status, theorem3/4
+        # their solves as detail.solver_status
+        from robustwork.scenarios import exit_code_of_report
+
+        report = {"entries": [
+            {"skipped": False, "robustness": None,
+             "report": {"satisfied": True, "detail": {key: "converged"}}},
+            {"skipped": False, "robustness": {"value": 1.0, "gap": 0.0, "status": "closed_form"},
+             "report": {"satisfied": True, "detail": {key: "max_iterations"}}},
+        ]}
+        assert exit_code_of_report(report) == 3
+
+    def test_converged_details_give_zero(self):
+        from robustwork.scenarios import exit_code_of_report
+
+        report = {"entries": [
+            {"skipped": False, "robustness": {"value": 1.0, "gap": 0.0, "status": "closed_form"},
+             "report": {"satisfied": True, "detail": {"status": "converged"}}},
+            {"skipped": True, "robustness": None, "report": None},
+        ]}
+        assert exit_code_of_report(report) == 0
+
+    def test_failure_outranks_nonconverged_detail(self):
+        from robustwork.scenarios import exit_code_of_report
+
+        report = {"entries": [
+            {"skipped": False, "robustness": None,
+             "report": {"satisfied": False, "detail": {"solver_status": "max_iterations"}}},
+        ]}
+        assert exit_code_of_report(report) == 2
+
     def test_failure_outranks_nonconvergence(self):
         from robustwork.scenarios import exit_code_of_report
 
