@@ -10,17 +10,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 from .channels import choi_state
 from .freesets import incoherent_set, stabilizer_set
-from .iojson import beta_to_json, matrix_to_json, parse_beta, vector_to_json
+from .iojson import beta_to_json, json_to_matrix, matrix_to_json, parse_beta, vector_to_json
 from .linalg import assert_hermitian
 from .scenarios import (
     ScenarioError,
     _channel_entries,
+    _sanitize,
     build_free_set,
     exit_code_of_report,
     load_scenario,
@@ -33,7 +33,6 @@ from .scenarios import (
 )
 from .solver import Rank1NotTightError, _rank1_truncation, robustness_dual
 from .thermo import ThermoContext, simulate_protocol, verify_eq10_ratio, verify_theorem1
-from .iojson import json_to_matrix
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
@@ -47,6 +46,11 @@ def _load_json(path: str):
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from None
+
+
+def _dump_json(payload) -> str:
+    """Strict JSON text: non-finite floats are mapped by _sanitize, never emitted raw."""
+    return json.dumps(_sanitize(payload), indent=2, sort_keys=True, allow_nan=False)
 
 
 def _emit(payload: str, out_dir: str | None, filename: str):
@@ -91,7 +95,7 @@ def _cmd_robustness(args) -> int:
     payload["primal_weights"] = None if result.primal_weights is None else [
         float(x) for x in result.primal_weights
     ]
-    _emit(json.dumps(payload, indent=2, sort_keys=True), args.out, "robustness.json")
+    _emit(_dump_json(payload), args.out, "robustness.json")
     return EXIT_NONCONVERGED if result.status == "max_iterations" else EXIT_OK
 
 
@@ -111,7 +115,7 @@ def _cmd_witness(args) -> int:
             payload["rank1"] = {"c": c, "y": vector_to_json(y)}
         except Rank1NotTightError as exc:
             payload["rank1"] = {"error": str(exc)}
-    _emit(json.dumps(payload, indent=2, sort_keys=True), args.out, "witness.json")
+    _emit(_dump_json(payload), args.out, "witness.json")
     return EXIT_NONCONVERGED if result.status == "max_iterations" else EXIT_OK
 
 
@@ -151,12 +155,12 @@ def _cmd_protocol(args) -> int:
         for rep in (verify_theorem1(variant.rho, spec, ctx, witness=witness),
                     verify_eq10_ratio(variant.rho, spec, ctx, witness=witness)):
             payload[rep.label] = {
-                "lhs": rep.lhs if math.isfinite(rep.lhs) else "inf",
+                "lhs": rep.lhs,
                 "rhs": rep.rhs,
                 "satisfied": rep.satisfied,
                 "precondition_met": rep.precondition_met,
             }
-    _emit(json.dumps(payload, indent=2, sort_keys=True), args.out, "protocol.json")
+    _emit(_dump_json(payload), args.out, "protocol.json")
     return EXIT_OK
 
 
@@ -216,9 +220,7 @@ def _cmd_channel(args) -> int:
         "bounds": {e["check"]: e["report"] for e in entries},
         "skips": {e["check"]: e["reason"] for e in entries if e["skipped"]},
     }
-    from .scenarios import _sanitize
-
-    _emit(json.dumps(_sanitize(payload), indent=2, sort_keys=True), args.out, "channel.json")
+    _emit(_dump_json(payload), args.out, "channel.json")
     report = {"entries": entries}
     return exit_code_of_report(report)
 
@@ -251,7 +253,7 @@ def _cmd_freeset_dump(args) -> int:
         "states": [vector_to_json(v) for v in spec.vectors]
         + [matrix_to_json(m) for m in spec.matrices],
     }
-    _emit(json.dumps(payload, indent=2, sort_keys=True), args.out, "freeset.json")
+    _emit(_dump_json(payload), args.out, "freeset.json")
     return EXIT_OK
 
 

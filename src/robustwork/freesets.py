@@ -5,12 +5,12 @@ robustness programs need the constraint list explicitly.  Pure extreme points
 are kept as state vectors (the solver has a fast path for them); arbitrary
 hulls may also carry mixed density matrices.
 
-Stabilizer states are enumerated from canonical GF(2) symplectic generator
-matrices: every maximal isotropic (Lagrangian) subspace of F_2^{2n} is found
-by brute force, each of its 2^n sign patterns is turned into a projector by
-multiplying (I + s_k G_k)/2 over canonical generators, and the resulting
-rank-1 states are deduplicated by hashing the phase-normalized amplitude
-vector at 1e-8 granularity.  Expected counts are 6, 60, 1080 for n = 1, 2, 3.
+Stabilizer states are enumerated from GF(2) symplectic generator matrices: a
+depth-first search lists each maximal isotropic (Lagrangian) subspace of
+F_2^{2n} once, by its least basis; each of its 2^n sign patterns multiplies
+the half-projectors (I + s_k G_k)/2, built once per call, in generator order;
+and the rank-1 states are deduplicated by hashing the phase-normalized
+amplitude vector at 1e-8 granularity.  Expected counts are 6, 60, 1080.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .linalg import assert_density, assert_pure, maximally_mixed, projector
+from .linalg import assert_density, assert_pure, projector
 from .states import basis_state, pauli_string
 
 __all__ = [
@@ -127,7 +127,10 @@ class StabilizerGroup:
             raise ValueError("need exactly n generators and n signs")
         if any(s not in (-1, 1) for s in self.signs):
             raise ValueError("signs must be +-1")
-        if _gf2_rank(self.rows) != self.n:
+        span = {0}
+        for r in self.rows:
+            span |= {s ^ r for s in span}
+        if len(span) != 2**self.n:
             raise ValueError("generators are dependent over GF(2)")
         for a, b in combinations(self.rows, 2):
             if _symplectic_product(a, b, self.n):
@@ -135,16 +138,21 @@ class StabilizerGroup:
 
     def state_vector(self) -> np.ndarray:
         """Joint +1 eigenstate of the signed generators."""
-        d = 2**self.n
-        P = np.eye(d, dtype=complex)
-        for row, s in zip(self.rows, self.signs):
-            G = pauli_string(*_split_row(row, self.n))
-            P = P @ (np.eye(d, dtype=complex) + s * G) / 2.0
-        if abs(P.trace().real - 1.0) > 1e-9:
-            raise ValueError("projector is not rank 1")
-        col = int(np.argmax(np.linalg.norm(P, axis=0)))
-        v = P[:, col]
-        return _phase_normalize(v / np.linalg.norm(v))
+        eye = np.eye(2**self.n, dtype=complex)
+        return _joint_eigenvector([(eye + s * pauli_string(*_split_row(row, self.n))) / 2.0
+                                   for row, s in zip(self.rows, self.signs)])
+
+
+def _joint_eigenvector(halves) -> np.ndarray:
+    """Unit vector spanning the range of the product of the half-projectors (I + s G)/2."""
+    P = np.eye(halves[0].shape[0], dtype=complex)
+    for H in halves:
+        P = P @ H
+    if abs(P.trace().real - 1.0) > 1e-9:
+        raise ValueError("projector is not rank 1")
+    col = int(np.argmax(np.linalg.norm(P, axis=0)))
+    v = P[:, col]
+    return _phase_normalize(v / np.linalg.norm(v))
 
 
 def _split_row(row: int, n: int):
@@ -157,28 +165,6 @@ def _symplectic_product(a: int, b: int, n: int) -> int:
     ax, az = a & ((1 << n) - 1), a >> n
     bx, bz = b & ((1 << n) - 1), b >> n
     return (bin(ax & bz).count("1") + bin(az & bx).count("1")) % 2
-
-
-def _gf2_rank(rows) -> int:
-    pivots: dict[int, int] = {}
-    for r in rows:
-        cur = r
-        while cur:
-            hb = cur.bit_length() - 1
-            if hb in pivots:
-                cur ^= pivots[hb]
-            else:
-                pivots[hb] = cur
-                break
-    return len(pivots)
-
-
-def _span_key(rows) -> tuple[int, ...]:
-    """Canonical key for the GF(2) span: its sorted nonzero elements."""
-    span = {0}
-    for r in rows:
-        span |= {s ^ r for s in span}
-    return tuple(sorted(span - {0}))
 
 
 def _phase_normalize(v: np.ndarray) -> np.ndarray:
@@ -194,16 +180,23 @@ def _vector_key(v: np.ndarray) -> tuple:
 
 
 def _lagrangian_subspaces(n: int) -> list[tuple[int, ...]]:
-    """All maximal isotropic subspaces of F_2^{2n}, one generator tuple each."""
-    vectors = range(1, 1 << (2 * n))
-    seen: dict[tuple, tuple] = {}
-    for combo in combinations(vectors, n):
-        if any(_symplectic_product(a, b, n) for a, b in combinations(combo, 2)):
-            continue
-        if _gf2_rank(combo) != n:
-            continue
-        seen.setdefault(_span_key(combo), combo)
-    return sorted(seen.values())
+    """All maximal isotropic subspaces of F_2^{2n}, each once by its least basis, sorted.
+
+    Depth-first: a tuple grows only by a ``v`` above its last entry that commutes
+    with it and is least in its coset ``v + span``, which makes ``v`` independent."""
+    out = []
+
+    def extend(rows: tuple[int, ...], span: list[int]) -> None:
+        if len(rows) == n:
+            out.append(rows)
+            return
+        for v in range(rows[-1] + 1 if rows else 1, 1 << (2 * n)):
+            least_in_coset = min(v ^ s for s in span) == v
+            if least_in_coset and not any(_symplectic_product(v, r, n) for r in rows):
+                extend(rows + (v,), span + [v ^ s for s in span])
+
+    extend((), [0])
+    return out
 
 
 def stabilizer_state_count(n: int) -> int:
@@ -218,10 +211,15 @@ def enumerate_stabilizer_states(n: int) -> list[np.ndarray]:
     """All n-qubit pure stabilizer states, deduplicated up to global phase."""
     if not 1 <= n <= STABILIZER_MAX_QUBITS:
         raise ValueError(f"stabilizer enumeration supports n in 1..{STABILIZER_MAX_QUBITS}")
+    eye = np.eye(2**n, dtype=complex)
+    halves: dict[int, list[np.ndarray]] = {}  # row -> [(I + G)/2, (I - G)/2]
     states = {}
     for rows in _lagrangian_subspaces(n):
-        for signs in product((1, -1), repeat=n):
-            v = StabilizerGroup(n, rows, signs).state_vector()
+        for row in set(rows) - halves.keys():
+            G = pauli_string(*_split_row(row, n))
+            halves[row] = [(eye + s * G) / 2.0 for s in (1, -1)]
+        for choice in product((0, 1), repeat=n):
+            v = _joint_eigenvector([halves[row][c] for row, c in zip(rows, choice)])
             states.setdefault(_vector_key(v), v)
     out = list(states.values())
     if len(out) != stabilizer_state_count(n):
@@ -231,7 +229,7 @@ def enumerate_stabilizer_states(n: int) -> list[np.ndarray]:
 
 @lru_cache(maxsize=STABILIZER_MAX_QUBITS)
 def stabilizer_set(n: int) -> FreeSet:
-    # cached: the n=3 enumeration costs a noticeable fraction of a second
+    # cached: every caller of stabilizer(n) shares one tuple of extreme points
     return FreeSet("stabilizer", 2**n, vectors=tuple(enumerate_stabilizer_states(n)))
 
 
@@ -247,7 +245,3 @@ def membership(spec: FreeSet, rho, tol: float = 1e-7) -> bool:
     rho = assert_density(rho)
     result = robustness_dual(rho, spec, tol=min(tol, 1e-7) / 2)
     return result.value <= tol
-
-
-def contains_maximally_mixed(spec: FreeSet, tol: float = 1e-7) -> bool:
-    return membership(spec, maximally_mixed(spec.dim), tol=tol)

@@ -616,8 +616,9 @@ def _json_default(x):
 
 
 def _sanitize(obj):
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf" if obj > 0 else "-inf"
+    """JSON-safe copy: +-inf become the strings "inf"/"-inf" and NaN becomes null."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -626,7 +627,8 @@ def _sanitize(obj):
 
 
 def report_to_json_text(report: dict) -> str:
-    return json.dumps(_sanitize(report), sort_keys=True, indent=2, default=_json_default)
+    return json.dumps(_sanitize(report), sort_keys=True, indent=2, default=_json_default,
+                      allow_nan=False)
 
 
 # ---------------------------------------------------------------------------

@@ -174,9 +174,7 @@ class _Program:
 
     def constraint_values(self, Y: np.ndarray) -> np.ndarray:
         """Tr[Y sigma_k] for every compressed extreme point."""
-        if self.vecs is not None:
-            return np.einsum("ik,ij,jk->k", self.vecs.conj(), Y, self.vecs, optimize=True).real
-        return np.einsum("kij,ji->k", self.mats, Y, optimize=True).real
+        return _constraint_values(self.vecs, self.mats, Y)
 
     def sigma_mix(self, coeff: np.ndarray) -> np.ndarray:
         """sum_k coeff_k sigma_k (a slack direction, no rho term)."""
@@ -505,16 +503,20 @@ def robustness_primal(rho, spec: FreeSet, tol: float = DEFAULT_TOL,
 # ---------------------------------------------------------------------------
 
 
+def _constraint_values(vecs, mats, Y: np.ndarray) -> np.ndarray:
+    """Tr[Y sigma_k]: the columns of ``vecs`` first, then the stacked ``mats``."""
+    vals = []
+    if vecs is not None:
+        vals.append(np.einsum("ik,ij,jk->k", vecs.conj(), Y, vecs, optimize=True).real)
+    if mats is not None:
+        vals.append(np.einsum("kij,ji->k", mats, Y, optimize=True).real)
+    return np.concatenate(vals)
+
+
 def witness_constraints(witness, spec: FreeSet) -> np.ndarray:
     """Tr[Y sigma_k] for every extreme point, in density_matrices() order."""
-    vals = []
-    if spec.vectors:
-        V = np.stack(spec.vectors, axis=1)
-        vals.append(np.einsum("ik,ij,jk->k", V.conj(), witness, V, optimize=True).real)
-    if spec.matrices:
-        M = np.stack(spec.matrices)
-        vals.append(np.einsum("kij,ji->k", M, witness, optimize=True).real)
-    return np.concatenate(vals)
+    return _constraint_values(np.stack(spec.vectors, axis=1) if spec.vectors else None,
+                              np.stack(spec.matrices) if spec.matrices else None, witness)
 
 
 def witness_is_feasible(witness, spec: FreeSet, psd_tol: float = 1e-9,
@@ -531,12 +533,14 @@ def witness_is_feasible(witness, spec: FreeSet, psd_tol: float = 1e-9,
 def primal_slack(weights, rho, spec: FreeSet) -> np.ndarray:
     """sum_k q_k sigma_k - rho; PSD iff the weights are feasible."""
     weights = np.asarray(weights, dtype=float)
-    mats = spec.density_matrices()
-    if len(weights) != len(mats):
+    if len(weights) != spec.n_points:
         raise ValueError("weight vector length does not match the extreme-point list")
     S = -np.asarray(rho, dtype=complex)
-    for w, sigma in zip(weights, mats):
-        S = S + w * sigma
+    if spec.vectors:
+        V = np.stack(spec.vectors, axis=1)
+        S = S + (V * weights[:V.shape[1]]) @ dagger(V)
+    if spec.matrices:
+        S = S + np.tensordot(weights[len(spec.vectors):], np.stack(spec.matrices), axes=1)
     return 0.5 * (S + dagger(S))
 
 

@@ -82,12 +82,6 @@ def random_hermitian(d: int, rng: np.random.Generator, scale: float = 1.0) -> np
     return scale * 0.5 * (A + dagger(A))
 
 
-def t_state_tensor_projector(n: int) -> np.ndarray:
-    """Density matrix of |T>^{tensor n}; small helper for tests and demos."""
-    psi = t_state(n)
-    return np.outer(psi, psi.conj())
-
-
 def pauli_string(bits_x, bits_z) -> np.ndarray:
     """Hermitian Pauli operator from X/Z bit rows (I, X, Z, Y per qubit)."""
     table = {(0, 0): np.eye(2, dtype=complex), (1, 0): PAULI_X, (0, 1): PAULI_Z, (1, 1): PAULI_Y}

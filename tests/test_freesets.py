@@ -1,8 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from robustwork.freesets import (
     StabilizerGroup,
+    _lagrangian_subspaces,
+    _symplectic_product,
     enumerate_stabilizer_states,
     finite_hull,
     incoherent_extreme_points,
@@ -15,7 +19,7 @@ from robustwork.linalg import maximally_mixed, projector
 from robustwork.states import HADAMARD, S_GATE, basis_state, t_state
 
 from conftest import SEEDS
-from oracles import clifford_orbit_states, phase_key, stabilizer_count_formula
+from oracles import _cnot_op, clifford_orbit_states, phase_key, stabilizer_count_formula
 
 rng = np.random.default_rng(SEEDS["freesets"])
 
@@ -69,17 +73,47 @@ class TestStabilizerEnumeration:
         ]
         assert keys == {phase_key(np.array(v, dtype=complex)) for v in expected}
 
-    @pytest.mark.parametrize("n", [1, 2])
+    # SHA-256 of np.stack(states).tobytes(), recorded from a search over all
+    # generator n-tuples: the order, the phase convention and every bit of
+    # every amplitude, signed zeros included, are pinned, so every solve,
+    # report and freeset dump built on these lists stays byte-identical
+    @pytest.mark.parametrize("n, digest", [
+        (1, "7d5f30af92bfd11ce5c2f46bc50bb3ba8fcdf09628f17fb7c7b9ca62f0d45f42"),
+        (2, "779facd5e62a628456741d7de7d3b9421ef7ae6dee610bb073c85228b23c2fb6"),
+        (3, "c6750b3b2a19113d5a6859d1b5e5d8fc8f07dcb86128ed737024bcbd6223ce1a"),
+    ])
+    def test_bytes_match_reference(self, n, digest):
+        states = np.stack(enumerate_stabilizer_states(n))
+        assert hashlib.sha256(states.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n, count", [(1, 3), (2, 15), (3, 135)])
+    def test_lagrangian_subspaces_are_distinct(self, n, count):
+        # prod_k (2^k + 1) Lagrangian subspaces, each listed once, sorted
+        subspaces = _lagrangian_subspaces(n)
+        assert len(subspaces) == count
+        assert subspaces == sorted(subspaces)
+        spans = set()
+        for rows in subspaces:
+            assert len(rows) == n
+            assert not any(_symplectic_product(a, b, n) for a in rows for b in rows)
+            span = {0}
+            for r in rows:
+                span |= {s ^ r for s in span}
+            assert len(span) == 2**n
+            spans.add(frozenset(span))
+        assert len(spans) == count
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_clifford_orbit(self, n):
         ours = {phase_key(v) for v in enumerate_stabilizer_states(n)}
         orbit = {phase_key(v) for v in clifford_orbit_states(n)}
         assert ours == orbit
 
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_closed_under_clifford_generators(self, n):
         states = enumerate_stabilizer_states(n)
         keys = {phase_key(v) for v in states}
-        gates = []
+        gates = [_cnot_op(c, t, n) for c in range(n) for t in range(n) if c != t]
         for q in range(n):
             ops = [np.eye(2, dtype=complex)] * n
             for G in (HADAMARD, S_GATE):

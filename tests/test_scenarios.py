@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from robustwork.freesets import stabilizer_set
@@ -19,6 +20,14 @@ from robustwork.scenarios import (
 from robustwork.states import t_state
 from robustwork.thermo import ThermoContext, verify_eq10_ratio
 from robustwork.solver import tstate_magic_witness
+
+
+def strict_json(text: str):
+    """json.loads that refuses the NaN/Infinity tokens strict JSON does not have."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def scenario_dict(**overrides):
@@ -126,6 +135,22 @@ class TestRunScenario:
         for r in (r1, r2):
             del r["meta"]
         assert report_to_json_text(r1) == report_to_json_text(r2)
+
+    def test_degenerate_channel_report_is_strict_json(self):
+        # the default input |0> stays |0> under the T gate, a free output, so
+        # the theorem-3 report takes the degenerate path with lhs = rhs = inf
+        doc = scenario_dict(name="t-gate", channel={"named": "t_gate"},
+                            free_set={"kind": "stabilizer"}, lambda_grid=[100.0],
+                            beta_grid=["inf"], checks=["theorem3", "theorem4"])
+        del doc["state"]
+        report = strict_json(report_to_json_text(run_scenario(load_scenario(doc))))
+        slacks = [e["report"]["slack"] for e in report["entries"] if e["report"]]
+        assert None in slacks
+
+    def test_json_text_refuses_nan(self):
+        # a NaN that _sanitize cannot see (not a float subclass) must raise, not leak
+        with pytest.raises(ValueError):
+            report_to_json_text({"entries": [], "x": np.float32("nan")})
 
     def test_theorem2_runs_with_closed_form_witness(self):
         sc = load_scenario(scenario_dict(checks=["theorem2"], beta_grid=[1.0]))
@@ -352,6 +377,17 @@ class TestCli:
         assert out["status"] == "converged"
         assert len(out["witness"]) == 4
 
+    def test_robustness_verb_infeasible_hull_is_strict_json(self, tmp_path):
+        path = self.write(tmp_path, "in.json", {
+            "state": {"named": "basis", "d": 2, "j": 1},
+            "free_set": {"kind": "finite_hull", "states": [[[1.0, 0.0], [0.0, 0.0]]]},
+        })
+        proc = self.run_cli("robustness", "--input", path)
+        assert proc.returncode == 0, proc.stderr
+        out = strict_json(proc.stdout)
+        assert out["status"] == "infeasible"
+        assert out["value"] == out["upper_bound"] == "inf"
+
     def test_verify_exit_zero(self, tmp_path):
         path = self.write(tmp_path, "sc.json", scenario_dict())
         proc = self.run_cli("verify", "--input", path, "--out", str(tmp_path))
@@ -418,9 +454,10 @@ class TestCli:
         })
         proc = self.run_cli("channel", "--input", path)
         assert proc.returncode == 0, proc.stderr
-        out = json.loads(proc.stdout)
+        out = strict_json(proc.stdout)
         assert out["robustness_lower"]["value"] == pytest.approx(0.1715729, abs=1e-5)
         assert out["bounds"]["theorem4"]["satisfied"]
+        assert out["bounds"]["theorem3"]["slack"] is None
 
     def test_channel_verb_with_input_state(self, tmp_path):
         # Hadamard-then-T circuit turns |0> into the T state, so the

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustwork.freesets import finite_hull, incoherent_set, stabilizer_set
 from robustwork.linalg import maximally_mixed, projector, trace_inner
@@ -9,6 +11,7 @@ from robustwork.solver import (
     CONVERGED,
     INFEASIBLE,
     InfeasibleHullError,
+    _Program,
     _solve_shifted,
     primal_slack,
     pure_coherence_witness,
@@ -22,7 +25,14 @@ from robustwork.solver import (
     witness_constraints,
     witness_is_feasible,
 )
-from robustwork.states import basis_state, golden_state, random_density_matrix, random_pure_state, t_state
+from robustwork.states import (
+    basis_state,
+    golden_state,
+    random_density_matrix,
+    random_hermitian,
+    random_pure_state,
+    t_state,
+)
 
 from conftest import SEEDS
 
@@ -254,3 +264,45 @@ class TestNewtonSolve:
             x_dense = np.linalg.solve(H, rhs)
             x_thin = _solve_shifted(diag, F, rhs)
             assert np.abs(x_dense - x_thin).max() < 1e-8
+
+
+# pure-only hulls take the matrix-product path; the mixed hull adds the tensordot one
+RECHECK_SPECS = [
+    incoherent_set(4),
+    stabilizer_set(2),
+    finite_hull([basis_state(2, 0), random_density_matrix(2, np.random.default_rng(1)),
+                 maximally_mixed(2), random_pure_state(2, np.random.default_rng(2))]),
+]
+
+
+def loop_primal_slack(weights, rho, spec):
+    """Reference: the plain sum  sum_k w_k sigma_k - rho, one extreme point at a time."""
+    S = -np.asarray(rho, dtype=complex)
+    for w, sigma in zip(weights, spec.density_matrices()):
+        S = S + w * sigma
+    return 0.5 * (S + S.conj().T)
+
+
+class TestRechecks:
+    @settings(max_examples=60, deadline=None)
+    @given(spec=st.sampled_from(RECHECK_SPECS), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_primal_slack_matches_plain_sum(self, spec, seed, data):
+        weights = data.draw(st.lists(st.floats(0.0, 1.0), min_size=spec.n_points,
+                                     max_size=spec.n_points))
+        rho = random_density_matrix(spec.dim, np.random.default_rng(seed))
+        S = primal_slack(weights, rho, spec)
+        assert np.abs(S - loop_primal_slack(weights, rho, spec)).max() <= 1e-12
+        assert np.array_equal(S, S.conj().T)
+
+    def test_primal_slack_rejects_wrong_length(self):
+        with pytest.raises(ValueError):
+            primal_slack(np.ones(3), maximally_mixed(4), incoherent_set(4))
+
+    @pytest.mark.parametrize("spec", RECHECK_SPECS[:2], ids=["incoherent4", "stabilizer2"])
+    def test_witness_constraints_match_program_bitwise(self, spec):
+        # full-rank hulls are not compressed, so both paths see the same points
+        prog = _Program.from_spec(maximally_mixed(spec.dim), spec)
+        assert prog.basis is None
+        for _ in range(3):
+            Y = random_hermitian(spec.dim, rng)
+            assert np.array_equal(witness_constraints(Y, spec), prog.constraint_values(Y))
