@@ -17,24 +17,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .freesets import FreeSet, membership
-from .linalg import (
-    assert_density,
-    assert_hermitian,
-    dagger,
-    gibbs_state,
-    partial_trace,
-    projector,
-    von_neumann_entropy,
-)
+from .linalg import assert_density, dagger, partial_trace, projector, trace_inner
 from .solver import DEFAULT_TOL, RobustnessResult, robustness_dual
 from .states import maximally_entangled_state
 from .thermo import (
     BoundReport,
     ThermoContext,
-    _extreme_free_energies,
+    WitnessSummary,
     _report,
-    free_energy,
+    corollary1_bound,
+    extractable_work,
     theorem1_precondition,
+    witness_summary,
 )
 
 __all__ = [
@@ -166,21 +160,17 @@ def channel_robustness_lower(E: QuantumChannel, bipartite_spec: FreeSet,
 
 def channel_cost_proxy(E: QuantumChannel, H_AB, beta: float) -> float:
     """Work cost of preparing the Choi state under H_AB."""
-    J = choi_state(E)
-    H_AB = assert_hermitian(H_AB, "H_AB")
-    tau = gibbs_state(H_AB, beta)
-    return free_energy(J.matrix, H_AB, beta) - free_energy(tau, H_AB, beta)
+    return extractable_work(choi_state(E).matrix, H_AB, beta)
 
 
 @dataclass(frozen=True)
 class OutputWitness:
-    """The (lambda, beta)-independent half of theorem 3: the channel output
-    of a free pure input, its entropy and its certified witness."""
+    """The (lambda, beta)-independent half of theorem 3: the summary of the
+    certified witness Y of the channel output E(sigma_in), with that output as
+    its state, and the energy Tr[Y sigma_in] of the free pure input."""
 
-    spec: FreeSet
-    sigma_in: np.ndarray
-    output: np.ndarray
-    S_out: float
+    summary: WitnessSummary
+    energy_in: float
     result: RobustnessResult
 
 
@@ -194,27 +184,31 @@ def theorem3_output_witness(E: QuantumChannel, sigma_in, spec: FreeSet,
         raise ValueError("sigma_in must be a free state")
     out = apply_channel(E, sigma_in)
     result = robustness_dual(out, spec, tol=tol)
-    return OutputWitness(spec, sigma_in, out, von_neumann_entropy(out), result)
+    return OutputWitness(witness_summary(result.witness, out, spec),
+                         trace_inner(result.witness, sigma_in), result)
 
 
 def theorem3_report(w: OutputWitness, ctx: ThermoContext) -> BoundReport:
-    """Theorem 3 at one (lambda, beta) from a solved OutputWitness."""
+    """Theorem 3 at one (lambda, beta) from a solved OutputWitness.
+
+    The pure input carries no entropy, so its free energy is lambda Tr[Y sigma_in].
+    """
     R = w.result.lower_bound
-    pre = theorem1_precondition(R, w.S_out, ctx)
-    detail = {"R": R, "S_out": w.S_out, "solver_status": w.result.status}
+    S_out = w.summary.S_rho
+    pre = theorem1_precondition(R, S_out, ctx)
+    detail = {"R": R, "S_out": S_out, "solver_status": w.result.status}
     if R <= 1e-9:
         return _report("theorem3", math.inf, math.inf, "upper", False,
                        detail={**detail, "reason": "channel output is free; bound undefined"})
 
-    H = ctx.lam * w.result.witness
-    f_in = free_energy(w.sigma_in, H, ctx.beta)
-    denom = free_energy(w.output, H, ctx.beta) - f_in
+    f_out, f_free = w.summary.free_energies(ctx)
+    f_in = ctx.lam * w.energy_in
+    denom = f_out - f_in
     if denom <= 0.0:
         return _report("theorem3", math.inf, math.inf, "upper", False,
                        detail={**detail, "reason": "nonpositive output work cost"})
-    numer = float(_extreme_free_energies(w.spec, H, ctx.beta).max()) - f_in
-    achieved = numer / denom
-    rhs = 1.0 / (R - ctx.inv_lam_beta * w.S_out)
+    achieved = (float(f_free.max()) - f_in) / denom
+    rhs = 1.0 / (R - ctx.inv_lam_beta * S_out)
     return _report("theorem3", achieved, rhs, "upper", pre, detail=detail)
 
 
@@ -230,29 +224,26 @@ def theorem3_bound(E: QuantumChannel, sigma_in, spec: FreeSet, ctx: ThermoContex
     return theorem3_report(theorem3_output_witness(E, sigma_in, spec, tol=tol), ctx)
 
 
-def theorem4_report(J: ChoiState, bipartite_spec: FreeSet, result: RobustnessResult,
+def theorem4_report(choi: WitnessSummary, result: RobustnessResult,
                     ctx: ThermoContext) -> BoundReport:
-    """Theorem 4 at one (lambda, beta) from the solved Choi program ``result``."""
+    """Theorem 4 at one (lambda, beta) from the solved Choi program ``result``
+    and the summary of its witness, with the Choi state as the state."""
     R = result.lower_bound
-    S_J = von_neumann_entropy(J.matrix)
+    S_J = choi.S_rho
     detail = {"R": R, "S_choi": S_J, "solver_status": result.status}
     if R <= 1e-9:
         return _report("theorem4", 1.0, 1.0, "upper", False,
                        detail={**detail, "reason": "channel is free w.r.t. the relaxation"})
 
-    H = ctx.lam * result.witness
-    tau = gibbs_state(H, ctx.beta)
-    f_tau = free_energy(tau, H, ctx.beta)
-    S_tau = von_neumann_entropy(tau)
-    cost_channel = free_energy(J.matrix, H, ctx.beta) - f_tau
+    f_tau, S_tau = choi.gibbs(ctx)
+    f_J, f_free = choi.free_energies(ctx)
+    cost_channel = f_J - f_tau
     pre = theorem1_precondition(R, S_J, ctx)
     if cost_channel <= 0.0:
         return _report("theorem4", math.inf, math.inf, "upper", False,
                        detail={**detail, "reason": "nonpositive channel cost"})
-    cost_free = float(_extreme_free_energies(bipartite_spec, H, ctx.beta).max()) - f_tau
-    achieved = max(cost_free, 0.0) / cost_channel
-    x = ctx.inv_lam_beta
-    rhs = (1.0 + x * S_tau) / (1.0 + R + x * (S_tau - S_J))
+    achieved = max(float(f_free.max()) - f_tau, 0.0) / cost_channel
+    rhs = corollary1_bound(R, S_J, S_tau, ctx)
     detail["S_tau"] = S_tau
     return _report("theorem4", achieved, rhs, "upper", pre, detail=detail)
 
@@ -266,4 +257,5 @@ def theorem4_bound(E: QuantumChannel, bipartite_spec: FreeSet, ctx: ThermoContex
     bound: (1 + S(tau)/(lam beta)) / (1 + R + (S(tau) - S(J))/(lam beta)).
     """
     result = channel_robustness_lower(E, bipartite_spec, tol=tol)
-    return theorem4_report(choi_state(E), bipartite_spec, result, ctx)
+    choi = witness_summary(result.witness, choi_state(E).matrix, bipartite_spec)
+    return theorem4_report(choi, result, ctx)

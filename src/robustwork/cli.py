@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .channels import choi_state
@@ -19,10 +20,7 @@ from .iojson import beta_to_json, json_to_matrix, matrix_to_json, parse_beta, ve
 from .linalg import assert_hermitian
 from .scenarios import (
     ScenarioError,
-    _channel_entries,
-    _sanitize,
     build_free_set,
-    exit_code_of_report,
     load_scenario,
     parse_channel_spec,
     parse_state_spec,
@@ -31,8 +29,8 @@ from .scenarios import (
     sweep,
     sweep_to_csv,
 )
-from .solver import Rank1NotTightError, _rank1_truncation, robustness_dual
-from .thermo import ThermoContext, simulate_protocol, verify_eq10_ratio, verify_theorem1
+from .solver import Rank1NotTightError, rank1_truncation, robustness_dual
+from .thermo import ThermoContext, eq10_report, simulate_protocol, theorem1_report, witness_summary
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
@@ -46,11 +44,6 @@ def _load_json(path: str):
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from None
-
-
-def _dump_json(payload) -> str:
-    """Strict JSON text: non-finite floats are mapped by _sanitize, never emitted raw."""
-    return json.dumps(_sanitize(payload), indent=2, sort_keys=True, allow_nan=False)
 
 
 def _emit(payload: str, out_dir: str | None, filename: str):
@@ -72,8 +65,17 @@ def _single_state(obj, path="state"):
     return variants[0]
 
 
-def _robustness_payload(result):
-    return {
+def _cmd_solve(args) -> int:
+    """``robustness`` and ``witness``: one solve; ``robustness`` adds the primal
+    weights, ``witness`` the rank-1 truncation of the solved witness."""
+    obj = _load_json(args.input)
+    if not isinstance(obj, dict) or "state" not in obj or "free_set" not in obj:
+        raise ScenarioError("input: expected an object with 'state' and 'free_set'")
+    variant = _single_state(obj["state"])
+    spec = build_free_set(obj["free_set"], variant.d)
+    tol = args.tol if args.tol is not None else obj.get("tol", 1e-7)
+    result = robustness_dual(variant.rho, spec, tol=tol)
+    payload = {
         "value": result.value,
         "gap": result.gap,
         "status": result.status,
@@ -81,41 +83,19 @@ def _robustness_payload(result):
         "upper_bound": result.upper_bound,
         "witness": None if result.witness is None else matrix_to_json(result.witness),
     }
-
-
-def _cmd_robustness(args) -> int:
-    obj = _load_json(args.input)
-    if not isinstance(obj, dict) or "state" not in obj or "free_set" not in obj:
-        raise ScenarioError("input: expected an object with 'state' and 'free_set'")
-    variant = _single_state(obj["state"])
-    spec = build_free_set(obj["free_set"], variant.d)
-    tol = args.tol if args.tol is not None else obj.get("tol", 1e-7)
-    result = robustness_dual(variant.rho, spec, tol=tol)
-    payload = _robustness_payload(result)
-    payload["primal_weights"] = None if result.primal_weights is None else [
-        float(x) for x in result.primal_weights
-    ]
-    _emit(_dump_json(payload), args.out, "robustness.json")
-    return EXIT_NONCONVERGED if result.status == "max_iterations" else EXIT_OK
-
-
-def _cmd_witness(args) -> int:
-    obj = _load_json(args.input)
-    if not isinstance(obj, dict) or "state" not in obj or "free_set" not in obj:
-        raise ScenarioError("input: expected an object with 'state' and 'free_set'")
-    variant = _single_state(obj["state"])
-    spec = build_free_set(obj["free_set"], variant.d)
-    tol = args.tol if args.tol is not None else obj.get("tol", 1e-7)
-    result = robustness_dual(variant.rho, spec, tol=tol)
-    payload = _robustness_payload(result)
-    payload["rank1"] = None
-    if variant.psi is not None and result.value > 10 * tol:
-        try:
-            c, y = _rank1_truncation(variant.psi, spec, result, tol)
-            payload["rank1"] = {"c": c, "y": vector_to_json(y)}
-        except Rank1NotTightError as exc:
-            payload["rank1"] = {"error": str(exc)}
-    _emit(_dump_json(payload), args.out, "witness.json")
+    if args.command == "robustness":
+        payload["primal_weights"] = None if result.primal_weights is None else [
+            float(x) for x in result.primal_weights
+        ]
+    else:
+        payload["rank1"] = None
+        if variant.psi is not None and result.value > 10 * tol:
+            try:
+                c, y = rank1_truncation(variant.psi, spec, result, tol)
+                payload["rank1"] = {"c": c, "y": vector_to_json(y)}
+            except Rank1NotTightError as exc:
+                payload["rank1"] = {"error": str(exc)}
+    _emit(report_to_json_text(payload), args.out, f"{args.command}.json")
     return EXIT_NONCONVERGED if result.status == "max_iterations" else EXIT_OK
 
 
@@ -152,44 +132,34 @@ def _cmd_protocol(args) -> int:
         "lambda": ctx.lam,
     }
     if spec is not None:
-        for rep in (verify_theorem1(variant.rho, spec, ctx, witness=witness),
-                    verify_eq10_ratio(variant.rho, spec, ctx, witness=witness)):
+        summary = witness_summary(witness, variant.rho, spec)
+        for rep in (theorem1_report(summary, ctx), eq10_report(summary, ctx)):
             payload[rep.label] = {
                 "lhs": rep.lhs,
                 "rhs": rep.rhs,
                 "satisfied": rep.satisfied,
                 "precondition_met": rep.precondition_met,
             }
-    _emit(_dump_json(payload), args.out, "protocol.json")
+    _emit(report_to_json_text(payload), args.out, "protocol.json")
     return EXIT_OK
+
+
+def _scenario_of(args):
+    """The --input scenario with the --seed and --tol overrides applied."""
+    scenario = load_scenario(_load_json(args.input))
+    overrides = {key: getattr(args, key) for key in ("seed", "tol")}
+    return replace(scenario, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _cmd_verify(args) -> int:
-    scenario = load_scenario(_load_json(args.input))
-    if args.seed is not None:
-        scenario = _override(scenario, seed=args.seed)
-    if args.tol is not None:
-        scenario = _override(scenario, tol=args.tol)
-    report = run_scenario(scenario)
+    report = run_scenario(_scenario_of(args))
     _emit(report_to_json_text(report), args.out, "report.json")
-    return exit_code_of_report(report)
+    return report["exit_code"]
 
 
 def _cmd_sweep(args) -> int:
-    scenario = load_scenario(_load_json(args.input))
-    if args.seed is not None:
-        scenario = _override(scenario, seed=args.seed)
-    if args.tol is not None:
-        scenario = _override(scenario, tol=args.tol)
-    rows = sweep(scenario)
-    _emit(sweep_to_csv(rows), args.out, "sweep.csv")
+    _emit(sweep_to_csv(sweep(_scenario_of(args))), args.out, "sweep.csv")
     return EXIT_OK
-
-
-def _override(scenario, **kw):
-    from dataclasses import replace
-
-    return replace(scenario, **kw)
 
 
 def _cmd_channel(args) -> int:
@@ -201,7 +171,7 @@ def _cmd_channel(args) -> int:
             raise ScenarioError(f"input: missing required field '{key}'")
     channel, label = parse_channel_spec(obj["channel"])
     tol = args.tol if args.tol is not None else obj.get("tol", 1e-7)
-    scenario_like = load_scenario({
+    report = run_scenario(load_scenario({
         "schema_version": 1,
         "name": label,
         "channel": obj["channel"],
@@ -211,8 +181,8 @@ def _cmd_channel(args) -> int:
         "checks": ["theorem3", "theorem4"],
         "tol": tol,
         **({"input_state": obj["input_state"]} if "input_state" in obj else {}),
-    })
-    entries = _channel_entries(scenario_like, channel, label)
+    }))
+    entries = report["entries"]
     payload = {
         "channel": label,
         "choi": matrix_to_json(choi_state(channel).matrix),
@@ -220,9 +190,8 @@ def _cmd_channel(args) -> int:
         "bounds": {e["check"]: e["report"] for e in entries},
         "skips": {e["check"]: e["reason"] for e in entries if e["skipped"]},
     }
-    _emit(_dump_json(payload), args.out, "channel.json")
-    report = {"entries": entries}
-    return exit_code_of_report(report)
+    _emit(report_to_json_text(payload), args.out, "channel.json")
+    return report["exit_code"]
 
 
 def _cmd_freeset_dump(args) -> int:
@@ -253,7 +222,7 @@ def _cmd_freeset_dump(args) -> int:
         "states": [vector_to_json(v) for v in spec.vectors]
         + [matrix_to_json(m) for m in spec.matrices],
     }
-    _emit(_dump_json(payload), args.out, "freeset.json")
+    _emit(report_to_json_text(payload), args.out, "freeset.json")
     return EXIT_OK
 
 
@@ -272,8 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="seed override")
 
     for name, fn in (
-        ("robustness", _cmd_robustness),
-        ("witness", _cmd_witness),
+        ("robustness", _cmd_solve),
+        ("witness", _cmd_solve),
         ("protocol", _cmd_protocol),
         ("verify", _cmd_verify),
         ("channel", _cmd_channel),

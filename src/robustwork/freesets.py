@@ -175,8 +175,8 @@ def _phase_normalize(v: np.ndarray) -> np.ndarray:
 
 
 def _vector_key(v: np.ndarray) -> tuple:
-    w = _phase_normalize(v)
-    return tuple(np.round(w.view(float), 8).tolist())
+    """Dedup key of a vector that ``_joint_eigenvector`` has already phase-normalized."""
+    return tuple(np.round(v.view(float), 8).tolist())
 
 
 def _lagrangian_subspaces(n: int) -> list[tuple[int, ...]]:

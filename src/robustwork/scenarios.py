@@ -8,9 +8,13 @@ channel) family, a free set, lambda/beta grids, and the checks to run.
 Re-running a scenario with the same seed is byte-identical apart from the
 ``meta`` block (timestamp and wall time).  Every robustness program depends
 only on the state (or channel) and the free set; lambda and beta enter
-afterwards, through the Hamiltonian lambda*Y and its Gibbs state.  So each
-distinct program is solved once per run and shared by all grid points,
-which are then evaluated in a plain loop.
+afterwards, through the Hamiltonian lambda*Y.  So each distinct program is
+solved once per run, each witness is summarized once (``thermo.WitnessSummary``:
+one eigendecomposition, or the closed form of a rank-1 witness), and the
+grid points are then evaluated in a plain loop of scalar formulas.  Named
+states with a closed-form witness run at any dimension; a free set that
+cannot be enumerated (stabilizer states above 3 qubits) enters only through
+the tight value max_k Tr[Y sigma_k] = 1, and theorem2 is then skipped.
 """
 
 from __future__ import annotations
@@ -34,19 +38,19 @@ from .channels import (
     unitary_channel,
     depolarizing_channel,
 )
-from .freesets import FreeSet, finite_hull, incoherent_set, stabilizer_set
+from .freesets import STABILIZER_MAX_QUBITS, FreeSet, finite_hull, incoherent_set, stabilizer_set
 from .iojson import (
     beta_to_json,
     json_to_matrix,
     json_to_vector,
     parse_beta,
 )
-from .linalg import INF_BETA, assert_density, assert_pure, projector
+from .linalg import assert_density, assert_pure, projector
 from .solver import (
     DEFAULT_TOL,
     MAX_ITERATIONS,
-    _rank1_truncation,
     pure_coherence_witness,
+    rank1_truncation,
     Rank1NotTightError,
     robustness_dual,
     robustness_pure_coherence,
@@ -56,15 +60,15 @@ from .states import HADAMARD, S_GATE, T_GATE, basis_state, golden_state, t_state
 from .thermo import (
     BoundReport,
     ThermoContext,
-    _report,
-    rank1_work_summary,
+    WitnessSummary,
+    corollary1_report,
+    eq10_report,
+    rank1_summary,
     require_maximally_mixed,
     residual_weight,
-    theorem1_precondition,
+    theorem1_report,
     theorem2_at_weight,
-    verify_eq10_ratio,
-    verify_theorem1,
-    verify_xi_cost,
+    witness_summary,
 )
 
 __all__ = [
@@ -87,7 +91,7 @@ SWEEP_COLUMNS = ("scenario", "check", "d", "n", "lambda", "beta",
                  "R", "bound", "achieved", "satisfied")
 
 _THEOREM2_DIM_CAP = 16
-_SCALAR_PATH_DIM = 64
+_SDP_DIM_CAP = 64  # no robustness program is solved above this; larger states need a closed form
 
 
 class ScenarioError(ValueError):
@@ -171,7 +175,7 @@ def parse_state_spec(obj, path: str = "state") -> list[_StateVariant]:
             out = []
             for n in _int_list(obj["n"], f"{path}.n"):
                 psi = t_state(n)
-                rho = projector(psi) if 2**n <= _SCALAR_PATH_DIM else None
+                rho = projector(psi) if 2**n <= _SDP_DIM_CAP else None
                 out.append(_StateVariant(f"tstate({n})", 2**n, n, psi, rho, "tstate"))
             return out
         if name == "basis":
@@ -354,48 +358,45 @@ def load_scenario(obj) -> Scenario:
 
 @dataclass(frozen=True)
 class _Resolved:
-    free_set: FreeSet | None
-    witness: np.ndarray | None
+    free_set: FreeSet | None  # None when the free set cannot be enumerated
+    summary: WitnessSummary
     c: float | None
     y: np.ndarray | None
     R: float
     gap: float
     status: str
-    scalar: bool  # thermo checks go through the rank-1 scalar path
 
 
 def _resolve_state_witness(variant: _StateVariant, fs_spec: dict, tol: float) -> _Resolved:
-    scalar = variant.d > _SCALAR_PATH_DIM
-    free_set = None if scalar else build_free_set(fs_spec, variant.d)
     kind = _expect_mapping(fs_spec, "free_set").get("kind")
+    enumerable = kind != "stabilizer" or variant.d <= 2**STABILIZER_MAX_QUBITS
+    free_set = build_free_set(fs_spec, variant.d) if enumerable else None
 
+    closed = None
     if variant.psi is not None and kind == "incoherent":
-        c, y = pure_coherence_witness(variant.psi)
-        R = robustness_pure_coherence(variant.psi)
-        witness = None if scalar else c * projector(y)
-        return _Resolved(free_set, witness, c, y, R, 0.0, "closed_form", scalar)
-    if variant.named == "tstate" and kind == "stabilizer":
+        closed = (*pure_coherence_witness(variant.psi), robustness_pure_coherence(variant.psi))
+    elif variant.named == "tstate" and kind == "stabilizer":
         n = variant.n
-        c = (4.0 - 2.0 * math.sqrt(2.0)) ** n
-        y = t_state(n)
-        R = tstate_magic_robustness(n)
-        witness = None if scalar else c * projector(y)
-        return _Resolved(free_set, witness, c, y, R, 0.0, "closed_form", scalar)
+        closed = ((4.0 - 2.0 * math.sqrt(2.0)) ** n, t_state(n), tstate_magic_robustness(n))
+    if closed is not None:
+        c, y, R = closed
+        return _Resolved(free_set, rank1_summary(c, y, variant.psi, free_set), c, y, R, 0.0,
+                         "closed_form")
 
-    if scalar:
+    if free_set is None or variant.d > _SDP_DIM_CAP:
         raise ScenarioError(
-            f"state dimension {variant.d} exceeds the SDP cap and no closed-form "
-            f"witness applies to free set kind '{kind}'"
+            f"no closed-form witness applies to free set kind '{kind}' at dimension "
+            f"{variant.d}, and the robustness program is out of reach"
         )
     result = robustness_dual(variant.rho, free_set, tol=tol)
     c = y = None
     if variant.psi is not None and result.value > 10 * tol:
         try:
-            c, y = _rank1_truncation(variant.psi, free_set, result, tol)
+            c, y = rank1_truncation(variant.psi, free_set, result, tol)
         except Rank1NotTightError:
             pass
-    return _Resolved(free_set, result.witness, c, y,
-                     result.value, result.gap, result.status, False)
+    return _Resolved(free_set, witness_summary(result.witness, variant.rho, free_set), c, y,
+                     result.value, result.gap, result.status)
 
 
 # ---------------------------------------------------------------------------
@@ -431,40 +432,13 @@ def _entry(check, variant_label, d, n, lam, beta, robustness, report: BoundRepor
     }
 
 
-def _scalar_report(check: str, summary: dict, ctx: ThermoContext, epsilon: float,
-                   factor: float, d: int) -> BoundReport:
-    R = summary["R"]
-    pre = theorem1_precondition(R, 0.0, ctx)
-    if check == "theorem1":
-        return _report("theorem1", summary["ratio"], summary["bound"], "lower", pre,
-                       detail={"R": R, "S_rho": 0.0, "S_tau": summary["S_tau"], "path": "rank1-scalar"})
-    if check == "eq10":
-        if ctx.beta == INF_BETA:
-            pre10 = True
-        else:
-            pre10 = ctx.lam * ctx.beta >= factor * math.log(d)
-        return _report("eq10", summary["ratio"], (1.0 + R) * (1.0 - epsilon), "lower", pre10,
-                       detail={"R": R, "epsilon": epsilon, "path": "rank1-scalar"})
-    if check == "corollary1":
-        return _report("corollary1", summary["cost_ratio"], summary["cost_bound"], "upper", pre,
-                       detail={"R": R, "path": "rank1-scalar"})
-    raise ValueError(f"no scalar path for check '{check}'")
-
-
-def _state_report(check: str, scenario: Scenario, variant: _StateVariant, res: _Resolved,
+def _state_report(check: str, scenario: Scenario, s: WitnessSummary,
                   ctx: ThermoContext) -> BoundReport:
-    if res.scalar:
-        overlap = float(np.abs(np.vdot(res.y, variant.psi)) ** 2)
-        summary = rank1_work_summary(res.c, overlap, variant.d, ctx)
-        return _scalar_report(check, summary, ctx, scenario.epsilon,
-                              scenario.min_lambda_beta_factor, variant.d)
     if check == "theorem1":
-        return verify_theorem1(variant.rho, res.free_set, ctx, witness=res.witness)
+        return theorem1_report(s, ctx)
     if check == "eq10":
-        return verify_eq10_ratio(variant.rho, res.free_set, ctx,
-                                 epsilon=scenario.epsilon, witness=res.witness,
-                                 min_lambda_beta_factor=scenario.min_lambda_beta_factor)
-    return verify_xi_cost(variant.rho, res.free_set, ctx, witness=res.witness)
+        return eq10_report(s, ctx, scenario.epsilon, scenario.min_lambda_beta_factor)
+    return corollary1_report(s, ctx)
 
 
 def _state_entries(scenario: Scenario, variant: _StateVariant) -> list[dict]:
@@ -474,6 +448,8 @@ def _state_entries(scenario: Scenario, variant: _StateVariant) -> list[dict]:
     if "theorem2" in scenario.checks:
         if variant.d > _THEOREM2_DIM_CAP:
             theorem2_skip = f"dimension {variant.d} above the theorem2 solver cap"
+        elif res.free_set is None:
+            theorem2_skip = "theorem2 needs an enumerable free set"
         elif res.c is None or res.y is None:
             theorem2_skip = "theorem2 needs a resourceful pure state with a rank-1 witness"
         else:
@@ -487,7 +463,7 @@ def _state_entries(scenario: Scenario, variant: _StateVariant) -> list[dict]:
             ctx = ThermoContext(beta=beta, lam=lam)
             for check in scenario.checks:
                 if check != "theorem2":
-                    report = _state_report(check, scenario, variant, res, ctx)
+                    report = _state_report(check, scenario, res.summary, ctx)
                     skipped = not report.precondition_met
                     reason = "precondition not met" if skipped else None
                 elif theorem2_skip is not None:
@@ -531,7 +507,7 @@ def _channel_entries(scenario: Scenario, channel: QuantumChannel, label: str) ->
         # one Choi solve serves the robustness block and theorem4
         choi = channel_robustness_lower(channel, bipartite, tol=scenario.tol)
         robustness = {"value": choi.value, "gap": choi.gap, "status": choi.status}
-        J = choi_state(channel)
+        choi_summary = witness_summary(choi.witness, choi_state(channel).matrix, bipartite)
     output = None
     if "theorem3" in scenario.checks:
         output = theorem3_output_witness(channel, _channel_input(scenario, d),
@@ -544,7 +520,7 @@ def _channel_entries(scenario: Scenario, channel: QuantumChannel, label: str) ->
                 if check == "theorem3":
                     report = theorem3_report(output, ctx)
                 elif bipartite is not None:
-                    report = theorem4_report(J, bipartite, choi, ctx)
+                    report = theorem4_report(choi_summary, choi, ctx)
                 else:
                     report = None
                 if report is None:

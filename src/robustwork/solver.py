@@ -62,6 +62,7 @@ __all__ = [
     "single_qubit_magic_witness",
     "tstate_magic_witness",
     "rank1_witness_from_pure",
+    "rank1_truncation",
 ]
 
 CONVERGED = "converged"
@@ -601,10 +602,10 @@ def rank1_witness_from_pure(psi, spec: FreeSet, tol: float = DEFAULT_TOL) -> tup
     of the certified objective.
     """
     psi = assert_pure(psi)
-    return _rank1_truncation(psi, spec, robustness_dual(projector(psi), spec, tol=tol), tol)
+    return rank1_truncation(psi, spec, robustness_dual(projector(psi), spec, tol=tol), tol)
 
 
-def _rank1_truncation(psi: np.ndarray, spec: FreeSet, result: RobustnessResult,
+def rank1_truncation(psi: np.ndarray, spec: FreeSet, result: RobustnessResult,
                       tol: float) -> tuple[float, np.ndarray]:
     """Rank-1 witness from an already solved program for |psi><psi|."""
     if result.value <= tol:

@@ -7,12 +7,21 @@ extraction protocol quenches a working medium between H = 0 and the witness
 Hamiltonian H = lambda * Y, swaps in the fuel state, and rethermalizes; its
 net output telescopes to W_{lambda Y}(rho).
 
-Every bound verifier below evaluates an inequality with the *witness
-certified* robustness Tr[Y rho] - 1 on both sides, so the checks are exact
-consequences of witness feasibility rather than solver-trusted claims.
-Achieved ratios maximize over the free set's extreme points only: the free
-energy is convex in the state (linear energy minus concave entropy), so the
-maximum over the hull is attained at an extreme point.
+Every check at H = lambda * Y reads one :class:`WitnessSummary`, built once
+per witness: the spectrum of Y, Tr[Y rho], S(rho), the constraint values
+Tr[Y sigma_k] and the entropies of the extreme points.  The Gibbs state of
+lambda * Y is diagonal in Y's eigenbasis, so Z, F(tau) and S(tau) at any
+(lambda, beta) are sums over that spectrum, and every free energy is
+lambda * (energy) - (entropy)/beta.  ``witness_summary`` takes one
+eigendecomposition of a general witness; ``rank1_summary`` builds the same
+summary in closed form for Y = c|y><y|, without any d x d matrix.
+
+Every bound verifier evaluates an inequality with the *witness certified*
+robustness Tr[Y rho] - 1 on both sides, so the checks are exact consequences
+of witness feasibility rather than solver-trusted claims.  Achieved ratios
+maximize over the free set's extreme points only: the free energy is convex
+in the state (linear energy minus concave entropy), so the maximum over the
+hull is attained at an extreme point.
 """
 
 from __future__ import annotations
@@ -30,15 +39,19 @@ from .linalg import (
     assert_pure,
     maximally_mixed,
     gibbs_state,
+    policy,
     trace_inner,
     von_neumann_entropy,
 )
-from .solver import DEFAULT_TOL, RobustnessResult, robustness_dual
+from .solver import DEFAULT_TOL, robustness_dual, witness_constraints
 
 __all__ = [
     "ThermoContext",
     "ProtocolTrace",
     "BoundReport",
+    "WitnessSummary",
+    "witness_summary",
+    "rank1_summary",
     "free_energy",
     "extractable_work",
     "work_cost",
@@ -46,6 +59,9 @@ __all__ = [
     "theorem1_bound",
     "theorem1_precondition",
     "simulate_protocol",
+    "theorem1_report",
+    "eq10_report",
+    "corollary1_report",
     "verify_theorem1",
     "verify_eq10_ratio",
     "residual_thermal_closed_form",
@@ -55,7 +71,6 @@ __all__ = [
     "verify_theorem2",
     "corollary1_bound",
     "verify_xi_cost",
-    "rank1_work_summary",
 ]
 
 BOUND_TOL = 1e-9
@@ -133,6 +148,108 @@ def _report(label, lhs, rhs, direction, precondition_met, tolerance=BOUND_TOL, d
 
 
 # ---------------------------------------------------------------------------
+# the witness summary
+# ---------------------------------------------------------------------------
+
+
+def _over_beta(S, beta: float):
+    """The entropy term S/beta of a free energy; zero at beta = inf."""
+    if beta == 0.0:
+        raise ValueError("free energy is unbounded at beta = 0; use beta > 0 or inf")
+    return 0.0 if beta == INF_BETA else S / beta
+
+
+@dataclass(frozen=True)
+class WitnessSummary:
+    """Everything the work checks read of a witness Y, a state rho and a free set.
+
+    ``energy`` and ``S_rho`` are NaN when the summary was built without a
+    state; ``constraints`` and ``S_free`` are empty when it was built without
+    a free set.
+    """
+
+    spectrum: np.ndarray     # eigenvalues of Y, ascending
+    energy: float            # Tr[Y rho]
+    S_rho: float             # S(rho)
+    constraints: np.ndarray  # Tr[Y sigma_k], in density_matrices() order
+    S_free: np.ndarray       # S(sigma_k); zero for pure extreme points
+
+    @property
+    def d(self) -> int:
+        return len(self.spectrum)
+
+    @property
+    def R(self) -> float:
+        """Witness-certified robustness Tr[Y rho] - 1."""
+        return self.energy - 1.0
+
+    def gibbs(self, ctx: ThermoContext) -> tuple[float, float]:
+        """(F(tau), S(tau)) for the Gibbs state tau of H = lambda * Y.
+
+        At beta = inf, tau is uniform on the eigenvalues of H within
+        ``policy.ground_tol`` of the minimum, as in ``gibbs_state``.
+        """
+        h = ctx.lam * self.spectrum
+        if ctx.beta == INF_BETA:
+            p = (h <= h[0] + policy.ground_tol).astype(float)
+        else:
+            p = np.exp(-ctx.beta * (h - h[0]))
+        p = p / p.sum()
+        nz = p[p > 0.0]
+        S_tau = float(max(0.0, -np.dot(nz, np.log(nz))))
+        return float(np.dot(p, h)) - _over_beta(S_tau, ctx.beta), S_tau
+
+    def free_energies(self, ctx: ThermoContext) -> tuple[float, np.ndarray]:
+        """(F(rho), F(sigma_k)) under H = lambda * Y."""
+        return (ctx.lam * self.energy - _over_beta(self.S_rho, ctx.beta),
+                ctx.lam * self.constraints - _over_beta(self.S_free, ctx.beta))
+
+
+def _free_entropies(spec: FreeSet) -> np.ndarray:
+    return np.array([0.0] * len(spec.vectors) + [von_neumann_entropy(m) for m in spec.matrices])
+
+
+def witness_summary(witness, rho=None, spec: FreeSet | None = None) -> WitnessSummary:
+    """Summary of a general Hermitian witness: one eigendecomposition of Y."""
+    witness = assert_hermitian(witness, "witness")
+    energy = S_rho = math.nan
+    if rho is not None:
+        S_rho = von_neumann_entropy(rho)
+        energy = trace_inner(witness, rho)
+    constraints = S_free = np.zeros(0)
+    if spec is not None:
+        if spec.dim != witness.shape[0]:
+            raise ValueError("free set and witness dimensions differ")
+        constraints, S_free = witness_constraints(witness, spec), _free_entropies(spec)
+    return WitnessSummary(np.linalg.eigvalsh(witness), energy, S_rho, constraints, S_free)
+
+
+def rank1_summary(c: float, y, psi, spec: FreeSet | None) -> WitnessSummary:
+    """Closed-form summary of Y = c|y><y| and the pure state |psi>.
+
+    The spectrum is {c, 0^(d-1)}, Tr[Y rho] = c|<y|psi>|^2 and the pure
+    extreme points give c|<y|v_k>|^2.  ``spec = None`` stands for a free set
+    that cannot be enumerated; the witness is then taken as tight, with
+    max_k Tr[Y sigma_k] = 1, as every named closed-form witness is.
+    """
+    y, psi = assert_pure(y, "y"), assert_pure(psi)
+    if c <= 0:
+        raise ValueError("c must be positive")
+    spectrum = np.zeros(y.shape[0])
+    spectrum[-1] = c
+    if spec is None:
+        constraints, S_free = np.ones(1), np.zeros(1)
+    else:
+        if spec.dim != y.shape[0]:
+            raise ValueError("free set and witness dimensions differ")
+        vals = [c * np.abs(np.stack(spec.vectors).conj() @ y) ** 2] if spec.vectors else []
+        vals += [np.array([c * np.vdot(y, m @ y).real for m in spec.matrices])]
+        constraints, S_free = np.concatenate(vals), _free_entropies(spec)
+    energy = c * float(np.abs(np.vdot(y, psi)) ** 2)
+    return WitnessSummary(spectrum, energy, 0.0, constraints, S_free)
+
+
+# ---------------------------------------------------------------------------
 # work functionals
 # ---------------------------------------------------------------------------
 
@@ -151,10 +268,16 @@ def free_energy(rho, H, beta: float) -> float:
     return energy - von_neumann_entropy(rho) / beta
 
 
+def _works(s: WitnessSummary, ctx: ThermoContext) -> tuple[float, np.ndarray, float]:
+    """W(rho), W(sigma_k) = F(.) - F(tau) under H = lambda * Y, and S(tau)."""
+    f_tau, S_tau = s.gibbs(ctx)
+    f_rho, f_free = s.free_energies(ctx)
+    return f_rho - f_tau, f_free - f_tau, S_tau
+
+
 def extractable_work(rho, H, beta: float) -> float:
     """F_H(rho) - F_H(Gibbs); nonnegative because the Gibbs state minimizes F."""
-    tau = gibbs_state(H, beta)
-    w = free_energy(rho, H, beta) - free_energy(tau, H, beta)
+    w, _, _ = _works(witness_summary(H, rho), ThermoContext(beta=beta, lam=1.0))
     if w < -BOUND_TOL:
         raise ArithmeticError(f"work {w} below -1e-9: Gibbs minimality violated")
     return max(w, 0.0)
@@ -165,24 +288,6 @@ def work_cost(rho, H, beta: float) -> float:
     return extractable_work(rho, H, beta)
 
 
-def _extreme_free_energies(spec: FreeSet, H: np.ndarray, beta: float) -> np.ndarray:
-    """F_H over the extreme points, ordered like spec.density_matrices()."""
-    out = []
-    if spec.vectors:
-        V = np.stack(spec.vectors, axis=1)
-        energies = np.einsum("ik,ij,jk->k", V.conj(), H, V, optimize=True).real
-        out.append(energies)  # pure states carry no entropy term
-    if spec.matrices:
-        vals = []
-        for sigma in spec.matrices:
-            f = trace_inner(H, sigma)
-            if beta != INF_BETA:
-                f -= von_neumann_entropy(sigma) / beta
-            vals.append(f)
-        out.append(np.array(vals))
-    return np.concatenate(out)
-
-
 def max_free_extractable_work(spec: FreeSet, H, beta: float):
     """Maximum of the work functional over the free set.
 
@@ -190,12 +295,7 @@ def max_free_extractable_work(spec: FreeSet, H, beta: float):
     the maximum over the hull sits at an extreme point.  Ties break to the
     lowest index (density_matrices() order).
     """
-    H = assert_hermitian(H, "Hamiltonian")
-    if spec.dim != H.shape[0]:
-        raise ValueError("free set and Hamiltonian dimensions differ")
-    tau = gibbs_state(H, beta)
-    f_tau = free_energy(tau, H, beta)
-    works = _extreme_free_energies(spec, H, beta) - f_tau
+    _, works, _ = _works(witness_summary(H, spec=spec), ThermoContext(beta=beta, lam=1.0))
     idx = int(np.argmax(works))
     return max(float(works[idx]), 0.0), idx
 
@@ -242,70 +342,77 @@ def simulate_protocol(rho, witness, ctx: ThermoContext) -> ProtocolTrace:
     (c) rethermalize, extracting F(rho) - F(tau),
     (d) isothermally reset the Hamiltonian, refunding stage (a) exactly.
     """
-    rho = assert_density(rho)
-    witness = assert_hermitian(witness, "witness")
-    if np.linalg.eigvalsh(witness)[0] < -1e-9:
+    s = witness_summary(witness, rho)
+    if s.spectrum[0] < -1e-9:
         raise ValueError("witness must be PSD")
-    d = rho.shape[0]
-    H = ctx.lam * witness
-    tau = gibbs_state(H, ctx.beta)
-    f_tau = free_energy(tau, H, ctx.beta)
-    f_uniform = 0.0 if ctx.beta == INF_BETA else -math.log(d) / ctx.beta
+    f_tau, _ = s.gibbs(ctx)
+    f_uniform = 0.0 if ctx.beta == INF_BETA else -math.log(s.d) / ctx.beta
     dw_a = f_uniform - f_tau
     dw_b = 0.0
-    dw_c = free_energy(rho, H, ctx.beta) - f_tau
+    dw_c = s.free_energies(ctx)[0] - f_tau
     dw_d = -dw_a
     total = dw_a + dw_b + dw_c + dw_d
-    return ProtocolTrace(dw_a, dw_b, dw_c, dw_d, total, H, tau)
+    H = ctx.lam * assert_hermitian(witness, "witness")
+    return ProtocolTrace(dw_a, dw_b, dw_c, dw_d, total, H, gibbs_state(H, ctx.beta))
 
 
-@dataclass(frozen=True)
-class _RatioPieces:
-    R: float
-    S_rho: float
-    S_tau: float
-    work_state: float
-    work_free_max: float
-    argmax_index: int
-    ratio: float
-    skipped_free: int
+# ---------------------------------------------------------------------------
+# state checks: pure functions of (summary, ctx)
+# ---------------------------------------------------------------------------
 
 
-def _work_ratio(rho, spec: FreeSet, witness, ctx: ThermoContext) -> _RatioPieces:
-    """W(rho)/max_sigma W(sigma) under H = lambda * witness.
+def _advantage(w_rho: float, w_free: np.ndarray) -> tuple[float, int]:
+    """W(rho) / max_k W(sigma_k) and the number of free points left out.
 
     Free points with work below 1e-12 cannot enter the denominator (their
     ratio is infinite); if every point is below, the ratio reports inf.
     """
-    H = ctx.lam * witness
-    tau = gibbs_state(H, ctx.beta)
-    f_tau = free_energy(tau, H, ctx.beta)
-    works = _extreme_free_energies(spec, H, ctx.beta) - f_tau
-    work_state = free_energy(rho, H, ctx.beta) - f_tau
-    usable = works > _ZERO_WORK
-    if np.any(usable):
-        idx = int(np.argmax(np.where(usable, works, -math.inf)))
-        ratio = work_state / float(works[idx])
+    usable = w_free > _ZERO_WORK
+    ratio = w_rho / float(w_free[usable].max()) if usable.any() else math.inf
+    return ratio, int((~usable).sum())
+
+
+def theorem1_report(s: WitnessSummary, ctx: ThermoContext) -> BoundReport:
+    """Achieved work ratio >= theorem1_bound, under H = lambda * Y."""
+    w_rho, w_free, S_tau = _works(s, ctx)
+    ratio, skipped = _advantage(w_rho, w_free)
+    pre = theorem1_precondition(s.R, s.S_rho, ctx)
+    rhs = theorem1_bound(s.R, s.S_rho, S_tau, ctx)
+    detail = {"R": s.R, "S_rho": s.S_rho, "S_tau": S_tau, "skipped_free_states": skipped}
+    return _report("theorem1", ratio, rhs, "lower", pre, detail=detail)
+
+
+def eq10_report(s: WitnessSummary, ctx: ThermoContext, epsilon: float = 0.05,
+                min_lambda_beta_factor: float = 100.0) -> BoundReport:
+    """Achieved work ratio >= (1 + R)(1 - epsilon), for lambda*beta >= factor * ln d."""
+    w_rho, w_free, _ = _works(s, ctx)
+    ratio, skipped = _advantage(w_rho, w_free)
+    if ctx.beta == INF_BETA:
+        pre = True
     else:
-        idx = -1
-        ratio = math.inf
-    return _RatioPieces(
-        R=trace_inner(witness, rho) - 1.0,
-        S_rho=von_neumann_entropy(rho),
-        S_tau=von_neumann_entropy(tau),
-        work_state=float(work_state),
-        work_free_max=float(works.max()) if len(works) else 0.0,
-        argmax_index=idx,
-        ratio=float(ratio),
-        skipped_free=int((~usable).sum()),
-    )
+        pre = ctx.lam * ctx.beta >= min_lambda_beta_factor * math.log(s.d)
+    rhs = (1.0 + s.R) * (1.0 - epsilon)
+    detail = {"R": s.R, "epsilon": epsilon, "skipped_free_states": skipped}
+    return _report("eq10", ratio, rhs, "lower", pre, detail=detail)
 
 
-def _resolve_witness(rho, spec, witness, tol) -> tuple[np.ndarray, RobustnessResult | None]:
-    if witness is not None:
-        return assert_hermitian(witness, "witness"), None
-    result = robustness_dual(rho, spec, tol=tol)
-    return result.witness, result
+def corollary1_report(s: WitnessSummary, ctx: ThermoContext) -> BoundReport:
+    """Cost ratio max_k W(sigma_k) / W(rho) <= corollary1_bound."""
+    w_rho, w_free, S_tau = _works(s, ctx)
+    if w_rho <= _ZERO_WORK:
+        return _report("corollary1", math.inf, 1.0, "upper", False,
+                       detail={"reason": "state is thermal under the witness Hamiltonian"})
+    achieved = max(float(w_free.max()), 0.0) / w_rho
+    pre = theorem1_precondition(s.R, s.S_rho, ctx)
+    rhs = corollary1_bound(s.R, s.S_rho, S_tau, ctx)
+    detail = {"R": s.R, "S_rho": s.S_rho, "S_tau": S_tau}
+    return _report("corollary1", achieved, rhs, "upper", pre, detail=detail)
+
+
+def _state_summary(rho, spec: FreeSet, witness, tol: float) -> WitnessSummary:
+    if witness is None:
+        witness = robustness_dual(rho, spec, tol=tol).witness
+    return witness_summary(witness, rho, spec)
 
 
 def verify_theorem1(rho, spec: FreeSet, ctx: ThermoContext, witness=None,
@@ -316,14 +423,7 @@ def verify_theorem1(rho, spec: FreeSet, ctx: ThermoContext, witness=None,
     always the witness objective Tr[Y rho] - 1, so the inequality is a
     theorem whenever the precondition holds.
     """
-    rho = assert_density(rho)
-    witness, _ = _resolve_witness(rho, spec, witness, tol)
-    p = _work_ratio(rho, spec, witness, ctx)
-    pre = theorem1_precondition(p.R, p.S_rho, ctx)
-    rhs = theorem1_bound(p.R, p.S_rho, p.S_tau, ctx)
-    detail = {"R": p.R, "S_rho": p.S_rho, "S_tau": p.S_tau,
-              "skipped_free_states": p.skipped_free}
-    return _report("theorem1", p.ratio, rhs, "lower", pre, detail=detail)
+    return theorem1_report(_state_summary(rho, spec, witness, tol), ctx)
 
 
 def verify_eq10_ratio(rho, spec: FreeSet, ctx: ThermoContext, epsilon: float = 0.05,
@@ -334,17 +434,8 @@ def verify_eq10_ratio(rho, spec: FreeSet, ctx: ThermoContext, epsilon: float = 0
     The asymptotic condition is operationalized as
     lambda*beta >= min_lambda_beta_factor * ln d.
     """
-    rho = assert_density(rho)
-    witness, _ = _resolve_witness(rho, spec, witness, tol)
-    p = _work_ratio(rho, spec, witness, ctx)
-    d = rho.shape[0]
-    if ctx.beta == INF_BETA:
-        pre = True
-    else:
-        pre = ctx.lam * ctx.beta >= min_lambda_beta_factor * math.log(d)
-    rhs = (1.0 + p.R) * (1.0 - epsilon)
-    detail = {"R": p.R, "epsilon": epsilon, "skipped_free_states": p.skipped_free}
-    return _report("eq10", p.ratio, rhs, "lower", pre, detail=detail)
+    return eq10_report(_state_summary(rho, spec, witness, tol), ctx, epsilon,
+                       min_lambda_beta_factor)
 
 
 def verify_xi_cost(rho, spec: FreeSet, ctx: ThermoContext, witness=None,
@@ -354,17 +445,7 @@ def verify_xi_cost(rho, spec: FreeSet, ctx: ThermoContext, witness=None,
     Evaluated at H = lambda * Y; this instantiates the minimization over
     Hamiltonians, so the measured ratio upper-bounds the optimal one.
     """
-    rho = assert_density(rho)
-    witness, _ = _resolve_witness(rho, spec, witness, tol)
-    p = _work_ratio(rho, spec, witness, ctx)
-    pre = theorem1_precondition(p.R, p.S_rho, ctx)
-    if p.work_state <= _ZERO_WORK:
-        return _report("corollary1", math.inf, 1.0, "upper", False,
-                       detail={"reason": "state is thermal under the witness Hamiltonian"})
-    achieved = max(p.work_free_max, 0.0) / p.work_state
-    rhs = corollary1_bound(p.R, p.S_rho, p.S_tau, ctx)
-    detail = {"R": p.R, "S_rho": p.S_rho, "S_tau": p.S_tau}
-    return _report("corollary1", achieved, rhs, "upper", pre, detail=detail)
+    return corollary1_report(_state_summary(rho, spec, witness, tol), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +492,8 @@ def theorem2_at_weight(y, a: float, d: int, spec_prime: FreeSet, tol: float = DE
     """
     result = robustness_dual(_residual_state(y, a, d), spec_prime, tol=tol, max_newton=max_newton)
     detail = {"upper_bound": result.upper_bound, "gap": result.gap, "status": result.status}
-    return _report("theorem2", result.value, 1.0 / (d - 1), "upper", True,
+    # an upper bound on R is proved only by the upper end of the certified interval
+    return _report("theorem2", result.upper_bound, 1.0 / (d - 1), "upper", True,
                    tolerance=1e-7, detail=detail)
 
 
@@ -425,47 +507,3 @@ def verify_theorem2(y, c: float, ctx: ThermoContext, d: int, spec_prime: FreeSet
     require_maximally_mixed(spec_prime, d)
     return theorem2_at_weight(y, residual_weight(c, ctx), d, spec_prime, tol=tol,
                               max_newton=max_newton)
-
-
-# ---------------------------------------------------------------------------
-# scalar fast path for rank-1 witnesses (used by large-d sweeps)
-# ---------------------------------------------------------------------------
-
-
-def rank1_work_summary(c: float, overlap: float, d: int, ctx: ThermoContext,
-                       free_max_constraint: float = 1.0) -> dict:
-    """Protocol summary for Y = c|y><y| without building any matrix.
-
-    ``overlap`` is |<y|psi>|^2 for the pure input state and
-    ``free_max_constraint`` the known value of max_k Tr[Y sigma_k] (1 for
-    every tight named witness).  The Hamiltonian spectrum is {lambda c, 0}
-    with degeneracy {1, d-1}, so partition function, entropy, and free
-    energies reduce to two-outcome formulas.
-    """
-    lam, beta = ctx.lam, ctx.beta
-    R = c * overlap - 1.0
-    if beta == INF_BETA:
-        f_tau = 0.0
-        s_tau = 0.0
-    else:
-        x = math.exp(-beta * lam * c)
-        Z = (d - 1) + x
-        f_tau = -math.log(Z) / beta
-        p0 = 1.0 / Z
-        s_tau = -(d - 1) * p0 * math.log(p0)
-        if x > 0.0:
-            pt = x / Z
-            s_tau -= pt * math.log(pt)
-    work_state = lam * c * overlap - f_tau  # pure state: no entropy term
-    work_free = lam * free_max_constraint - f_tau
-    return {
-        "R": R,
-        "S_tau": s_tau,
-        "F_tau": f_tau,
-        "work_state": work_state,
-        "work_free_max": work_free,
-        "ratio": work_state / work_free if work_free > _ZERO_WORK else math.inf,
-        "bound": theorem1_bound(R, 0.0, s_tau, ctx),
-        "cost_ratio": work_free / work_state if work_state > _ZERO_WORK else math.inf,
-        "cost_bound": corollary1_bound(R, 0.0, s_tau, ctx),
-    }

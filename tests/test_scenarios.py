@@ -171,6 +171,32 @@ class TestRunScenario:
         assert "cap" in entry["reason"]
         assert report["exit_code"] == 0
 
+    def test_tstate_beyond_stabilizer_enumeration(self):
+        # n = 4 has no enumerated stabilizer set: the closed-form witness and its
+        # tight constraint value serve theorem1, eq10 and corollary1
+        report = run_scenario(load_scenario(scenario_dict(
+            name="tstate-4", state={"named": "tstate", "n": 4},
+            free_set={"kind": "stabilizer"}, lambda_grid=[100.0],
+            checks=["theorem1", "eq10", "theorem2", "corollary1"])))
+        assert len(report["entries"]) == 2 * 4
+        for e in report["entries"]:
+            if e["check"] == "theorem2":
+                assert e["skipped"] and "enumerable" in e["reason"]
+            elif not e["skipped"]:
+                assert e["report"]["satisfied"]
+        (zero_t,) = [e for e in report["entries"]
+                     if e["check"] == "theorem1" and e["beta"] == "inf"]
+        assert zero_t["report"]["lhs"] == pytest.approx((4 - 2 * math.sqrt(2)) ** 4, rel=1e-12)
+        assert report["exit_code"] == 0
+
+    def test_detail_keys_do_not_depend_on_dimension(self):
+        report = run_scenario(load_scenario(scenario_dict(
+            state={"named": "golden", "d": [8, 128]}, checks=["theorem1", "eq10", "corollary1"])))
+        keys = {}
+        for e in report["entries"]:
+            keys.setdefault(e["check"], set()).add(tuple(sorted(e["report"]["detail"])))
+        assert all(len(v) == 1 for v in keys.values()), keys
+
     def test_custom_matrix_state_uses_sdp_witness(self):
         rho = [[[0.5, 0.0], [0.25, 0.25]], [[0.25, -0.25], [0.5, 0.0]]]
         sc = load_scenario(scenario_dict(

@@ -8,6 +8,7 @@ with the public bound functions evaluated at the same (lambda, beta).
 import json
 import math
 
+import numpy as np
 import pytest
 
 from robustwork import channels, cli, scenarios, solver, thermo
@@ -40,6 +41,21 @@ def solves(monkeypatch):
     for mod in (solver, thermo, channels, scenarios, cli):
         if getattr(mod, "robustness_dual", None) is original:
             monkeypatch.setattr(mod, "robustness_dual", counting)
+    return calls
+
+
+@pytest.fixture
+def eigs(monkeypatch):
+    """List that grows by one per numpy eigh/eigvalsh call."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counting(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
     return calls
 
 
@@ -109,6 +125,20 @@ class TestSolveCounts:
         c, y = rank1_witness_from_pure(golden_state(4), incoherent_set(4))
         assert c == pytest.approx(4.0, abs=1e-5)
         assert len(solves) == 1, solves
+
+
+    def test_eigendecompositions_do_not_grow_with_the_grid(self, eigs):
+        # lambda and beta enter only through the witness spectrum: the grid adds
+        # no eigendecomposition (theorem2's residual weight is 1.0 throughout)
+        counts = []
+        for grid in ({"lambda_grid": [1000.0], "beta_grid": ["inf"]}, GRID3):
+            eigs.clear()
+            run_scenario(load_scenario({
+                "schema_version": 1, "name": "eigs", "state": {"named": "golden", "d": 8},
+                "free_set": {"kind": "incoherent"},
+                "checks": ["theorem1", "eq10", "theorem2", "corollary1"], **grid}))
+            counts.append(len(eigs))
+        assert counts[0] == counts[1], counts
 
 
 class TestSplitMatchesPublic:

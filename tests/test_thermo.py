@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustwork.freesets import incoherent_set, stabilizer_set
 from robustwork.linalg import INF_BETA, gibbs_state, maximally_mixed, projector
-from robustwork.solver import tstate_magic_witness
+from robustwork import thermo
+from robustwork.solver import RobustnessResult, pure_coherence_witness, tstate_magic_witness
 from robustwork.states import (
     basis_state,
     golden_state,
@@ -19,16 +22,21 @@ from robustwork.thermo import (
     corollary1_bound,
     extractable_work,
     free_energy,
+    corollary1_report,
+    eq10_report,
     max_free_extractable_work,
-    rank1_work_summary,
+    rank1_summary,
     residual_thermal_closed_form,
     simulate_protocol,
     theorem1_bound,
     theorem1_precondition,
+    theorem1_report,
+    theorem2_at_weight,
     verify_eq10_ratio,
     verify_theorem1,
     verify_theorem2,
     verify_xi_cost,
+    witness_summary,
     work_cost,
 )
 
@@ -335,18 +343,71 @@ class TestTheorem2:
             verify_theorem2(golden_state(2), 2.0, ctx, 2, bad)
 
 
-class TestScalarPath:
-    def test_matches_matrix_path(self):
-        # rank-1 scalar summary agrees with the full matrix pipeline
-        d = 8
-        psi = golden_state(d)
-        W = d * projector(psi)
-        for beta, lam in ((1.0, 5e3), (2.0, 1e4), (INF_BETA, 7.0)):
-            ctx = ThermoContext(beta=beta, lam=lam)
-            summary = rank1_work_summary(float(d), 1.0, d, ctx)
-            rep = verify_theorem1(projector(psi), incoherent_set(d), ctx, witness=W)
-            assert summary["ratio"] == pytest.approx(rep.lhs, rel=1e-10)
-            assert summary["bound"] == pytest.approx(rep.rhs, rel=1e-10)
-            cost = verify_xi_cost(projector(psi), incoherent_set(d), ctx, witness=W)
-            assert summary["cost_ratio"] == pytest.approx(cost.lhs, rel=1e-10)
-            assert summary["cost_bound"] == pytest.approx(cost.rhs, rel=1e-10)
+    def test_midpoint_inside_upper_end_outside_fails(self, monkeypatch):
+        # the claim is R <= 1/(d-1): only the upper end of the interval proves it
+        d = 4
+        fake = RobustnessResult(value=1.0 / 3.0, witness=np.eye(d, dtype=complex),
+                                primal_weights=None, gap=2e-3, status="converged",
+                                lower_bound=1.0 / 3.0 - 1e-3, upper_bound=1.0 / 3.0 + 1e-3,
+                                newton_iterations=0)
+        monkeypatch.setattr(thermo, "robustness_dual", lambda *args, **kwargs: fake)
+        rep = theorem2_at_weight(golden_state(d), 1.0, d, incoherent_set(d))
+        assert rep.lhs == fake.upper_bound
+        assert rep.satisfied is False
+
+
+def state_reports(summary, ctx):
+    return (theorem1_report(summary, ctx), eq10_report(summary, ctx),
+            corollary1_report(summary, ctx))
+
+
+def assert_reports_close(got, want, rel):
+    for a, b in zip(got, want):
+        assert (a.label, a.direction, a.satisfied, a.precondition_met) == \
+            (b.label, b.direction, b.satisfied, b.precondition_met)
+        assert a.detail.keys() == b.detail.keys()
+        for x, y in [(a.lhs, b.lhs), (a.rhs, b.rhs), (a.slack, b.slack)] + \
+                [(a.detail[k], b.detail[k]) for k in a.detail]:
+            assert x == pytest.approx(y, rel=rel, abs=1e-12)
+
+
+LAMBDAS = st.floats(0.1, 1e4)
+BETAS = st.one_of(st.just(INF_BETA), st.floats(0.1, 100.0))
+
+
+class TestWitnessSummary:
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(2, 12), seed=st.integers(0, 2**32 - 1), lam=LAMBDAS, beta=BETAS)
+    def test_rank1_closed_form_matches_eigh(self, d, seed, lam, beta):
+        psi = random_pure_state(d, np.random.default_rng(seed))
+        spec = incoherent_set(d)
+        c, y = pure_coherence_witness(psi)
+        ctx = ThermoContext(beta=beta, lam=lam)
+        closed = rank1_summary(c, y, psi, spec)
+        dense = witness_summary(c * projector(y), projector(psi), spec)
+        assert_reports_close(state_reports(closed, ctx), state_reports(dense, ctx), rel=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(2, 6), seed=st.integers(0, 2**32 - 1), lam=LAMBDAS, beta=BETAS)
+    def test_free_unitary_invariance(self, d, seed, lam, beta):
+        # a permutation with phases maps the incoherent set onto itself, so
+        # applying it to both rho and Y leaves every report unchanged
+        g = np.random.default_rng(seed)
+        rho = random_density_matrix(d, g)
+        W = random_psd_witness(d, g)
+        U = np.eye(d)[g.permutation(d)] * np.exp(2j * np.pi * g.random(d))
+        spec, ctx = incoherent_set(d), ThermoContext(beta=beta, lam=lam)
+        moved = witness_summary(U @ W @ U.conj().T, U @ rho @ U.conj().T, spec)
+        assert_reports_close(state_reports(moved, ctx),
+                             state_reports(witness_summary(W, rho, spec), ctx), rel=1e-9)
+
+    def test_unenumerable_free_set_is_tight(self):
+        c, psi = 4.0 - 2.0 * math.sqrt(2.0), t_state(1)
+        closed = rank1_summary(c, psi, psi, None)
+        full = rank1_summary(c, psi, psi, stabilizer_set(1))
+        assert closed.constraints.tolist() == [1.0]
+        assert full.constraints.max() == pytest.approx(1.0, abs=1e-12)
+        for beta in (1.0, INF_BETA):
+            ctx = ThermoContext(beta=beta, lam=100.0)
+            assert theorem1_report(closed, ctx).lhs == pytest.approx(
+                theorem1_report(full, ctx).lhs, rel=1e-12)
