@@ -29,7 +29,7 @@ from .scenarios import (
     sweep,
     sweep_to_csv,
 )
-from .solver import Rank1NotTightError, rank1_truncation, robustness_dual
+from .solver import INFEASIBLE, Rank1NotTightError, rank1_truncation, robustness_dual
 from .thermo import ThermoContext, eq10_report, simulate_protocol, theorem1_report, witness_summary
 
 EXIT_OK = 0
@@ -89,7 +89,7 @@ def _cmd_solve(args) -> int:
         ]
     else:
         payload["rank1"] = None
-        if variant.psi is not None and result.value > 10 * tol:
+        if variant.psi is not None and result.status != INFEASIBLE and result.value > 10 * tol:
             try:
                 c, y = rank1_truncation(variant.psi, spec, result, tol)
                 payload["rank1"] = {"c": c, "y": vector_to_json(y)}

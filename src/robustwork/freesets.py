@@ -80,7 +80,9 @@ def incoherent_extreme_points(dim: int) -> list[np.ndarray]:
     return [basis_state(dim, j) for j in range(dim)]
 
 
+@lru_cache(maxsize=16)
 def incoherent_set(dim: int) -> FreeSet:
+    # cached like stabilizer_set: scenarios rebuild the same basis on every run
     return FreeSet("incoherent", dim, vectors=tuple(incoherent_extreme_points(dim)))
 
 

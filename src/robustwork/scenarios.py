@@ -48,6 +48,7 @@ from .iojson import (
 from .linalg import assert_density, assert_pure, projector
 from .solver import (
     DEFAULT_TOL,
+    INFEASIBLE,
     MAX_ITERATIONS,
     pure_coherence_witness,
     rank1_truncation,
@@ -389,6 +390,8 @@ def _resolve_state_witness(variant: _StateVariant, fs_spec: dict, tol: float) ->
             f"{variant.d}, and the robustness program is out of reach"
         )
     result = robustness_dual(variant.rho, free_set, tol=tol)
+    if result.status == INFEASIBLE:
+        raise ScenarioError(f"free set {free_set.label()} cannot dominate the state {variant.label}")
     c = y = None
     if variant.psi is not None and result.value > 10 * tol:
         try:

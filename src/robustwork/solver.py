@@ -10,18 +10,23 @@ which are exact reformulations of the mixing definition of robustness for a
 finitely generated hull (write rho + s*gamma = (1+s) * convex combination and
 substitute q_k = (1+s) p_k).
 
-The solver is a log-barrier interior-point method on the primal: minimize
-t * sum(q) - ln det S(q) - sum ln q_k with S(q) = sum q_k sigma_k - rho,
-following the central path as t grows.  The dual witness is recovered from
-the barrier's PSD-slack inverse, Y = S^{-1}/t, and then explicitly repaired
-to feasibility by rescaling with the largest constraint value.  Both
-certificates are therefore unconditional:
+The solver is a feasible primal-dual interior-point method on this pair,
+with Nesterov-Todd scaling and a Mehrotra predictor-corrector (Nesterov &
+Todd 1997; Vandenberghe, "The CVXOPT linear and quadratic cone program
+solvers", 2010).  Its iterates are the weights q and the witness Y; the
+slacks S = sum_k q_k sigma_k - rho and u_k = 1 - Tr[Y sigma_k] are
+recomputed from them, so both programs stay exactly feasible and the step is
+only shortened when S or Y fails a Cholesky factorisation or some u_k <= 0.
+Each iteration solves the smaller of two eliminations of the Newton system:
+the m x m Schur complement in the weights step, or, when the extreme points
+outnumber r^2 (r the rank of the hull's support), the r^2 x r^2 system in the
+scaled witness step.  Both certificates are therefore unconditional:
 
-* the weights q are strictly feasible (S(q) > 0 is maintained by the line
-  search), so sum(q) - 1 is a true upper bound;
-* the repaired witness satisfies every constraint by construction, so
-  Tr[Y rho] - 1 is a true lower bound (with Y = identity as fallback, which
-  certifies the trivial lower bound 0).
+* the weights q > 0 keep S(q) > 0, so sum(q) - 1 is a true upper bound;
+* the witness Y > 0 meets every constraint, so Tr[Y rho] - 1 is a true lower
+  bound; it is rechecked in the full space and rescaled by its largest
+  constraint value (with Y = identity as fallback, which certifies the
+  trivial lower bound 0).
 
 The reported ``value`` is the midpoint of the certified interval and ``gap``
 its width.  Convergence means gap <= tol * max(1, upper bound).
@@ -72,10 +77,8 @@ INFEASIBLE = "infeasible"
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_NEWTON = 200
 
-_PATH_MULTIPLIER = 10.0
-_CENTER_DEC2 = 1e-9
-_MAX_INNER = 40
-_T_CAP = 1e14
+_STEP_FRACTION = 0.99
+_MAX_BACKTRACK = 30
 
 
 class InfeasibleHullError(RuntimeError):
@@ -93,7 +96,8 @@ class RobustnessResult:
     ``lower_bound <= value <= upper_bound`` always holds, with the lower
     bound achieved by ``witness`` (PSD, every constraint <= 1) and the upper
     bound by ``primal_weights`` (nonnegative, PSD-dominating mixture).  The
-    weights are ordered like ``spec.density_matrices()``.
+    weights are ordered like ``spec.density_matrices()``, and
+    ``newton_iterations`` counts interior-point iterations.
     """
 
     value: float
@@ -164,10 +168,7 @@ class _Program:
         return Y
 
     def slack(self, q: np.ndarray) -> np.ndarray:
-        if self.vecs is not None:
-            S = (self.vecs * q) @ dagger(self.vecs) - self.rho
-        else:
-            S = np.tensordot(q, self.mats, axes=1) - self.rho
+        S = _mix(self.vecs, self.mats, q) - self.rho
         return 0.5 * (S + dagger(S))
 
     def omega(self) -> np.ndarray:
@@ -177,71 +178,9 @@ class _Program:
         """Tr[Y sigma_k] for every compressed extreme point."""
         return _constraint_values(self.vecs, self.mats, Y)
 
-    def sigma_mix(self, coeff: np.ndarray) -> np.ndarray:
-        """sum_k coeff_k sigma_k (a slack direction, no rho term)."""
-        if self.vecs is not None:
-            M = (self.vecs * coeff) @ dagger(self.vecs)
-        else:
-            M = np.tensordot(coeff, self.mats, axes=1)
-        return 0.5 * (M + dagger(M))
-
-    def gradient_pieces(self, q: np.ndarray):
-        """Returns (trace of S^{-1} sigma_k, low-rank Hessian factor, S^{-1/2})."""
-        S = self.slack(q)
-        w, V = np.linalg.eigh(S)
-        if w[0] <= 0.0:
-            raise np.linalg.LinAlgError("slack left the PSD cone")
-        inv_sqrt = (V / np.sqrt(w)) @ dagger(V)
-        r = S.shape[0]
-        if self.vecs is not None:
-            U = inv_sqrt @ self.vecs  # r x m
-            sinv_sig = np.einsum("ik,ik->k", U.conj(), U).real
-            Wc = np.einsum("ik,jk->kij", U, U.conj()).reshape(self.m, r * r)
-        else:
-            Ms = np.einsum("ab,kbc,cd->kad", inv_sqrt, self.mats, inv_sqrt, optimize=True)
-            sinv_sig = np.einsum("kaa->k", Ms).real
-            Wc = Ms.reshape(self.m, r * r)
-        F = np.concatenate([Wc.real, Wc.imag], axis=1)
-        return sinv_sig, F, inv_sqrt
-
-
-def _solve_shifted_once(diag: np.ndarray, F: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (diag + F F^T) x = rhs; Woodbury route when the factor is thin."""
-    m, p = F.shape
-    if p and m > 4 * p:
-        dinv = 1.0 / diag
-        DF = F * dinv[:, None]
-        K = np.eye(p) + F.T @ DF
-        try:
-            inner = np.linalg.solve(K, F.T @ (dinv * rhs))
-        except np.linalg.LinAlgError:
-            inner = np.linalg.lstsq(K, F.T @ (dinv * rhs), rcond=None)[0]
-        return dinv * rhs - DF @ inner
-    H = F @ F.T
-    H[np.diag_indices_from(H)] += diag
-    try:
-        return np.linalg.solve(H, rhs)
-    except np.linalg.LinAlgError:
-        return np.linalg.lstsq(H, rhs, rcond=None)[0]
-
-
-def _solve_shifted(diag: np.ndarray, F: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Shifted solve with iterative refinement (the system gets very stiff
-    late on the central path; a couple of residual corrections recover most
-    of the lost digits)."""
-    x = _solve_shifted_once(diag, F, rhs)
-    for _ in range(2):
-        resid = rhs - (diag * x + F @ (F.T @ x))
-        if not np.all(np.isfinite(resid)):
-            break
-        if np.abs(resid).max() <= 1e-13 * max(1.0, np.abs(rhs).max()):
-            break
-        x = x + _solve_shifted_once(diag, F, resid)
-    return x
-
 
 # ---------------------------------------------------------------------------
-# interior point loop
+# primal-dual interior point loop
 # ---------------------------------------------------------------------------
 
 
@@ -255,191 +194,162 @@ def _initial_point(prog: _Program) -> np.ndarray:
     return np.full(prog.m, a / prog.m)
 
 
-def _center(prog: _Program, q: np.ndarray, t: float, budget: int) -> tuple[np.ndarray, int]:
-    """Newton centering of the barrier at parameter t.
+def _hvec(X: np.ndarray) -> np.ndarray:
+    """Real coordinates of Hermitian matrices (last two axes): the diagonal,
+    then sqrt(2) Re and sqrt(2) Im of the strict upper triangle, so that
+    ``_hvec(X) @ _hvec(Z) == Tr[X Z]``."""
+    i, j = np.triu_indices(X.shape[-1], 1)
+    off = math.sqrt(2.0) * X[..., i, j]
+    return np.concatenate([np.diagonal(X, axis1=-2, axis2=-1).real, off.real, off.imag], axis=-1)
 
-    The line search works on barrier *differences* expressed through log1p
-    of the generalized step eigenvalues, so it stays accurate when t (and
-    hence the absolute barrier value) is enormous.
+
+def _hmat(x: np.ndarray, r: int) -> np.ndarray:
+    """The Hermitian r x r matrix with real coordinates ``x``."""
+    i, j = np.triu_indices(r, 1)
+    off = (x[r:r + len(i)] + 1j * x[r + len(i):]) / math.sqrt(2.0)
+    X = np.diag(x[:r]).astype(complex)
+    X[i, j] = off
+    X[j, i] = off.conj()
+    return X
+
+
+class _Iterate:
+    """A strictly feasible primal-dual point and its Nesterov-Todd scaling.
+
+    The slacks S = sum_k q_k sigma_k - rho and u = 1 - Tr[Y sigma_k] are
+    recomputed from q and Y, so every iterate is exactly feasible; the
+    constructor raises ``LinAlgError`` unless q > 0, u > 0 and both S and Y
+    pass a Cholesky factorisation.  With S = Ls Ls^H, Y = Ly Ly^H and the SVD
+    Ly^H Ls = U diag(lam) V^H, the scaling R = Ls V diag(lam)^{-1/2} gives
+    R^{-1} S R^{-H} = R^H Y R = diag(lam) and R^{-1} = diag(lam)^{-1/2} U^H Ly^H.
+    The scaled extreme points G_k = R^{-1} sigma_k R^{-H} are kept as vectors
+    (pure hulls) or as matrices.
     """
-    steps = 0
-    while steps < min(budget, _MAX_INNER):
-        try:
-            sinv_sig, F, inv_sqrt = prog.gradient_pieces(q)
-        except np.linalg.LinAlgError:
-            break
-        grad = t - sinv_sig - 1.0 / q
-        delta = _solve_shifted(1.0 / q**2, F, -grad)
-        dec2 = float(-grad @ delta)
-        if not np.isfinite(dec2) or dec2 <= _CENTER_DEC2:
-            break
 
-        # eigenvalues of S^{-1/2} (sum delta_k sigma_k) S^{-1/2} drive both
-        # the feasible step length and the exact log-det difference
-        T = inv_sqrt @ prog.sigma_mix(delta) @ dagger(inv_sqrt)
-        eta = np.linalg.eigvalsh(0.5 * (T + dagger(T)))
-        ratio = delta / q
-        floor = min(float(eta[0]), float(ratio.min()))
-        alpha = 1.0 if floor >= 0.0 else min(1.0, 0.95 / (-floor))
-        slope = t * float(delta.sum()) - float(eta.sum()) - float(ratio.sum())
-        for _ in range(60):
-            if 1.0 + alpha * floor > 1e-14:
-                dphi = (
-                    t * alpha * float(delta.sum())
-                    - float(np.log1p(alpha * eta).sum())
-                    - float(np.log1p(alpha * ratio).sum())
-                )
-                if dphi <= 0.01 * alpha * slope:
-                    break
-            alpha *= 0.5
+    def __init__(self, prog: _Program, q: np.ndarray, Y: np.ndarray):
+        self.q = q
+        self.Y = 0.5 * (Y + dagger(Y))
+        self.u = 1.0 - prog.constraint_values(self.Y)
+        if not (q.min() > 0.0 and self.u.min() > 0.0):  # also catches NaN
+            raise np.linalg.LinAlgError("a weight or a constraint slack left the cone")
+        Ls = np.linalg.cholesky(prog.slack(q))
+        Ly = np.linalg.cholesky(self.Y)
+        U, lam, _ = np.linalg.svd(dagger(Ly) @ Ls)
+        self.lam = lam
+        self.rinv = (dagger(U) @ dagger(Ly)) / np.sqrt(lam)[:, None]
+        self.d = np.sqrt(q / self.u)
+        self.lam_lp = np.sqrt(q * self.u)
+        self.mu = float(self.lam_lp @ self.lam_lp + lam @ lam) / (prog.m + prog.rank)
+        if prog.vecs is not None:
+            self.gvecs, self.gmats = self.rinv @ prog.vecs, None
         else:
-            break
-        q = q + alpha * delta
-        steps += 1
-    return q, steps
+            self.gvecs, self.gmats = None, self.rinv @ prog.mats @ dagger(self.rinv)
+        self.upper = float(q.sum()) - 1.0
+        self.lower = float(np.trace(self.Y @ prog.rho).real) - 1.0
+
+    def mix(self, coeff: np.ndarray) -> np.ndarray:
+        """sum_k coeff_k G_k."""
+        M = _mix(self.gvecs, self.gmats, coeff)
+        return 0.5 * (M + dagger(M))
+
+    def pair(self, X: np.ndarray) -> np.ndarray:
+        """Tr[G_k X] for every k."""
+        return _constraint_values(self.gvecs, self.gmats, X)
+
+    def coords(self) -> np.ndarray:
+        """Real coordinates of every G_k, one row each (m x r^2)."""
+        if self.gvecs is not None:
+            return _hvec(np.einsum("ik,jk->kij", self.gvecs, self.gvecs.conj()))
+        return _hvec(self.gmats)
 
 
-def _certify(prog: _Program, q: np.ndarray, t: float):
-    """Certified (upper, lower, compressed witness) at the current point."""
-    upper = float(q.sum()) - 1.0
-    S = prog.slack(q)
-    w, V = np.linalg.eigh(S)
-    w = np.maximum(w, 1e-300)
-    Y = (V / w) @ dagger(V) / t
-    cons = prog.constraint_values(Y)
-    cmax = float(cons.max())
-    if cmax <= 0.0:
-        return upper, 0.0, None
-    Y = Y / cmax
-    lower = float(np.trace(Y @ prog.rho).real) - 1.0
-    return upper, lower, Y
+# Both routes solve the same scaled Newton system.  With the scaled steps
+# dq/d + d du = t (weights) and ds + dy = T (cone), where ds = sum_k dq_k G_k
+# and du_k = -Tr[G_k dy], they eliminate different unknowns.
 
 
-def _null_cluster(w: np.ndarray) -> int:
-    """Size of the near-null eigenvalue cluster (largest spectral jump below
-    1e-3 of the top eigenvalue); 0 when there is no convincing cluster."""
-    lam_max = max(float(w[-1]), 1e-300)
-    best_i, best_ratio = 0, 0.0
-    for i in range(len(w) - 1):
-        if w[i] > lam_max * 1e-3:
-            break
-        ratio = w[i + 1] / max(float(w[i]), 1e-300)
-        if ratio >= best_ratio:
-            best_i, best_ratio = i + 1, ratio
-    return best_i if best_ratio >= 1e3 else 0
-
-
-def _polish_witness(prog: _Program, q: np.ndarray, witness: np.ndarray | None,
-                    tol: float, budget: int):
-    """Dual refinement on the active face of the program.
-
-    At the primal optimum the witness lives on ker(S*); restricting the dual
-    to that subspace makes the restricted slack shrink isotropically along
-    the central path, so the S^{-1} recovery stays well conditioned at any
-    barrier parameter (the full-space recovery hits a float64 wall once a
-    mixed spectrum gives cond(S) ~ t).  Constraints that are far from tight
-    at the current witness and absent from the primal support are dropped:
-    that relaxation can only raise the restricted optimum, and the caller
-    re-checks the expanded witness against every constraint and rescales,
-    so validity never depends on the pruning.  Returns
-    (witness in prog coordinates, steps used).
-    """
-    S = prog.slack(q)
-    w, V = np.linalg.eigh(S)
-    n0 = _null_cluster(w)
-    if n0 < 1 or n0 >= S.shape[0]:
-        return None, 0
-    P = V[:, :n0]
-    rho_r = dagger(P) @ prog.rho @ P
-    rho_r = 0.5 * (rho_r + dagger(rho_r))
-
-    keep = None
-    if witness is not None:
-        cons_now = prog.constraint_values(witness)
-        mask = (cons_now >= 0.8) | (q > 1e-6 * float(q.sum()))
-        if 0 < int(mask.sum()) < prog.m:
-            keep = np.flatnonzero(mask)
-    if prog.vecs is not None:
-        vecs_r = dagger(P) @ (prog.vecs if keep is None else prog.vecs[:, keep])
-        sub = _Program(rho_r, vecs_r, None)
+def _schur_direction(it: _Iterate, t: np.ndarray, T: np.ndarray):
+    """m x m system in dq: (diag(u/q) + [Tr G_k G_l]) dq = t/d + Tr[G_k T]."""
+    if it.gvecs is not None:
+        H = np.abs(dagger(it.gvecs) @ it.gvecs) ** 2
     else:
-        mats = prog.mats if keep is None else prog.mats[keep]
-        sub = _Program(rho_r, None,
-                       np.einsum("ia,kij,jb->kab", P.conj(), mats, P, optimize=True))
-    if not sub.feasible:
-        return None, 0
-    qs = _initial_point(sub)
-    t = max(1.0, (sub.m + sub.rank) / max(float(qs.sum()) - 1.0, 0.1))
-    best_lower, best_Y = -math.inf, None
-    used = 0
-    stalled = 0
-    while used < budget and t < _T_CAP:
-        qs, steps = _center(sub, qs, t, budget - used)
-        used += steps
-        stalled = stalled + 1 if steps == 0 else 0
-        upper_r, lower_r, Y = _certify(sub, qs, t)
-        if Y is not None and lower_r > best_lower:
-            best_lower, best_Y = lower_r, Y
-        if upper_r - best_lower <= 0.25 * tol * max(1.0, abs(upper_r)) or stalled >= 2:
-            break
-        t *= _PATH_MULTIPLIER
-    if best_Y is None:
-        return None, used
-    return P @ sub.expand(best_Y) @ dagger(P), used
+        F = it.coords()
+        H = F @ F.T
+    H[np.diag_indices_from(H)] += it.u / it.q
+    dq = np.linalg.solve(H, t / it.d + it.pair(T))
+    ds = it.mix(dq)
+    return dq, ds, T - ds
+
+
+def _witness_direction(it: _Iterate, t: np.ndarray, T: np.ndarray):
+    """r^2 x r^2 system in the scaled witness step dy = R^H dY R, in real
+    coordinates: (I + F^T diag(d^2) F) dy = T - F^T (d t)."""
+    F = it.coords()
+    K = F.T @ (F * (it.d**2)[:, None])
+    K[np.diag_indices_from(K)] += 1.0
+    y = np.linalg.solve(K, _hvec(T) - F.T @ (it.d * t))
+    dy = _hmat(y, T.shape[0])
+    return it.d * t + it.d**2 * (F @ y), T - dy, dy
+
+
+def _max_step(it: _Iterate, dq, du, ds, dy) -> float:
+    """Largest step keeping q, u, diag(lam) + a ds and diag(lam) + a dy in their cones."""
+    floor = min(float((dq / it.q).min()), float((du / it.u).min()))
+    scale = np.sqrt(np.outer(it.lam, it.lam))
+    for D in (ds, dy):
+        floor = min(floor, float(np.linalg.eigvalsh(D / scale)[0]))
+    return math.inf if floor >= 0.0 else -1.0 / floor
+
+
+def _mehrotra_step(prog: _Program, it: _Iterate, direction) -> _Iterate | None:
+    """One predictor-corrector iteration; None when no step could be taken."""
+    lam = np.diag(it.lam).astype(complex)
+
+    def solve(t, T):
+        dq, ds, dy = direction(it, t, T)
+        return dq, -it.pair(dy), ds, dy
+
+    try:
+        dq, du, ds, dy = solve(-it.lam_lp, -lam)
+        a = min(1.0, _max_step(it, dq, du, ds, dy))
+        mu_aff = (float((it.q + a * dq) @ (it.u + a * du))
+                  + float(np.trace((lam + a * ds) @ (lam + a * dy)).real)) / (prog.m + prog.rank)
+        target = (mu_aff / it.mu) ** 3 * it.mu
+        t = (target - it.lam_lp**2 - dq * du) / it.lam_lp
+        M = target * np.eye(prog.rank) - lam @ lam - 0.5 * (ds @ dy + dy @ ds)
+        dq, du, ds, dy = solve(t, 2.0 * M / np.add.outer(it.lam, it.lam))
+    except np.linalg.LinAlgError:
+        return None
+    alpha = min(1.0, _STEP_FRACTION * _max_step(it, dq, du, ds, dy))
+    dY = dagger(it.rinv) @ dy @ it.rinv
+    for _ in range(_MAX_BACKTRACK):
+        try:
+            return _Iterate(prog, it.q + alpha * dq, it.Y + alpha * dY)
+        except np.linalg.LinAlgError:
+            alpha *= 0.5
+    return None
 
 
 def _solve(rho: np.ndarray, spec: FreeSet, tol: float, max_newton: int):
+    """(program, iterate with the smallest gap, iterations, status), or
+    (program, None, 0, INFEASIBLE) when the hull cannot dominate rho."""
     prog = _Program.from_spec(rho, spec)
     if not prog.feasible:
-        return prog, None
-    q = _initial_point(prog)
-    t = max(1.0, (prog.m + prog.rank) / max(float(q.sum()) - 1.0, 0.1))
-
-    best_upper = math.inf
-    best_q = q
-    best_lower = 0.0
-    best_witness = None  # None means the identity fallback
+        return prog, None, 0, INFEASIBLE
+    eye = np.eye(prog.rank, dtype=complex)
+    it = best = _Iterate(prog, _initial_point(prog),
+                         0.5 * eye / prog.constraint_values(eye).max())
+    # the smaller Newton system: m x m in the weights, or r^2 x r^2 in the witness
+    direction = _witness_direction if prog.m > prog.rank**2 else _schur_direction
     used = 0
-    stalled = 0
-    status = MAX_ITERATIONS
-    while True:
-        q, steps = _center(prog, q, t, max_newton - used)
-        used += steps
-        stalled = stalled + 1 if steps == 0 else 0
-        upper, lower, Y = _certify(prog, q, t)
-        if upper < best_upper:
-            best_upper, best_q = upper, q.copy()
-        if lower > best_lower and Y is not None:
-            best_lower, best_witness = lower, Y
-        gap = best_upper - best_lower
-        if gap <= tol * max(1.0, abs(best_upper)):
-            status = CONVERGED
-            break
-        if used >= max_newton or t >= _T_CAP or stalled >= 2:
-            break
-        t *= _PATH_MULTIPLIER
-
-    if status != CONVERGED and used < max_newton:
-        Yp, extra = _polish_witness(prog, best_q, best_witness, tol, max_newton - used)
-        used += extra
-        if Yp is not None:
-            cons = prog.constraint_values(Yp)
-            cmax = float(cons.max())
-            if cmax > 0.0:
-                Yp = Yp / cmax
-                lower_p = float(np.trace(Yp @ prog.rho).real) - 1.0
-                if lower_p > best_lower:
-                    best_lower, best_witness = lower_p, Yp
-        if best_upper - best_lower <= tol * max(1.0, abs(best_upper)):
-            status = CONVERGED
-    return prog, (best_upper, best_lower, best_witness, best_q, used, status)
-
-
-def _expand_witness(prog: _Program, Y: np.ndarray | None) -> np.ndarray:
-    if Y is None:
-        return np.eye(prog.full_dim, dtype=complex)
-    Y = prog.expand(Y)
-    return 0.5 * (Y + dagger(Y))
+    while best.upper - best.lower > tol * max(1.0, abs(best.upper)):
+        it = _mehrotra_step(prog, it, direction) if used < max_newton else None
+        if it is None:
+            return prog, best, used, MAX_ITERATIONS
+        used += 1
+        if it.upper - it.lower < best.upper - best.lower:
+            best = it
+    return prog, best, used, CONVERGED
 
 
 def robustness_dual(rho, spec: FreeSet, tol: float = DEFAULT_TOL,
@@ -448,22 +358,23 @@ def robustness_dual(rho, spec: FreeSet, tol: float = DEFAULT_TOL,
 
     Returns a feasible witness whose objective is the certified lower bound
     and primal weights certifying the upper bound; ``status`` is
-    ``max_iterations`` when the Newton budget ran out first (the bounds are
-    still valid) and ``infeasible`` when no mixture dominates ``rho``.
+    ``max_iterations`` when ``max_newton`` interior-point iterations did not
+    close the gap or no step kept the point feasible (the bounds are still
+    valid) and ``infeasible`` when no mixture dominates ``rho``.
     """
     rho = assert_density(rho)
-    prog, raw = _solve(rho, spec, tol, max_newton)
-    if raw is None:
+    prog, it, used, status = _solve(rho, spec, tol, max_newton)
+    if it is None:
         return RobustnessResult(
             value=math.inf, witness=None, primal_weights=None, gap=math.inf,
-            status=INFEASIBLE, lower_bound=0.0, upper_bound=math.inf,
+            status=status, lower_bound=0.0, upper_bound=math.inf,
             newton_iterations=0,
         )
-    upper, _, Ybest, q, used, status = raw
 
     # re-derive the lower bound from the expanded witness in the full space,
     # with a defensive rescale so the recorded certificate is self-contained
-    witness = _expand_witness(prog, Ybest)
+    witness = prog.expand(it.Y)
+    witness = 0.5 * (witness + dagger(witness))
     cons = witness_constraints(witness, spec)
     cmax = float(cons.max())
     if cmax > 1.0:
@@ -472,12 +383,12 @@ def robustness_dual(rho, spec: FreeSet, tol: float = DEFAULT_TOL,
     if lower < 0.0:
         witness = np.eye(prog.full_dim, dtype=complex)
         lower = 0.0
-    upper = max(upper, lower)
+    upper = max(it.upper, lower)
     gap = upper - lower
     return RobustnessResult(
         value=max(0.0, 0.5 * (lower + upper)),
         witness=witness,
-        primal_weights=q,
+        primal_weights=it.q,
         gap=gap,
         status=status,
         lower_bound=lower,
@@ -502,6 +413,13 @@ def robustness_primal(rho, spec: FreeSet, tol: float = DEFAULT_TOL,
 # ---------------------------------------------------------------------------
 # certificate re-checks (used by the result consumers and the test suite)
 # ---------------------------------------------------------------------------
+
+
+def _mix(vecs, mats, coeff: np.ndarray) -> np.ndarray:
+    """sum_k coeff_k sigma_k over the columns of ``vecs`` or the stacked ``mats``."""
+    if vecs is not None:
+        return (vecs * coeff) @ dagger(vecs)
+    return np.tensordot(coeff, mats, axes=1)
 
 
 def _constraint_values(vecs, mats, Y: np.ndarray) -> np.ndarray:

@@ -35,6 +35,11 @@ class TestIncoherent:
     def test_dim_too_small(self):
         with pytest.raises(ValueError):
             incoherent_extreme_points(1)
+        with pytest.raises(ValueError):
+            incoherent_set(1)
+
+    def test_set_is_built_once_per_dimension(self):
+        assert incoherent_set(5) is incoherent_set(5)
 
     def test_own_points_have_zero_robustness(self):
         spec = incoherent_set(3)

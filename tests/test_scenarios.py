@@ -159,6 +159,25 @@ class TestRunScenario:
             assert not e["skipped"]
             assert e["report"]["satisfied"]
 
+    def test_tstate_scenario_up_to_three_copies_exits_zero(self):
+        # the n = 3 theorem-2 residual solve used to stop at max_iterations
+        report = run_scenario(load_scenario(scenario_dict(
+            name="tstate", state={"named": "tstate", "n": [1, 2, 3]},
+            free_set={"kind": "stabilizer"}, lambda_grid=[10000.0],
+            checks=["theorem1", "eq10", "theorem2", "corollary1"])))
+        statuses = {e["report"]["detail"]["status"] for e in report["entries"]
+                    if e["check"] == "theorem2" and not e["skipped"]}
+        assert statuses == {"converged"}
+        assert report["exit_code"] == 0
+
+    def test_infeasible_hull_is_a_scenario_error(self):
+        sc = load_scenario(scenario_dict(
+            state={"named": "golden", "d": 2},
+            free_set={"kind": "finite_hull", "states": [[[1.0, 0.0], [0.0, 0.0]]]},
+        ))
+        with pytest.raises(ScenarioError, match="cannot dominate"):
+            run_scenario(sc)
+
     def test_theorem2_skipped_above_dimension_cap(self):
         sc = load_scenario(scenario_dict(
             state={"named": "golden", "d": 32},
@@ -413,6 +432,37 @@ class TestCli:
         out = strict_json(proc.stdout)
         assert out["status"] == "infeasible"
         assert out["value"] == out["upper_bound"] == "inf"
+
+    def test_robustness_verb_tstate_three_copies_converges(self, tmp_path):
+        path = self.write(tmp_path, "in.json", {
+            "state": {"named": "tstate", "n": 3},
+            "free_set": {"kind": "stabilizer"},
+        })
+        proc = self.run_cli("robustness", "--input", path)
+        assert proc.returncode == 0, proc.stderr
+        out = strict_json(proc.stdout)
+        assert out["status"] == "converged"
+        assert out["lower_bound"] <= (4 - 2 * math.sqrt(2)) ** 3 - 1 <= out["upper_bound"]
+
+    def test_witness_verb_infeasible_hull_has_no_rank1(self, tmp_path):
+        path = self.write(tmp_path, "in.json", {
+            "state": {"named": "golden", "d": 2},
+            "free_set": {"kind": "finite_hull", "states": [[[1.0, 0.0], [0.0, 0.0]]]},
+        })
+        proc = self.run_cli("witness", "--input", path)
+        assert proc.returncode == 0, proc.stderr
+        out = strict_json(proc.stdout)
+        assert out["status"] == "infeasible"
+        assert out["witness"] is None and out["rank1"] is None
+
+    def test_verify_verb_infeasible_hull_says_so(self, tmp_path):
+        path = self.write(tmp_path, "sc.json", scenario_dict(
+            state={"named": "golden", "d": 2},
+            free_set={"kind": "finite_hull", "states": [[[1.0, 0.0], [0.0, 0.0]]]},
+        ))
+        proc = self.run_cli("verify", "--input", path)
+        assert proc.returncode == 4
+        assert "cannot dominate" in proc.stderr
 
     def test_verify_exit_zero(self, tmp_path):
         path = self.write(tmp_path, "sc.json", scenario_dict())

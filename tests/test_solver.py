@@ -5,14 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import robustwork.solver as solver_module
 from robustwork.freesets import finite_hull, incoherent_set, stabilizer_set
 from robustwork.linalg import maximally_mixed, projector, trace_inner
 from robustwork.solver import (
     CONVERGED,
     INFEASIBLE,
+    MAX_ITERATIONS,
     InfeasibleHullError,
+    _Iterate,
     _Program,
-    _solve_shifted,
+    _schur_direction,
+    _witness_direction,
     primal_slack,
     pure_coherence_witness,
     rank1_witness_from_pure,
@@ -252,18 +256,68 @@ class TestInvariants:
         assert res.gap <= 1e-7 * max(1.0, res.upper_bound)
 
 
+class TestRoadmapInstances:
+    """Instances the log-barrier solver stopped on at max_iterations."""
+
+    def test_tstate_three_copies_against_stabilizer3(self):
+        spec = stabilizer_set(3)
+        rho = projector(t_state(3))
+        res = robustness_dual(rho, spec)
+        assert res.status == CONVERGED
+        assert res.newton_iterations <= 40
+        assert res.lower_bound <= tstate_magic_robustness(3) <= res.upper_bound
+        assert (4 - 2 * math.sqrt(2)) ** 3 - 1 == pytest.approx(tstate_magic_robustness(3), rel=1e-14)
+        assert_certified(res, rho, spec)
+
+    def test_ginibre_d32_against_incoherent(self):
+        spec = incoherent_set(32)
+        rho = random_density_matrix(32, np.random.default_rng(0))
+        res = robustness_dual(rho, spec)
+        assert res.status == CONVERGED
+        assert res.newton_iterations <= 40
+        assert_certified(res, rho, spec)
+
+
+    def test_budget_stop_returns_the_smallest_gap(self, monkeypatch):
+        # below the float64 reach of this program the gap wanders between
+        # iterations; the certificates come from the best iterate, not the last
+        step = solver_module._mehrotra_step
+        gaps = []
+
+        def recorded(prog, it, direction):
+            nxt = step(prog, it, direction)
+            if nxt is not None:
+                gaps.append(nxt.upper - nxt.lower)
+            return nxt
+
+        monkeypatch.setattr(solver_module, "_mehrotra_step", recorded)
+        spec = stabilizer_set(3)
+        rho = projector(random_pure_state(8, np.random.default_rng(0)))
+        res = robustness_dual(rho, spec, tol=1e-12, max_newton=60)
+        assert res.status == MAX_ITERATIONS and res.newton_iterations == 60
+        assert res.gap == pytest.approx(min(gaps), abs=1e-12)
+        assert_certified(res, rho, spec)
+
+
 class TestNewtonSolve:
-    def test_woodbury_matches_dense(self):
-        # the thin-factor route must agree with the explicit dense solve
-        m, p = 40, 6
-        for _ in range(5):
-            diag = rng.uniform(0.5, 2.0, size=m)
-            F = rng.normal(size=(m, p))
-            rhs = rng.normal(size=m)
-            H = np.diag(diag) + F @ F.T
-            x_dense = np.linalg.solve(H, rhs)
-            x_thin = _solve_shifted(diag, F, rhs)
-            assert np.abs(x_dense - x_thin).max() < 1e-8
+    @pytest.mark.parametrize("spec", [
+        stabilizer_set(1),
+        incoherent_set(3),
+        finite_hull([basis_state(2, 0), maximally_mixed(2),
+                     random_density_matrix(2, np.random.default_rng(3))]),
+    ], ids=["stabilizer1", "incoherent3", "mixed-hull"])
+    def test_schur_and_witness_routes_agree(self, spec):
+        # the m x m system in the weights and the r^2 x r^2 system in the
+        # scaled witness step are two eliminations of one Newton system
+        rho = random_density_matrix(spec.dim, rng)
+        prog = _Program.from_spec(rho, spec)
+        Y = random_density_matrix(prog.rank, rng)
+        Y = 0.9 * Y / prog.constraint_values(Y).max()
+        it = _Iterate(prog, rng.uniform(2.0, 3.0, size=prog.m), Y)
+        t = rng.normal(size=prog.m)
+        T = random_hermitian(prog.rank, rng)
+        for a, b in zip(_schur_direction(it, t, T), _witness_direction(it, t, T)):
+            assert np.abs(a - b).max() < 1e-8
 
 
 # pure-only hulls take the matrix-product path; the mixed hull adds the tensordot one
