@@ -16,7 +16,7 @@ amplitude vector at 1e-8 granularity.  Expected counts are 6, 60, 1080.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 
 import numpy as np
@@ -64,6 +64,16 @@ class FreeSet:
     @property
     def all_pure(self) -> bool:
         return not self.matrices
+
+    @cached_property
+    def vector_array(self) -> np.ndarray | None:
+        """The pure extreme points as the columns of one read-only (d, m) array,
+        stacked on first use; None when there are none."""
+        if not self.vectors:
+            return None
+        V = np.stack(self.vectors, axis=1)
+        V.flags.writeable = False
+        return V
 
     def density_matrices(self) -> list[np.ndarray]:
         """All extreme points as density matrices (pure ones first)."""

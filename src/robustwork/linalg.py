@@ -81,16 +81,21 @@ def assert_hermitian(A, name: str = "operator") -> np.ndarray:
     return A
 
 
-def assert_density(rho, name: str = "state") -> np.ndarray:
-    """Validate a density matrix: Hermitian, unit trace, PSD."""
+def _density_spectrum(rho, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a density matrix and return it with its ascending eigenvalues."""
     rho = assert_hermitian(rho, name)
     tr = rho.trace().real
     if abs(tr - 1.0) > policy.trace_tol:
         raise ValueError(f"{name} has trace {tr!r}, expected 1")
-    lo = np.linalg.eigvalsh(rho)[0]
-    if lo < -policy.psd_tol:
-        raise ValueError(f"{name} has negative eigenvalue {lo:.3e}")
-    return rho
+    w = np.linalg.eigvalsh(rho)
+    if w[0] < -policy.psd_tol:
+        raise ValueError(f"{name} has negative eigenvalue {w[0]:.3e}")
+    return rho, w
+
+
+def assert_density(rho, name: str = "state") -> np.ndarray:
+    """Validate a density matrix: Hermitian, unit trace, PSD."""
+    return _density_spectrum(rho, name)[0]
 
 
 def assert_pure(psi, name: str = "state vector") -> np.ndarray:
@@ -162,8 +167,7 @@ def von_neumann_entropy(rho) -> float:
     Eigenvalues are clamped to [0, 1] before the log, so states that pass
     the PSD tolerance never produce NaNs.
     """
-    rho = assert_density(rho)
-    w = np.clip(np.linalg.eigvalsh(rho), 0.0, 1.0)
+    w = np.clip(_density_spectrum(rho, "state")[1], 0.0, 1.0)
     w = w[w > 0.0]
     return float(max(0.0, -np.dot(w, np.log(w))))
 

@@ -20,7 +20,9 @@ only shortened when S or Y fails a Cholesky factorisation or some u_k <= 0.
 Each iteration solves the smaller of two eliminations of the Newton system:
 the m x m Schur complement in the weights step, or, when the extreme points
 outnumber r^2 (r the rank of the hull's support), the r^2 x r^2 system in the
-scaled witness step.  Both certificates are therefore unconditional:
+scaled witness step.  It builds that system once, and the predictor and the
+corrector solve it with their own right-hand sides.  Because every iterate
+is feasible, both certificates are unconditional:
 
 * the weights q > 0 keep S(q) > 0, so sum(q) - 1 is a true upper bound;
 * the witness Y > 0 meets every constraint, so Tr[Y rho] - 1 is a true lower
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -152,7 +155,7 @@ class _Program:
                 f"state dimension {rho.shape[0]} does not match free set {spec.label()}"
             )
         if spec.all_pure:
-            return cls(rho, np.stack(spec.vectors, axis=1), None)
+            return cls(rho, spec.vector_array, None)
         return cls(rho, None, np.stack(spec.density_matrices()))
 
     @property
@@ -194,18 +197,26 @@ def _initial_point(prog: _Program) -> np.ndarray:
     return np.full(prog.m, a / prog.m)
 
 
+@lru_cache(maxsize=None)
+def _triu(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strict upper triangle of an r x r matrix."""
+    i, j = np.triu_indices(r, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def _hvec(X: np.ndarray) -> np.ndarray:
     """Real coordinates of Hermitian matrices (last two axes): the diagonal,
     then sqrt(2) Re and sqrt(2) Im of the strict upper triangle, so that
     ``_hvec(X) @ _hvec(Z) == Tr[X Z]``."""
-    i, j = np.triu_indices(X.shape[-1], 1)
+    i, j = _triu(X.shape[-1])
     off = math.sqrt(2.0) * X[..., i, j]
     return np.concatenate([np.diagonal(X, axis1=-2, axis2=-1).real, off.real, off.imag], axis=-1)
 
 
 def _hmat(x: np.ndarray, r: int) -> np.ndarray:
     """The Hermitian r x r matrix with real coordinates ``x``."""
-    i, j = np.triu_indices(r, 1)
+    i, j = _triu(r)
     off = (x[r:r + len(i)] + 1j * x[r + len(i):]) / math.sqrt(2.0)
     X = np.diag(x[:r]).astype(complex)
     X[i, j] = off
@@ -265,10 +276,12 @@ class _Iterate:
 
 # Both routes solve the same scaled Newton system.  With the scaled steps
 # dq/d + d du = t (weights) and ds + dy = T (cone), where ds = sum_k dq_k G_k
-# and du_k = -Tr[G_k dy], they eliminate different unknowns.
+# and du_k = -Tr[G_k dy], they eliminate different unknowns.  Each builds its
+# matrix once per iterate and returns the solver of (t, T) that the predictor
+# and the corrector share.
 
 
-def _schur_direction(it: _Iterate, t: np.ndarray, T: np.ndarray):
+def _schur_direction(it: _Iterate):
     """m x m system in dq: (diag(u/q) + [Tr G_k G_l]) dq = t/d + Tr[G_k T]."""
     if it.gvecs is not None:
         H = np.abs(dagger(it.gvecs) @ it.gvecs) ** 2
@@ -276,37 +289,45 @@ def _schur_direction(it: _Iterate, t: np.ndarray, T: np.ndarray):
         F = it.coords()
         H = F @ F.T
     H[np.diag_indices_from(H)] += it.u / it.q
-    dq = np.linalg.solve(H, t / it.d + it.pair(T))
-    ds = it.mix(dq)
-    return dq, ds, T - ds
+
+    def solve(t: np.ndarray, T: np.ndarray):
+        dq = np.linalg.solve(H, t / it.d + it.pair(T))
+        ds = it.mix(dq)
+        return dq, ds, T - ds
+
+    return solve
 
 
-def _witness_direction(it: _Iterate, t: np.ndarray, T: np.ndarray):
+def _witness_direction(it: _Iterate):
     """r^2 x r^2 system in the scaled witness step dy = R^H dY R, in real
     coordinates: (I + F^T diag(d^2) F) dy = T - F^T (d t)."""
     F = it.coords()
     K = F.T @ (F * (it.d**2)[:, None])
     K[np.diag_indices_from(K)] += 1.0
-    y = np.linalg.solve(K, _hvec(T) - F.T @ (it.d * t))
-    dy = _hmat(y, T.shape[0])
-    return it.d * t + it.d**2 * (F @ y), T - dy, dy
+
+    def solve(t: np.ndarray, T: np.ndarray):
+        y = np.linalg.solve(K, _hvec(T) - F.T @ (it.d * t))
+        dy = _hmat(y, T.shape[0])
+        return it.d * t + it.d**2 * (F @ y), T - dy, dy
+
+    return solve
 
 
 def _max_step(it: _Iterate, dq, du, ds, dy) -> float:
     """Largest step keeping q, u, diag(lam) + a ds and diag(lam) + a dy in their cones."""
     floor = min(float((dq / it.q).min()), float((du / it.u).min()))
     scale = np.sqrt(np.outer(it.lam, it.lam))
-    for D in (ds, dy):
-        floor = min(floor, float(np.linalg.eigvalsh(D / scale)[0]))
+    floor = min(floor, *np.linalg.eigvalsh(np.stack([ds, dy]) / scale)[:, 0].tolist())
     return math.inf if floor >= 0.0 else -1.0 / floor
 
 
 def _mehrotra_step(prog: _Program, it: _Iterate, direction) -> _Iterate | None:
     """One predictor-corrector iteration; None when no step could be taken."""
     lam = np.diag(it.lam).astype(complex)
+    newton = direction(it)
 
     def solve(t, T):
-        dq, ds, dy = direction(it, t, T)
+        dq, ds, dy = newton(t, T)
         return dq, -it.pair(dy), ds, dy
 
     try:
@@ -422,19 +443,28 @@ def _mix(vecs, mats, coeff: np.ndarray) -> np.ndarray:
     return np.tensordot(coeff, mats, axes=1)
 
 
+# The contraction orders numpy's planner picks for the einsums below, passed
+# explicitly so that no call repeats the path search: for vectors of length
+# r >= 2 it contracts the conjugated vectors with Y first, at r = 1 the two
+# vector factors; two operands leave it one order.
+_VEC_PATHS = (["einsum_path", (0, 2), (0, 1)], ["einsum_path", (0, 1), (0, 1)])
+_MAT_PATH = ["einsum_path", (0, 1)]
+
+
 def _constraint_values(vecs, mats, Y: np.ndarray) -> np.ndarray:
     """Tr[Y sigma_k]: the columns of ``vecs`` first, then the stacked ``mats``."""
     vals = []
     if vecs is not None:
-        vals.append(np.einsum("ik,ij,jk->k", vecs.conj(), Y, vecs, optimize=True).real)
+        path = _VEC_PATHS[vecs.shape[0] > 1]
+        vals.append(np.einsum("ik,ij,jk->k", vecs.conj(), Y, vecs, optimize=path).real)
     if mats is not None:
-        vals.append(np.einsum("kij,ji->k", mats, Y, optimize=True).real)
+        vals.append(np.einsum("kij,ji->k", mats, Y, optimize=_MAT_PATH).real)
     return np.concatenate(vals)
 
 
 def witness_constraints(witness, spec: FreeSet) -> np.ndarray:
     """Tr[Y sigma_k] for every extreme point, in density_matrices() order."""
-    return _constraint_values(np.stack(spec.vectors, axis=1) if spec.vectors else None,
+    return _constraint_values(spec.vector_array,
                               np.stack(spec.matrices) if spec.matrices else None, witness)
 
 
@@ -455,8 +485,8 @@ def primal_slack(weights, rho, spec: FreeSet) -> np.ndarray:
     if len(weights) != spec.n_points:
         raise ValueError("weight vector length does not match the extreme-point list")
     S = -np.asarray(rho, dtype=complex)
-    if spec.vectors:
-        V = np.stack(spec.vectors, axis=1)
+    V = spec.vector_array
+    if V is not None:
         S = S + (V * weights[:V.shape[1]]) @ dagger(V)
     if spec.matrices:
         S = S + np.tensordot(weights[len(spec.vectors):], np.stack(spec.matrices), axes=1)

@@ -43,7 +43,7 @@ from .linalg import (
     trace_inner,
     von_neumann_entropy,
 )
-from .solver import DEFAULT_TOL, robustness_dual, witness_constraints
+from .solver import DEFAULT_MAX_NEWTON, DEFAULT_TOL, robustness_dual, witness_constraints
 
 __all__ = [
     "ThermoContext",
@@ -484,7 +484,7 @@ def require_maximally_mixed(spec_prime: FreeSet, d: int) -> None:
 
 
 def theorem2_at_weight(y, a: float, d: int, spec_prime: FreeSet, tol: float = DEFAULT_TOL,
-                       max_newton: int = 400) -> BoundReport:
+                       max_newton: int = DEFAULT_MAX_NEWTON) -> BoundReport:
     """Theorem 2 for the residual state of weight ``a`` (see residual_weight).
 
     Assumes ``require_maximally_mixed(spec_prime, d)`` has passed.  Grid
@@ -498,7 +498,7 @@ def theorem2_at_weight(y, a: float, d: int, spec_prime: FreeSet, tol: float = DE
 
 
 def verify_theorem2(y, c: float, ctx: ThermoContext, d: int, spec_prime: FreeSet,
-                    tol: float = DEFAULT_TOL, max_newton: int = 400) -> BoundReport:
+                    tol: float = DEFAULT_TOL, max_newton: int = DEFAULT_MAX_NEWTON) -> BoundReport:
     """Residual robustness of the post-protocol thermal state is <= 1/(d-1).
 
     ``spec_prime`` may be any free set containing the maximally mixed state

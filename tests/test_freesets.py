@@ -188,3 +188,11 @@ class TestFiniteHull:
         assert hull.n_points == 2
         assert not hull.all_pure
         assert len(hull.density_matrices()) == 2
+
+    def test_vector_array_is_stacked_once(self):
+        hull = finite_hull([basis_state(3, 0), basis_state(3, 2), maximally_mixed(3)])
+        V = hull.vector_array
+        assert V is hull.vector_array
+        assert np.array_equal(V, np.stack(hull.vectors, axis=1))
+        assert not V.flags.writeable
+        assert finite_hull([maximally_mixed(2)]).vector_array is None

@@ -124,6 +124,19 @@ class TestEntropy:
         s = von_neumann_entropy(tensor(a, b))
         assert abs(s - von_neumann_entropy(a) - von_neumann_entropy(b)) < 1e-9
 
+    def test_one_eigendecomposition_validates_and_measures(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(A):
+            calls.append(A.shape)
+            return eigvalsh(A)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        rho = random_density_matrix(4, rng)
+        assert von_neumann_entropy(rho) > 0.0
+        assert calls == [(4, 4)]
+
 
 class TestTensorAlgebra:
     def test_entangled_marginal(self):

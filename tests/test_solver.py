@@ -15,6 +15,7 @@ from robustwork.solver import (
     InfeasibleHullError,
     _Iterate,
     _Program,
+    _constraint_values,
     _schur_direction,
     _witness_direction,
     primal_slack,
@@ -277,6 +278,13 @@ class TestRoadmapInstances:
         assert res.newton_iterations <= 40
         assert_certified(res, rho, spec)
 
+    def test_haar_state_against_stabilizer3(self):
+        spec = stabilizer_set(3)
+        rho = projector(random_pure_state(8, np.random.default_rng(0)))
+        res = robustness_dual(rho, spec)
+        assert res.status == CONVERGED
+        assert res.newton_iterations <= 40
+        assert_certified(res, rho, spec)
 
     def test_budget_stop_returns_the_smallest_gap(self, monkeypatch):
         # below the float64 reach of this program the gap wanders between
@@ -316,8 +324,52 @@ class TestNewtonSolve:
         it = _Iterate(prog, rng.uniform(2.0, 3.0, size=prog.m), Y)
         t = rng.normal(size=prog.m)
         T = random_hermitian(prog.rank, rng)
-        for a, b in zip(_schur_direction(it, t, T), _witness_direction(it, t, T)):
+        for a, b in zip(_schur_direction(it)(t, T), _witness_direction(it)(t, T)):
             assert np.abs(a - b).max() < 1e-8
+
+    @pytest.mark.parametrize("spec, rho", [
+        (stabilizer_set(2), projector(random_pure_state(4, np.random.default_rng(5)))),
+        (stabilizer_set(3), projector(t_state(3))),
+        (incoherent_set(8), random_density_matrix(8, np.random.default_rng(6))),
+    ], ids=["stabilizer2", "stabilizer3", "incoherent8"])
+    def test_one_newton_build_per_iteration(self, monkeypatch, spec, rho):
+        # the predictor and the corrector share the Newton matrix of their iterate
+        counts = {"build": 0, "coords": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for route in ("_schur_direction", "_witness_direction"):
+            monkeypatch.setattr(solver_module, route,
+                                counted("build", getattr(solver_module, route)))
+        monkeypatch.setattr(_Iterate, "coords", counted("coords", _Iterate.coords))
+        res = robustness_dual(rho, spec)
+        assert res.status == CONVERGED
+        assert counts["build"] == res.newton_iterations
+        # pure hulls build F only on the witness route, where m > r^2
+        witness_route = spec.n_points > spec.dim**2
+        assert counts["coords"] == (res.newton_iterations if witness_route else 0)
+
+
+class TestContractions:
+    @pytest.mark.parametrize("r, m", [(1, 6), (2, 6), (4, 60), (8, 1080), (64, 64), (64, 1080)])
+    def test_vector_path_matches_planner_bitwise(self, r, m):
+        gen = np.random.default_rng(r * m)
+        V = gen.normal(size=(r, m)) + 1j * gen.normal(size=(r, m))
+        Y = random_hermitian(r, gen)
+        planned = np.einsum("ik,ij,jk->k", V.conj(), Y, V, optimize=True).real
+        assert np.array_equal(_constraint_values(V, None, Y), planned)
+
+    @pytest.mark.parametrize("r, m", [(2, 6), (4, 60), (8, 1080), (64, 64)])
+    def test_matrix_path_matches_planner_bitwise(self, r, m):
+        gen = np.random.default_rng(r * m)
+        M = gen.normal(size=(m, r, r)) + 1j * gen.normal(size=(m, r, r))
+        Y = random_hermitian(r, gen)
+        planned = np.einsum("kij,ji->k", M, Y, optimize=True).real
+        assert np.array_equal(_constraint_values(None, M, Y), planned)
 
 
 # pure-only hulls take the matrix-product path; the mixed hull adds the tensordot one
