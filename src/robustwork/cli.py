@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Verbs: robustness, witness, protocol, verify, channel, sweep, freeset dump.
-Inputs are JSON files (``--input``); results go to stdout or, with
-``--out DIR``, to files in that directory.  Exit codes: 0 all checks pass,
-2 a precondition-met check failed, 3 solver non-convergence, 4 input error.
+Inputs are JSON files (``--input``), checked by the scenario parsers, which
+reject unknown fields; results go to stdout or, with ``--out DIR``, to files
+in that directory.  Exit codes: 0 all checks pass, 2 a precondition-met check
+failed, 3 solver non-convergence, 4 input or usage error.
 """
 
 from __future__ import annotations
@@ -15,15 +16,17 @@ from dataclasses import replace
 from pathlib import Path
 
 from .channels import choi_state
-from .freesets import incoherent_set, stabilizer_set
-from .iojson import beta_to_json, json_to_matrix, matrix_to_json, parse_beta, vector_to_json
+from .iojson import beta_to_json, json_to_matrix, matrix_to_json, vector_to_json
 from .linalg import assert_hermitian
 from .scenarios import (
     ScenarioError,
+    _parse_int,
+    _parse_positive,
+    _single_state,
     build_free_set,
     load_scenario,
     parse_channel_spec,
-    parse_state_spec,
+    parse_input,
     report_to_json_text,
     run_scenario,
     sweep,
@@ -38,12 +41,36 @@ EXIT_NONCONVERGED = 3
 EXIT_INPUT_ERROR = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 4: argparse's own exit code 2 means a failed check here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from None
+
+
+def _overrides(args) -> dict:
+    """--tol and --seed, checked like the document fields they replace."""
+    out = {}
+    if args.tol is not None:
+        out["tol"] = _parse_positive(args.tol, "--tol")
+    if args.seed is not None:
+        out["seed"] = _parse_int(args.seed, "--seed", 0)
+    return out
+
+
+def _input(args, required: tuple, optional: tuple = ()) -> dict:
+    """The --input object of a single-instance verb, with --tol applied."""
+    obj = parse_input(_load_json(args.input), required, optional)
+    return {**obj, "tol": _overrides(args).get("tol", obj["tol"])}
 
 
 def _emit(payload: str, out_dir: str | None, filename: str):
@@ -58,22 +85,13 @@ def _emit(payload: str, out_dir: str | None, filename: str):
     print(str(target / filename))
 
 
-def _single_state(obj, path="state"):
-    variants = parse_state_spec(obj, path)
-    if len(variants) != 1:
-        raise ScenarioError(f"{path}: expected a single state, got a family of {len(variants)}")
-    return variants[0]
-
-
 def _cmd_solve(args) -> int:
     """``robustness`` and ``witness``: one solve; ``robustness`` adds the primal
     weights, ``witness`` the rank-1 truncation of the solved witness."""
-    obj = _load_json(args.input)
-    if not isinstance(obj, dict) or "state" not in obj or "free_set" not in obj:
-        raise ScenarioError("input: expected an object with 'state' and 'free_set'")
+    obj = _input(args, ("state", "free_set"))
     variant = _single_state(obj["state"])
     spec = build_free_set(obj["free_set"], variant.d)
-    tol = args.tol if args.tol is not None else obj.get("tol", 1e-7)
+    tol = obj["tol"]
     result = robustness_dual(variant.rho, spec, tol=tol)
     payload = {
         "value": result.value,
@@ -100,24 +118,16 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_protocol(args) -> int:
-    obj = _load_json(args.input)
-    if not isinstance(obj, dict) or "state" not in obj:
-        raise ScenarioError("input: expected an object with 'state'")
-    for key in ("lambda", "beta"):
-        if key not in obj:
-            raise ScenarioError(f"input: missing required field '{key}'")
+    obj = _input(args, ("state", "lambda", "beta", ("witness", "free_set")))
     variant = _single_state(obj["state"])
-    ctx = ThermoContext(beta=parse_beta(obj["beta"]), lam=float(obj["lambda"]))
-    tol = args.tol if args.tol is not None else obj.get("tol", 1e-7)
+    ctx = ThermoContext(beta=obj["beta"], lam=obj["lambda"])
 
     spec = None
     if "witness" in obj:
-        witness = assert_hermitian(json_to_matrix(obj["witness"], "witness"))
-    elif "free_set" in obj:
-        spec = build_free_set(obj["free_set"], variant.d)
-        witness = robustness_dual(variant.rho, spec, tol=tol).witness
+        witness = assert_hermitian(json_to_matrix(obj["witness"], "input.witness"))
     else:
-        raise ScenarioError("input: provide 'witness' or 'free_set'")
+        spec = build_free_set(obj["free_set"], variant.d)
+        witness = robustness_dual(variant.rho, spec, tol=obj["tol"]).witness
 
     trace = simulate_protocol(variant.rho, witness, ctx)
     payload = {
@@ -146,9 +156,7 @@ def _cmd_protocol(args) -> int:
 
 def _scenario_of(args):
     """The --input scenario with the --seed and --tol overrides applied."""
-    scenario = load_scenario(_load_json(args.input))
-    overrides = {key: getattr(args, key) for key in ("seed", "tol")}
-    return replace(scenario, **{k: v for k, v in overrides.items() if v is not None})
+    return replace(load_scenario(_load_json(args.input)), **_overrides(args))
 
 
 def _cmd_verify(args) -> int:
@@ -163,24 +171,17 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_channel(args) -> int:
-    obj = _load_json(args.input)
-    if not isinstance(obj, dict) or "channel" not in obj or "free_set" not in obj:
-        raise ScenarioError("input: expected an object with 'channel' and 'free_set'")
-    for key in ("lambda", "beta"):
-        if key not in obj:
-            raise ScenarioError(f"input: missing required field '{key}'")
+    obj = _input(args, ("channel", "free_set", "lambda", "beta"), ("input_state",))
     channel, label = parse_channel_spec(obj["channel"])
-    tol = args.tol if args.tol is not None else obj.get("tol", 1e-7)
+    # channel, free_set, input_state and tol are scenario fields as they stand
+    fields = {k: v for k, v in obj.items() if k not in ("lambda", "beta")}
     report = run_scenario(load_scenario({
+        **fields,
         "schema_version": 1,
         "name": label,
-        "channel": obj["channel"],
-        "free_set": obj["free_set"],
-        "lambda_grid": [float(obj["lambda"])],
+        "lambda_grid": [obj["lambda"]],
         "beta_grid": [obj["beta"]],
         "checks": ["theorem3", "theorem4"],
-        "tol": tol,
-        **({"input_state": obj["input_state"]} if "input_state" in obj else {}),
     }))
     entries = report["entries"]
     payload = {
@@ -198,23 +199,9 @@ def _cmd_freeset_dump(args) -> int:
     if args.input is not None:
         obj = _load_json(args.input)
     else:
-        if args.kind is None:
-            raise ScenarioError("freeset dump: provide --input FILE or --kind")
-        obj = {"kind": args.kind}
-        if args.dim is not None:
-            obj["dim"] = args.dim
-        if args.n is not None:
-            obj["n"] = args.n
-    kind = obj.get("kind")
-    if kind == "incoherent":
-        spec = incoherent_set(obj.get("dim", 2))
-    elif kind == "stabilizer":
-        spec = stabilizer_set(obj.get("n", 1))
-    else:
-        dim = obj.get("dim")
-        if dim is None:
-            raise ScenarioError("freeset dump: finite_hull dumps need 'dim'")
-        spec = build_free_set(obj, dim, "freeset")
+        flags = {"kind": args.kind, "dim": args.dim, "n": args.n}
+        obj = {key: value for key, value in flags.items() if value is not None}
+    spec = build_free_set(obj, None, "freeset")
     payload = {
         "kind": spec.kind,
         "dim": spec.dim,
@@ -227,18 +214,11 @@ def _cmd_freeset_dump(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="robustwork",
         description="Resource robustness SDPs and witness-Hamiltonian work bounds",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_io(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", required=True, help="input JSON file")
-        p.add_argument("--out", default=None, help="output directory (default: stdout)")
-        p.add_argument("--tol", type=float, default=None, help="solver tolerance override")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
 
     for name, fn in (
         ("robustness", _cmd_solve),
@@ -249,7 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
         ("sweep", _cmd_sweep),
     ):
         p = sub.add_parser(name)
-        add_io(p)
+        p.add_argument("--input", required=True, help="input JSON file")
+        p.add_argument("--out", default=None, help="output directory (default: stdout)")
+        p.add_argument("--tol", type=float, default=None, help="solver tolerance override")
+        p.add_argument("--seed", type=int, default=None, help="seed override")
         p.set_defaults(fn=fn)
 
     freeset = sub.add_parser("freeset")
@@ -260,8 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     dump.add_argument("--dim", type=int, default=None)
     dump.add_argument("--n", type=int, default=None)
     dump.add_argument("--out", default=None)
-    dump.add_argument("--tol", type=float, default=None)
-    dump.add_argument("--seed", type=int, default=None)
     dump.set_defaults(fn=_cmd_freeset_dump)
 
     return parser

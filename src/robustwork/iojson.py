@@ -72,6 +72,6 @@ def beta_to_json(beta: float):
 def parse_beta(obj, where: str = "beta") -> float:
     if obj == "inf":
         return math.inf
-    if isinstance(obj, (int, float)) and obj > 0:
+    if isinstance(obj, (int, float)) and not isinstance(obj, bool) and obj > 0:
         return float(obj)
     raise ValueError(f'{where}: expected a positive number or "inf", got {obj!r}')

@@ -81,6 +81,7 @@ __all__ = [
     "sweep_to_csv",
     "report_to_json_text",
     "exit_code_of_report",
+    "parse_input",
     "SWEEP_COLUMNS",
 ]
 
@@ -106,11 +107,16 @@ def _expect_mapping(obj, path: str) -> dict:
 
 
 def _check_keys(obj: dict, path: str, required: tuple, optional: tuple = ()):
+    """A required entry may be a tuple of alternatives, one of which must be present."""
+    known = set(optional)
     for key in required:
-        if key not in obj:
-            raise ScenarioError(f"{path}: missing required field '{key}'")
+        names = key if isinstance(key, tuple) else (key,)
+        if not any(name in obj for name in names):
+            raise ScenarioError(f"{path}: missing required field "
+                                + " or ".join(f"'{name}'" for name in names))
+        known.update(names)
     for key in obj:
-        if key not in required and key not in optional:
+        if key not in known:
             raise ScenarioError(f"{path}.{key}: unknown field")
 
 
@@ -120,10 +126,20 @@ def _as_grid(obj, path: str, parse_item) -> tuple:
     return tuple(parse_item(x, f"{path}[{i}]") for i, x in enumerate(obj))
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _parse_positive(x, path: str) -> float:
-    if not isinstance(x, (int, float)) or not x > 0:
+    if not _is_number(x) or not x > 0:
         raise ScenarioError(f"{path}: expected a positive number, got {x!r}")
     return float(x)
+
+
+def _parse_int(x, path: str, low: int) -> int:
+    if not isinstance(x, int) or isinstance(x, bool) or x < low:
+        raise ScenarioError(f"{path}: expected an integer >= {low}, got {x!r}")
+    return x
 
 
 def _parse_beta_item(x, path: str) -> float:
@@ -150,14 +166,9 @@ class _StateVariant:
 
 def _int_list(obj, path: str) -> list[int]:
     items = obj if isinstance(obj, list) else [obj]
-    out = []
-    for i, x in enumerate(items):
-        if not isinstance(x, int) or x < 1:
-            raise ScenarioError(f"{path}: expected a positive integer (or list), got {x!r}")
-        out.append(x)
-    if not out:
+    if not items:
         raise ScenarioError(f"{path}: empty list")
-    return out
+    return [_parse_int(x, path, 1) for x in items]
 
 
 def parse_state_spec(obj, path: str = "state") -> list[_StateVariant]:
@@ -181,10 +192,8 @@ def parse_state_spec(obj, path: str = "state") -> list[_StateVariant]:
             return out
         if name == "basis":
             _check_keys(obj, path, ("named", "d", "j"))
-            d, j = obj["d"], obj["j"]
-            if not isinstance(d, int) or d < 2:
-                raise ScenarioError(f"{path}.d: expected an integer >= 2")
-            if not isinstance(j, int) or not 0 <= j < d:
+            d, j = _parse_int(obj["d"], f"{path}.d", 2), _parse_int(obj["j"], f"{path}.j", 0)
+            if j >= d:
                 raise ScenarioError(f"{path}.j: index out of range for d={d}")
             psi = basis_state(d, j)
             return [_StateVariant(f"basis({d},{j})", d, None, psi, projector(psi), "basis")]
@@ -200,6 +209,13 @@ def parse_state_spec(obj, path: str = "state") -> list[_StateVariant]:
     raise ScenarioError(f"{path}: expected one of 'named', 'vector', 'matrix'")
 
 
+def _single_state(obj, path: str = "state") -> _StateVariant:
+    variants = parse_state_spec(obj, path)
+    if len(variants) != 1:
+        raise ScenarioError(f"{path}: expected a single state, got a family of {len(variants)}")
+    return variants[0]
+
+
 _NAMED_GATES = {"identity": None, "hadamard": HADAMARD, "t_gate": T_GATE, "s_gate": S_GATE}
 
 
@@ -209,15 +225,17 @@ def parse_channel_spec(obj, path: str = "channel") -> tuple[QuantumChannel, str]
         name = obj["named"]
         if name == "identity":
             _check_keys(obj, path, ("named",), ("d",))
-            d = obj.get("d", 2)
+            d = _parse_int(obj.get("d", 2), f"{path}.d", 1)
             return unitary_channel(np.eye(d)), f"identity({d})"
         if name in _NAMED_GATES and name != "identity":
             _check_keys(obj, path, ("named",))
             return unitary_channel(_NAMED_GATES[name]), name
         if name == "depolarizing":
             _check_keys(obj, path, ("named",), ("d", "p"))
-            d = obj.get("d", 2)
+            d = _parse_int(obj.get("d", 2), f"{path}.d", 1)
             p = obj.get("p", 1.0)
+            if not _is_number(p) or not 0 <= p <= 1:
+                raise ScenarioError(f"{path}.p: expected a number in [0, 1], got {p!r}")
             return depolarizing_channel(d, p), f"depolarizing({d},{p})"
         raise ScenarioError(f"{path}.named: unknown channel '{name}'")
     if "kraus" in obj:
@@ -232,21 +250,22 @@ def parse_channel_spec(obj, path: str = "channel") -> tuple[QuantumChannel, str]
     raise ScenarioError(f"{path}: expected one of 'named', 'kraus'")
 
 
-def build_free_set(obj, d: int, path: str = "free_set") -> FreeSet:
-    """Free set from a spec; dimension parameters are inferred from the
-    state dimension d when omitted."""
+def build_free_set(obj, d: int | None, path: str = "free_set") -> FreeSet:
+    """Free set from a spec.  Dimension parameters the spec omits are inferred
+    from the state dimension d; with no state (d None) they default to
+    dim = 2 and n = 1, and no dimension is matched."""
     obj = _expect_mapping(obj, path)
     kind = obj.get("kind")
     if kind == "incoherent":
         _check_keys(obj, path, ("kind",), ("dim",))
-        dim = obj.get("dim", d)
-        if dim != d:
+        dim = _parse_int(obj.get("dim", d or 2), f"{path}.dim", 2)
+        if d not in (None, dim):
             raise ScenarioError(f"{path}.dim: {dim} does not match state dimension {d}")
         return incoherent_set(dim)
     if kind == "stabilizer":
         _check_keys(obj, path, ("kind",), ("n",))
-        n = obj.get("n", int(round(math.log2(d))))
-        if 2**n != d:
+        n = _parse_int(obj.get("n", 1 if d is None else round(math.log2(d))), f"{path}.n", 1)
+        if d not in (None, 2**n):
             raise ScenarioError(f"{path}.n: 2^{n} does not match state dimension {d}")
         return stabilizer_set(n)
     if kind == "finite_hull":
@@ -260,7 +279,7 @@ def build_free_set(obj, d: int, path: str = "free_set") -> FreeSet:
             else:
                 pts.append(json_to_vector(s, f"{path}.states[{i}]"))
         hull = finite_hull(pts)
-        if hull.dim != d:
+        if d not in (None, hull.dim):
             raise ScenarioError(f"{path}.states: hull dimension {hull.dim} != state dimension {d}")
         return hull
     raise ScenarioError(f"{path}.kind: expected incoherent | stabilizer | finite_hull")
@@ -315,18 +334,9 @@ def load_scenario(obj) -> Scenario:
     if "input_state" in obj and not has_channel:
         raise ScenarioError("scenario.input_state: only meaningful for channel scenarios")
 
-    seed = obj.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
-        raise ScenarioError("scenario.seed: expected a nonnegative integer")
     epsilon = obj.get("epsilon", 0.05)
-    if not isinstance(epsilon, (int, float)) or not 0 <= epsilon < 1:
-        raise ScenarioError("scenario.epsilon: expected a number in [0, 1)")
-    tol = obj.get("tol", DEFAULT_TOL)
-    if not isinstance(tol, (int, float)) or not tol > 0:
-        raise ScenarioError("scenario.tol: expected a positive number")
-    factor = obj.get("min_lambda_beta_factor", 100.0)
-    if not isinstance(factor, (int, float)) or not factor > 0:
-        raise ScenarioError("scenario.min_lambda_beta_factor: expected a positive number")
+    if not _is_number(epsilon) or not 0 <= epsilon < 1:
+        raise ScenarioError(f"scenario.epsilon: expected a number in [0, 1), got {epsilon!r}")
 
     # parse eagerly so malformed specs fail at load time
     if has_state:
@@ -334,11 +344,11 @@ def load_scenario(obj) -> Scenario:
     else:
         parse_channel_spec(obj["channel"])
         if "input_state" in obj:
-            parse_state_spec(obj["input_state"], "input_state")
+            _single_state(obj["input_state"], "input_state")
 
     return Scenario(
         name=obj["name"],
-        seed=seed,
+        seed=_parse_int(obj.get("seed", 0), "scenario.seed", 0),
         state=obj.get("state"),
         channel=obj.get("channel"),
         input_state=obj.get("input_state"),
@@ -347,9 +357,22 @@ def load_scenario(obj) -> Scenario:
         beta_grid=_as_grid(obj["beta_grid"], "scenario.beta_grid", _parse_beta_item),
         checks=tuple(checks),
         epsilon=float(epsilon),
-        tol=float(tol),
-        min_lambda_beta_factor=float(factor),
+        tol=_parse_positive(obj.get("tol", DEFAULT_TOL), "scenario.tol"),
+        min_lambda_beta_factor=_parse_positive(obj.get("min_lambda_beta_factor", 100.0),
+                                               "scenario.min_lambda_beta_factor"),
     )
+
+
+def parse_input(obj, required: tuple, optional: tuple = ()) -> dict:
+    """A CLI input object, checked like a scenario document.  ``tol`` is always
+    allowed and defaults to DEFAULT_TOL; specs are left to their own parsers."""
+    obj = _expect_mapping(obj, "input")
+    _check_keys(obj, "input", required, (*optional, "tol"))
+    out = {**obj, "tol": _parse_positive(obj.get("tol", DEFAULT_TOL), "input.tol")}
+    for key, parse in (("lambda", _parse_positive), ("beta", _parse_beta_item)):
+        if key in obj:
+            out[key] = parse(obj[key], f"input.{key}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +386,7 @@ class _Resolved:
     summary: WitnessSummary
     c: float | None
     y: np.ndarray | None
-    R: float
-    gap: float
-    status: str
+    robustness: dict  # the report's robustness block: value, gap, status
 
 
 def _resolve_state_witness(variant: _StateVariant, fs_spec: dict, tol: float) -> _Resolved:
@@ -381,8 +402,8 @@ def _resolve_state_witness(variant: _StateVariant, fs_spec: dict, tol: float) ->
         closed = ((4.0 - 2.0 * math.sqrt(2.0)) ** n, t_state(n), tstate_magic_robustness(n))
     if closed is not None:
         c, y, R = closed
-        return _Resolved(free_set, rank1_summary(c, y, variant.psi, free_set), c, y, R, 0.0,
-                         "closed_form")
+        return _Resolved(free_set, rank1_summary(c, y, variant.psi, free_set), c, y,
+                         {"value": R, "gap": 0.0, "status": "closed_form"})
 
     if free_set is None or variant.d > _SDP_DIM_CAP:
         raise ScenarioError(
@@ -399,7 +420,7 @@ def _resolve_state_witness(variant: _StateVariant, fs_spec: dict, tol: float) ->
         except Rank1NotTightError:
             pass
     return _Resolved(free_set, witness_summary(result.witness, variant.rho, free_set), c, y,
-                     result.value, result.gap, result.status)
+                     {"value": result.value, "gap": result.gap, "status": result.status})
 
 
 # ---------------------------------------------------------------------------
@@ -407,46 +428,54 @@ def _resolve_state_witness(variant: _StateVariant, fs_spec: dict, tol: float) ->
 # ---------------------------------------------------------------------------
 
 
-def _entry(check, variant_label, d, n, lam, beta, robustness, report: BoundReport | None,
-           skipped=False, reason=None) -> dict:
-    rep = None
-    if report is not None:
-        rep = {
-            "lhs": report.lhs,
-            "rhs": report.rhs,
-            "direction": report.direction,
-            "satisfied": report.satisfied,
-            "slack": report.slack,
-            "precondition_met": report.precondition_met,
-            "tolerance": report.tolerance,
-            "detail": dict(report.detail),
-        }
+def _report_json(report: BoundReport) -> dict:
     return {
-        "check": check,
-        "state": variant_label,
-        "d": d,
-        "n": n,
-        "lambda": lam,
-        "beta": beta_to_json(beta),
-        "robustness": robustness,
-        "report": rep,
-        "skipped": bool(skipped),
-        "reason": reason,
+        "lhs": report.lhs,
+        "rhs": report.rhs,
+        "direction": report.direction,
+        "satisfied": report.satisfied,
+        "slack": report.slack,
+        "precondition_met": report.precondition_met,
+        "tolerance": report.tolerance,
+        "detail": dict(report.detail),
     }
 
 
-def _state_report(check: str, scenario: Scenario, s: WitnessSummary,
-                  ctx: ThermoContext) -> BoundReport:
-    if check == "theorem1":
-        return theorem1_report(s, ctx)
-    if check == "eq10":
-        return eq10_report(s, ctx, scenario.epsilon, scenario.min_lambda_beta_factor)
-    return corollary1_report(s, ctx)
+def _grid(scenario: Scenario, label: str, d: int, n: int | None, robustness: dict | None,
+          evaluate) -> list[dict]:
+    """One entry per (lambda, beta, check).  ``evaluate(check, ctx)`` gives the
+    check's report, or the reason the check cannot run.  A report whose
+    precondition fails is skipped with its detail's reason, if it names one."""
+    entries = []
+    for lam in scenario.lambda_grid:
+        for beta in scenario.beta_grid:
+            ctx = ThermoContext(beta=beta, lam=lam)
+            for check in scenario.checks:
+                report = evaluate(check, ctx)
+                if isinstance(report, str):
+                    report, reason = None, report
+                elif report.precondition_met:
+                    reason = None
+                else:
+                    reason = report.detail.get("reason", "precondition not met")
+                entries.append({
+                    "check": check,
+                    "state": label,
+                    "d": d,
+                    "n": n,
+                    "lambda": lam,
+                    "beta": beta_to_json(beta),
+                    "robustness": robustness,
+                    "report": None if report is None else _report_json(report),
+                    "skipped": reason is not None,
+                    "reason": reason,
+                })
+    return entries
 
 
-def _state_entries(scenario: Scenario, variant: _StateVariant) -> list[dict]:
+def _state_family(scenario: Scenario, variant: _StateVariant):
+    """The robustness block and the grid evaluator of one state variant."""
     res = _resolve_state_witness(variant, scenario.free_set, scenario.tol)
-    robustness = {"value": res.R, "gap": res.gap, "status": res.status}
     theorem2_skip = None
     if "theorem2" in scenario.checks:
         if variant.d > _THEOREM2_DIM_CAP:
@@ -460,26 +489,23 @@ def _state_entries(scenario: Scenario, variant: _StateVariant) -> list[dict]:
     # the residual state depends on (lambda, beta) only through its weight a,
     # which is exactly 1.0 wherever beta*lambda*c exceeds ~37
     theorem2_by_weight: dict[float, BoundReport] = {}
-    entries = []
-    for lam in scenario.lambda_grid:
-        for beta in scenario.beta_grid:
-            ctx = ThermoContext(beta=beta, lam=lam)
-            for check in scenario.checks:
-                if check != "theorem2":
-                    report = _state_report(check, scenario, res.summary, ctx)
-                    skipped = not report.precondition_met
-                    reason = "precondition not met" if skipped else None
-                elif theorem2_skip is not None:
-                    report, skipped, reason = None, True, theorem2_skip
-                else:
-                    a = residual_weight(res.c, ctx)
-                    if a not in theorem2_by_weight:
-                        theorem2_by_weight[a] = theorem2_at_weight(res.y, a, variant.d,
-                                                                   res.free_set, tol=scenario.tol)
-                    report, skipped, reason = theorem2_by_weight[a], False, None
-                entries.append(_entry(check, variant.label, variant.d, variant.n, lam, beta,
-                                      robustness, report, skipped, reason))
-    return entries
+
+    def evaluate(check: str, ctx: ThermoContext) -> BoundReport | str:
+        if check == "theorem1":
+            return theorem1_report(res.summary, ctx)
+        if check == "eq10":
+            return eq10_report(res.summary, ctx, scenario.epsilon, scenario.min_lambda_beta_factor)
+        if check == "corollary1":
+            return corollary1_report(res.summary, ctx)
+        if theorem2_skip is not None:
+            return theorem2_skip
+        a = residual_weight(res.c, ctx)
+        if a not in theorem2_by_weight:
+            theorem2_by_weight[a] = theorem2_at_weight(res.y, a, variant.d, res.free_set,
+                                                       tol=scenario.tol)
+        return theorem2_by_weight[a]
+
+    return res.robustness, evaluate
 
 
 def _lift_bipartite(fs_spec: dict, d: int) -> FreeSet | None:
@@ -496,16 +522,14 @@ def _lift_bipartite(fs_spec: dict, d: int) -> FreeSet | None:
 def _channel_input(scenario: Scenario, d: int) -> np.ndarray:
     if scenario.input_state is None:
         return projector(basis_state(d, 0))
-    variants = parse_state_spec(scenario.input_state, "input_state")
-    if len(variants) != 1:
-        raise ScenarioError("input_state: must name a single state")
-    return variants[0].rho
+    return _single_state(scenario.input_state, "input_state").rho
 
 
-def _channel_entries(scenario: Scenario, channel: QuantumChannel, label: str) -> list[dict]:
+def _channel_family(scenario: Scenario, channel: QuantumChannel):
+    """The robustness block and the grid evaluator of a channel."""
     d = channel.dim
     bipartite = _lift_bipartite(scenario.free_set, d)
-    choi = robustness = None
+    choi = choi_summary = robustness = None
     if bipartite is not None:
         # one Choi solve serves the robustness block and theorem4
         choi = channel_robustness_lower(channel, bipartite, tol=scenario.tol)
@@ -515,32 +539,24 @@ def _channel_entries(scenario: Scenario, channel: QuantumChannel, label: str) ->
     if "theorem3" in scenario.checks:
         output = theorem3_output_witness(channel, _channel_input(scenario, d),
                                          build_free_set(scenario.free_set, d), tol=scenario.tol)
-    entries = []
-    for lam in scenario.lambda_grid:
-        for beta in scenario.beta_grid:
-            ctx = ThermoContext(beta=beta, lam=lam)
-            for check in scenario.checks:
-                if check == "theorem3":
-                    report = theorem3_report(output, ctx)
-                elif bipartite is not None:
-                    report = theorem4_report(choi_summary, choi, ctx)
-                else:
-                    report = None
-                if report is None:
-                    skipped, reason = True, "free set kind cannot be lifted to the bipartite space"
-                else:
-                    skipped, reason = not report.precondition_met, report.detail.get("reason")
-                entries.append(_entry(check, label, d, None, lam, beta, robustness, report,
-                                      skipped, reason))
-    return entries
+
+    def evaluate(check: str, ctx: ThermoContext) -> BoundReport | str:
+        if check == "theorem3":
+            return theorem3_report(output, ctx)
+        if bipartite is None:
+            return "free set kind cannot be lifted to the bipartite space"
+        return theorem4_report(choi_summary, choi, ctx)
+
+    return robustness, evaluate
 
 
 def _grid_entries(scenario: Scenario) -> list[dict]:
     if scenario.state is not None:
-        entries = [e for v in parse_state_spec(scenario.state) for e in _state_entries(scenario, v)]
+        entries = [e for v in parse_state_spec(scenario.state)
+                   for e in _grid(scenario, v.label, v.d, v.n, *_state_family(scenario, v))]
     else:
         channel, label = parse_channel_spec(scenario.channel)
-        entries = _channel_entries(scenario, channel, label)
+        entries = _grid(scenario, label, channel.dim, None, *_channel_family(scenario, channel))
     entries.sort(key=lambda e: (e["d"], e["n"] if e["n"] is not None else -1,
                                 e["lambda"], math.inf if e["beta"] == "inf" else e["beta"],
                                 e["check"]))

@@ -30,6 +30,9 @@ def strict_json(text: str):
     return json.loads(text, parse_constant=reject)
 
 
+GOLDEN2 = {"state": {"named": "golden", "d": 2}, "free_set": {"kind": "incoherent"}}
+
+
 def scenario_dict(**overrides):
     base = {
         "schema_version": 1,
@@ -53,6 +56,17 @@ class TestParsing:
     def test_unknown_check(self):
         with pytest.raises(ScenarioError, match="checks"):
             load_scenario(scenario_dict(checks=["theorem9"]))
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"lambda_grid": [True]}, "lambda_grid"),
+        ({"seed": True}, "seed"),
+        ({"tol": "x"}, "tol"),
+        ({"state": {"named": "golden", "d": [2, True]}}, "state.d"),
+        ({"beta_grid": [True]}, "beta_grid"),
+    ])
+    def test_numeric_fields_reject_booleans_and_strings(self, overrides, field):
+        with pytest.raises(ScenarioError, match=field):
+            load_scenario(scenario_dict(**overrides))
 
     def test_state_and_channel_exclusive(self):
         with pytest.raises(ScenarioError, match="exactly one"):
@@ -115,6 +129,15 @@ class TestRunScenario:
         assert not entry["report"]["precondition_met"]
         assert report["exit_code"] == 0  # skipped checks never fail the run
 
+        # a channel check takes the same skip rule: its report names no reason
+        doc = scenario_dict(name="depolarizing-low-lambda",
+                            channel={"named": "depolarizing", "d": 2, "p": 0.5},
+                            lambda_grid=[0.01], beta_grid=[0.1], checks=["theorem4"])
+        del doc["state"]
+        entries = run_scenario(load_scenario(doc))["entries"]
+        assert any(e["skipped"] for e in entries)
+        assert all(e["reason"] is not None for e in entries if e["skipped"])
+
     def test_free_state_degenerate_report(self):
         sc = load_scenario(scenario_dict(
             name="basis-degenerate",
@@ -128,6 +151,19 @@ class TestRunScenario:
         entry = report["entries"][0]
         assert entry["robustness"]["value"] <= 1e-6
         assert not entry["report"]["precondition_met"]
+        # at zero temperature the state is thermal under its witness Hamiltonian,
+        # and the corollary-1 skip names that rather than the generic reason
+        sc = load_scenario(scenario_dict(
+            name="basis-degenerate",
+            state={"named": "basis", "d": 2, "j": 0},
+            free_set={"kind": "stabilizer"},
+            lambda_grid=[100.0],
+            beta_grid=["inf"],
+            checks=["corollary1"],
+        ))
+        entry = run_scenario(sc)["entries"][0]
+        assert entry["skipped"]
+        assert entry["reason"] == "state is thermal under the witness Hamiltonian"
 
     def test_determinism_modulo_meta(self):
         sc = load_scenario(scenario_dict())
@@ -503,11 +539,33 @@ class TestCli:
         proc = self.run_cli("verify", "--input", path)
         assert proc.returncode == 2
 
-    def test_input_error_exit_code(self, tmp_path):
-        path = self.write(tmp_path, "sc.json", scenario_dict(checks=["theorem9"]))
-        proc = self.run_cli("verify", "--input", path)
-        assert proc.returncode == 4
-        assert "theorem9" in proc.stderr
+    @pytest.mark.parametrize("argv, doc, field", [
+        pytest.param(["verify"], scenario_dict(checks=["theorem9"]), "theorem9",
+                     id="unknown-check"),
+        pytest.param(["robustness"], {**GOLDEN2, "tol": "x"}, "input.tol", id="tol-string"),
+        pytest.param(["robustness"], {**GOLDEN2, "tol": -1}, "input.tol", id="tol-negative"),
+        pytest.param(["robustness", "--tol", "0"], GOLDEN2, "--tol", id="tol-flag-zero"),
+        pytest.param(["robustness", "--tol", "abc"], GOLDEN2, "--tol", id="tol-flag-not-a-number"),
+        pytest.param(["protocol"], {**GOLDEN2, "lambda": True, "beta": 1.0}, "input.lambda",
+                     id="lambda-boolean"),
+        pytest.param(["verify"], scenario_dict(state={"named": "tstate", "n": 1},
+                                               free_set={"kind": "stabilizer", "n": "1"}),
+                     "free_set.n", id="stabilizer-n-string"),
+        pytest.param(["freeset", "dump"], {"kind": "incoherent", "dim": "3"}, "freeset.dim",
+                     id="dump-dim-string"),
+        pytest.param(["freeset", "dump"], {"kind": "stabilizer", "bogus": 1}, "freeset.bogus",
+                     id="dump-unknown-field"),
+        pytest.param(["freeset", "dump", "--kind", "stabilizer", "--tol", "1e-7"], None, "--tol",
+                     id="dump-unknown-flag"),
+        pytest.param(["verify"], None, "--input", id="verify-without-input"),
+    ])
+    def test_input_error_exit_code(self, tmp_path, argv, doc, field):
+        if doc is not None:
+            argv = [*argv, "--input", self.write(tmp_path, "in.json", doc)]
+        proc = self.run_cli(*argv)
+        assert proc.returncode == 4, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert any("error:" in line and field in line for line in proc.stderr.splitlines())
 
     def test_missing_file_exit_code(self):
         proc = self.run_cli("verify", "--input", "/nonexistent/x.json")
