@@ -4,13 +4,15 @@ Verbs: robustness, witness, protocol, verify, channel, sweep, freeset dump.
 Inputs are JSON files (``--input``), checked by the scenario parsers, which
 reject unknown fields; results go to stdout or, with ``--out DIR``, to files
 in that directory.  Exit codes: 0 all checks pass, 2 a precondition-met check
-failed, 3 solver non-convergence, 4 input or usage error.
+failed, 3 solver non-convergence, 4 input or usage error, 1 stdout closed by
+its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -39,6 +41,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
 EXIT_NONCONVERGED = 3
 EXIT_INPUT_ERROR = 4
+EXIT_CLOSED_STDOUT = 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -251,10 +254,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except (ScenarioError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except BrokenPipeError:
+        # the reader closed stdout early: send what is still buffered to
+        # devnull, so the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
 
 
 if __name__ == "__main__":

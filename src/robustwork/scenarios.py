@@ -23,6 +23,7 @@ import datetime as _dt
 import json
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,6 +214,9 @@ def _single_state(obj, path: str = "state") -> _StateVariant:
     variants = parse_state_spec(obj, path)
     if len(variants) != 1:
         raise ScenarioError(f"{path}: expected a single state, got a family of {len(variants)}")
+    if variants[0].rho is None:
+        raise ScenarioError(f"{path}: {variants[0].label} has dimension {variants[0].d}, above "
+                            f"the cap of {_SDP_DIM_CAP} for a single state")
     return variants[0]
 
 
@@ -250,9 +254,11 @@ def parse_channel_spec(obj, path: str = "channel") -> tuple[QuantumChannel, str]
     raise ScenarioError(f"{path}: expected one of 'named', 'kraus'")
 
 
-def build_free_set(obj, d: int | None, path: str = "free_set") -> FreeSet:
-    """Free set from a spec.  Dimension parameters the spec omits are inferred
-    from the state dimension d; with no state (d None) they default to
+def _parse_free_set(obj, d: int | None,
+                    path: str = "free_set") -> tuple[str, Callable[[], FreeSet]]:
+    """The kind of a free-set spec and the builder of its set, checked against
+    the dimension d of the state or channel.  Dimension parameters the spec
+    omits are inferred from d; with no state (d None) they default to
     dim = 2 and n = 1, and no dimension is matched."""
     obj = _expect_mapping(obj, path)
     kind = obj.get("kind")
@@ -260,14 +266,14 @@ def build_free_set(obj, d: int | None, path: str = "free_set") -> FreeSet:
         _check_keys(obj, path, ("kind",), ("dim",))
         dim = _parse_int(obj.get("dim", d or 2), f"{path}.dim", 2)
         if d not in (None, dim):
-            raise ScenarioError(f"{path}.dim: {dim} does not match state dimension {d}")
-        return incoherent_set(dim)
+            raise ScenarioError(f"{path}.dim: {dim} does not match dimension {d}")
+        return kind, lambda: incoherent_set(dim)
     if kind == "stabilizer":
         _check_keys(obj, path, ("kind",), ("n",))
         n = _parse_int(obj.get("n", 1 if d is None else round(math.log2(d))), f"{path}.n", 1)
         if d not in (None, 2**n):
-            raise ScenarioError(f"{path}.n: 2^{n} does not match state dimension {d}")
-        return stabilizer_set(n)
+            raise ScenarioError(f"{path}.n: 2^{n} does not match dimension {d}")
+        return kind, lambda: stabilizer_set(n)
     if kind == "finite_hull":
         _check_keys(obj, path, ("kind", "states"))
         if not isinstance(obj["states"], list) or not obj["states"]:
@@ -280,9 +286,14 @@ def build_free_set(obj, d: int | None, path: str = "free_set") -> FreeSet:
                 pts.append(json_to_vector(s, f"{path}.states[{i}]"))
         hull = finite_hull(pts)
         if d not in (None, hull.dim):
-            raise ScenarioError(f"{path}.states: hull dimension {hull.dim} != state dimension {d}")
-        return hull
+            raise ScenarioError(f"{path}.states: hull dimension {hull.dim} != dimension {d}")
+        return kind, lambda: hull
     raise ScenarioError(f"{path}.kind: expected incoherent | stabilizer | finite_hull")
+
+
+def build_free_set(obj, d: int | None, path: str = "free_set") -> FreeSet:
+    """Free set from a spec checked by :func:`_parse_free_set`."""
+    return _parse_free_set(obj, d, path)[1]()
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +401,9 @@ class _Resolved:
 
 
 def _resolve_state_witness(variant: _StateVariant, fs_spec: dict, tol: float) -> _Resolved:
-    kind = _expect_mapping(fs_spec, "free_set").get("kind")
+    kind, build = _parse_free_set(fs_spec, variant.d)
     enumerable = kind != "stabilizer" or variant.d <= 2**STABILIZER_MAX_QUBITS
-    free_set = build_free_set(fs_spec, variant.d) if enumerable else None
+    free_set = build() if enumerable else None
 
     closed = None
     if variant.psi is not None and kind == "incoherent":
@@ -508,8 +519,7 @@ def _state_family(scenario: Scenario, variant: _StateVariant):
     return res.robustness, evaluate
 
 
-def _lift_bipartite(fs_spec: dict, d: int) -> FreeSet | None:
-    kind = _expect_mapping(fs_spec, "free_set").get("kind")
+def _lift_bipartite(kind: str, d: int) -> FreeSet | None:
     if kind == "incoherent":
         return incoherent_set(d * d)
     if kind == "stabilizer":
@@ -528,7 +538,8 @@ def _channel_input(scenario: Scenario, d: int) -> np.ndarray:
 def _channel_family(scenario: Scenario, channel: QuantumChannel):
     """The robustness block and the grid evaluator of a channel."""
     d = channel.dim
-    bipartite = _lift_bipartite(scenario.free_set, d)
+    kind, build = _parse_free_set(scenario.free_set, d)
+    bipartite = _lift_bipartite(kind, d)
     choi = choi_summary = robustness = None
     if bipartite is not None:
         # one Choi solve serves the robustness block and theorem4
@@ -537,8 +548,8 @@ def _channel_family(scenario: Scenario, channel: QuantumChannel):
         choi_summary = witness_summary(choi.witness, choi_state(channel).matrix, bipartite)
     output = None
     if "theorem3" in scenario.checks:
-        output = theorem3_output_witness(channel, _channel_input(scenario, d),
-                                         build_free_set(scenario.free_set, d), tol=scenario.tol)
+        output = theorem3_output_witness(channel, _channel_input(scenario, d), build(),
+                                         tol=scenario.tol)
 
     def evaluate(check: str, ctx: ThermoContext) -> BoundReport | str:
         if check == "theorem3":

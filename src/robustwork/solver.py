@@ -19,10 +19,15 @@ recomputed from them, so both programs stay exactly feasible and the step is
 only shortened when S or Y fails a Cholesky factorisation or some u_k <= 0.
 Each iteration solves the smaller of two eliminations of the Newton system:
 the m x m Schur complement in the weights step, or, when the extreme points
-outnumber r^2 (r the rank of the hull's support), the r^2 x r^2 system in the
-scaled witness step.  It builds that system once, and the predictor and the
-corrector solve it with their own right-hand sides.  Because every iterate
-is feasible, both certificates are unconditional:
+outnumber r^2 (r the rank of the hull's support), a partitioned system in the
+scaled witness step.  There a weights step dq_k = d_k t_k + d_k^2 F_k y
+(d_k^2 = q_k/u_k, F_k the real coordinates of the scaled extreme point)
+carries the solve error of y times d_k^2, which stalls the gap near 1e-9; so
+the rows with d_k^2 |F_k|^2 > 1, largest first and at most r^2 of them, keep
+dq_k as unknowns in an explicit block no larger than the witness system.  The
+system is built once per iteration, and the predictor and the corrector solve
+it with their own right-hand sides.  Because every iterate is feasible, both
+certificates are unconditional:
 
 * the weights q > 0 keep S(q) > 0, so sum(q) - 1 is a true upper bound;
 * the witness Y > 0 meets every constraint, so Tr[Y rho] - 1 is a true lower
@@ -130,11 +135,14 @@ class _Program:
         keep = w > max(w[-1], 1e-300) * 1e-12
         self.rank = int(keep.sum())
         self.full_dim = d
+        # omega is diag(omega_w) in its kept eigenbasis, where rho reads rho_w
+        B = U[:, keep]
+        self.omega_w = w[keep]
+        self.rho_w = dagger(B) @ rho @ B
         if self.rank < d:
-            B = U[:, keep]
-            self.leak = float(rho.trace().real - np.trace(dagger(B) @ rho @ B).real)
+            self.leak = float(rho.trace().real - np.trace(self.rho_w).real)
             self.basis = B
-            rho = dagger(B) @ rho @ B
+            rho = self.rho_w
             if vecs is not None:
                 vecs = dagger(B) @ vecs
             else:
@@ -174,9 +182,6 @@ class _Program:
         S = _mix(self.vecs, self.mats, q) - self.rho
         return 0.5 * (S + dagger(S))
 
-    def omega(self) -> np.ndarray:
-        return self.slack(np.full(self.m, 1.0 / self.m)) + self.rho
-
     def constraint_values(self, Y: np.ndarray) -> np.ndarray:
         """Tr[Y sigma_k] for every compressed extreme point."""
         return _constraint_values(self.vecs, self.mats, Y)
@@ -188,11 +193,8 @@ class _Program:
 
 
 def _initial_point(prog: _Program) -> np.ndarray:
-    omega = prog.omega()
-    w, V = np.linalg.eigh(omega)
-    w = np.maximum(w, 1e-300)
-    inv_sqrt = (V / np.sqrt(w)) @ dagger(V)
-    lam_max = float(np.linalg.eigvalsh(inv_sqrt @ prog.rho @ inv_sqrt)[-1])
+    s = 1.0 / np.sqrt(prog.omega_w)  # every kept eigenvalue is positive
+    lam_max = float(np.linalg.eigvalsh(prog.rho_w * np.outer(s, s))[-1])
     a = 2.0 * max(lam_max, 0.0) + 1.0
     return np.full(prog.m, a / prog.m)
 
@@ -269,9 +271,12 @@ class _Iterate:
 
     def coords(self) -> np.ndarray:
         """Real coordinates of every G_k, one row each (m x r^2)."""
-        if self.gvecs is not None:
-            return _hvec(np.einsum("ik,jk->kij", self.gvecs, self.gvecs.conj()))
-        return _hvec(self.gmats)
+        if self.gvecs is None:
+            return _hvec(self.gmats)
+        g = self.gvecs
+        i, j = _triu(g.shape[0])
+        off = math.sqrt(2.0) * (g[i] * g[j].conj())
+        return np.concatenate([np.abs(g) ** 2, off.real, off.imag]).T
 
 
 # Both routes solve the same scaled Newton system.  With the scaled steps
@@ -299,16 +304,30 @@ def _schur_direction(it: _Iterate):
 
 
 def _witness_direction(it: _Iterate):
-    """r^2 x r^2 system in the scaled witness step dy = R^H dY R, in real
-    coordinates: (I + F^T diag(d^2) F) dy = T - F^T (d t)."""
+    """Scaled witness step dy = R^H dY R in real coordinates y, with dq_B kept
+    for the block B: with K = I + F_S^T diag(d_S^2) F_S, h = T - F_S^T (d_S t_S)
+    and E = diag(1/d_B^2) + F_B K^{-1} F_B^T, it solves
+    E dq_B = t_B/d_B + F_B K^{-1} h and y = K^{-1} (h - F_B^T dq_B)."""
     F = it.coords()
-    K = F.T @ (F * (it.d**2)[:, None])
+    score = it.d**2 * (F * F).sum(axis=1)
+    big = np.argsort(score)[::-1][:min(np.count_nonzero(score > 1.0), F.shape[1])]
+    d_small = it.d.copy()
+    d_small[big] = 0.0
+    K = F.T @ (F * (d_small**2)[:, None])
     K[np.diag_indices_from(K)] += 1.0
+    FB = F[big]
+    W = np.linalg.solve(K, FB.T)
+    E = FB @ W
+    E[np.diag_indices_from(E)] += 1.0 / it.d[big] ** 2
 
     def solve(t: np.ndarray, T: np.ndarray):
-        y = np.linalg.solve(K, _hvec(T) - F.T @ (it.d * t))
+        z = np.linalg.solve(K, _hvec(T) - F.T @ (d_small * t))
+        dq_big = np.linalg.solve(E, t[big] / it.d[big] + FB @ z)
+        y = z - W @ dq_big
+        dq = it.d * t + it.d**2 * (F @ y)
+        dq[big] = dq_big
         dy = _hmat(y, T.shape[0])
-        return it.d * t + it.d**2 * (F @ y), T - dy, dy
+        return dq, T - dy, dy
 
     return solve
 
@@ -443,22 +462,13 @@ def _mix(vecs, mats, coeff: np.ndarray) -> np.ndarray:
     return np.tensordot(coeff, mats, axes=1)
 
 
-# The contraction orders numpy's planner picks for the einsums below, passed
-# explicitly so that no call repeats the path search: for vectors of length
-# r >= 2 it contracts the conjugated vectors with Y first, at r = 1 the two
-# vector factors; two operands leave it one order.
-_VEC_PATHS = (["einsum_path", (0, 2), (0, 1)], ["einsum_path", (0, 1), (0, 1)])
-_MAT_PATH = ["einsum_path", (0, 1)]
-
-
 def _constraint_values(vecs, mats, Y: np.ndarray) -> np.ndarray:
     """Tr[Y sigma_k]: the columns of ``vecs`` first, then the stacked ``mats``."""
     vals = []
     if vecs is not None:
-        path = _VEC_PATHS[vecs.shape[0] > 1]
-        vals.append(np.einsum("ik,ij,jk->k", vecs.conj(), Y, vecs, optimize=path).real)
+        vals.append(((Y @ vecs) * vecs.conj()).real.sum(axis=0))
     if mats is not None:
-        vals.append(np.einsum("kij,ji->k", mats, Y, optimize=_MAT_PATH).real)
+        vals.append((mats.reshape(mats.shape[0], -1) @ Y.T.reshape(-1)).real)
     return np.concatenate(vals)
 
 

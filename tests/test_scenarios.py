@@ -551,6 +551,13 @@ class TestCli:
         pytest.param(["verify"], scenario_dict(state={"named": "tstate", "n": 1},
                                                free_set={"kind": "stabilizer", "n": "1"}),
                      "free_set.n", id="stabilizer-n-string"),
+        pytest.param(["verify"], {**{k: v for k, v in scenario_dict().items() if k != "state"},
+                                  "channel": {"named": "hadamard"}, "checks": ["theorem4"],
+                                  "free_set": {"kind": "incoherent", "dim": 3}},
+                     "free_set.dim", id="channel-incoherent-dim-mismatch"),
+        pytest.param(["verify"], scenario_dict(state={"named": "tstate", "n": 4},
+                                               free_set={"kind": "stabilizer", "n": 9}),
+                     "free_set.n", id="tstate-stabilizer-n-mismatch"),
         pytest.param(["freeset", "dump"], {"kind": "incoherent", "dim": "3"}, "freeset.dim",
                      id="dump-dim-string"),
         pytest.param(["freeset", "dump"], {"kind": "stabilizer", "bogus": 1}, "freeset.bogus",
@@ -566,6 +573,30 @@ class TestCli:
         assert proc.returncode == 4, proc.stderr
         assert "Traceback" not in proc.stderr
         assert any("error:" in line and field in line for line in proc.stderr.splitlines())
+
+    @pytest.mark.parametrize("verb", ["robustness", "witness"])
+    def test_single_state_above_the_cap_is_an_input_error(self, tmp_path, verb):
+        path = self.write(tmp_path, "in.json", {
+            "state": {"named": "tstate", "n": 7},
+            "free_set": {"kind": "incoherent"},
+        })
+        proc = self.run_cli(verb, "--input", path)
+        assert proc.returncode == 4, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "error: state: tstate(7) has dimension 128, above the cap of 64" in proc.stderr
+
+    def test_stdout_closed_by_the_reader(self):
+        # the dump is larger than a pipe buffer, so the write fails once the
+        # reader has gone
+        cmd = [sys.executable, "-m", "robustwork.cli", "freeset", "dump",
+               "--kind", "stabilizer", "--n", "3"]
+        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert stderr == ""
 
     def test_missing_file_exit_code(self):
         proc = self.run_cli("verify", "--input", "/nonexistent/x.json")

@@ -286,9 +286,27 @@ class TestRoadmapInstances:
         assert res.newton_iterations <= 40
         assert_certified(res, rho, spec)
 
+    def test_haar_state_against_stabilizer3_at_tol_1e11(self):
+        # the witness route's block of large-scaling weights lifts the floor
+        # that held the gap near 3e-10
+        spec = stabilizer_set(3)
+        rho = projector(random_pure_state(8, np.random.default_rng(0)))
+        res = robustness_dual(rho, spec, tol=1e-11)
+        assert res.status == CONVERGED
+        assert_certified(res, rho, spec)
+
+    def test_random_pure_states_against_stabilizer_converge_at_tol_1e10(self):
+        for k in range(20):
+            n = 2 + k % 2
+            spec = stabilizer_set(n)
+            rho = projector(random_pure_state(2**n, np.random.default_rng(100 + k)))
+            res = robustness_dual(rho, spec, tol=1e-10)
+            assert res.status == CONVERGED, k
+            assert res.gap <= 1e-10 * max(1.0, res.upper_bound)
+
     def test_budget_stop_returns_the_smallest_gap(self, monkeypatch):
-        # below the float64 reach of this program the gap wanders between
-        # iterations; the certificates come from the best iterate, not the last
+        # near the float64 reach of this program the steps shrink and the gap
+        # may wander; the certificates come from the best iterate, not the last
         step = solver_module._mehrotra_step
         gaps = []
 
@@ -301,8 +319,8 @@ class TestRoadmapInstances:
         monkeypatch.setattr(solver_module, "_mehrotra_step", recorded)
         spec = stabilizer_set(3)
         rho = projector(random_pure_state(8, np.random.default_rng(0)))
-        res = robustness_dual(rho, spec, tol=1e-12, max_newton=60)
-        assert res.status == MAX_ITERATIONS and res.newton_iterations == 60
+        res = robustness_dual(rho, spec, tol=1e-12, max_newton=30)
+        assert res.status == MAX_ITERATIONS and res.newton_iterations == 30
         assert res.gap == pytest.approx(min(gaps), abs=1e-12)
         assert_certified(res, rho, spec)
 
@@ -326,6 +344,24 @@ class TestNewtonSolve:
         T = random_hermitian(prog.rank, rng)
         for a, b in zip(_schur_direction(it)(t, T), _witness_direction(it)(t, T)):
             assert np.abs(a - b).max() < 1e-8
+
+    @pytest.mark.parametrize("n_heavy", [0, 3, 6])
+    def test_witness_route_block_agrees_with_schur_route(self, n_heavy):
+        # weights with a large scaling d^2 = q/u enter the witness route's
+        # explicit block; stabilizer(1) has 6 points and r^2 = 4, so 6 heavy
+        # weights overflow the block's cap
+        spec = stabilizer_set(1)
+        prog = _Program.from_spec(random_density_matrix(2, rng), spec)
+        Y = random_density_matrix(2, rng)
+        it = _Iterate(prog, rng.uniform(2.0, 3.0, size=prog.m),
+                      0.9 * Y / prog.constraint_values(Y).max())
+        boost = np.ones(prog.m)
+        boost[:n_heavy] = 1e3
+        it.q, it.u, it.d = it.q * boost, it.u / boost, it.d * boost
+        t = rng.normal(size=prog.m)
+        T = random_hermitian(2, rng)
+        for a, b in zip(_schur_direction(it)(t, T), _witness_direction(it)(t, T)):
+            assert np.abs(a - b).max() <= 1e-8 * max(1.0, np.abs(a).max())
 
     @pytest.mark.parametrize("spec, rho", [
         (stabilizer_set(2), projector(random_pure_state(4, np.random.default_rng(5)))),
@@ -355,13 +391,16 @@ class TestNewtonSolve:
 
 
 class TestContractions:
+    # the matrix-product contractions against numpy's planned einsum, to
+    # rounding: 1e-12 relative to |Y| max_k |sigma_k|
     @pytest.mark.parametrize("r, m", [(1, 6), (2, 6), (4, 60), (8, 1080), (64, 64), (64, 1080)])
     def test_vector_path_matches_planner_bitwise(self, r, m):
         gen = np.random.default_rng(r * m)
         V = gen.normal(size=(r, m)) + 1j * gen.normal(size=(r, m))
         Y = random_hermitian(r, gen)
         planned = np.einsum("ik,ij,jk->k", V.conj(), Y, V, optimize=True).real
-        assert np.array_equal(_constraint_values(V, None, Y), planned)
+        scale = np.linalg.norm(Y) * (np.abs(V) ** 2).sum(axis=0).max()
+        assert np.abs(_constraint_values(V, None, Y) - planned).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("r, m", [(2, 6), (4, 60), (8, 1080), (64, 64)])
     def test_matrix_path_matches_planner_bitwise(self, r, m):
@@ -369,7 +408,22 @@ class TestContractions:
         M = gen.normal(size=(m, r, r)) + 1j * gen.normal(size=(m, r, r))
         Y = random_hermitian(r, gen)
         planned = np.einsum("kij,ji->k", M, Y, optimize=True).real
-        assert np.array_equal(_constraint_values(None, M, Y), planned)
+        scale = np.linalg.norm(Y) * np.linalg.norm(M, axis=(1, 2)).max()
+        assert np.abs(_constraint_values(None, M, Y) - planned).max() <= 1e-12 * scale
+
+
+class TestIndependentOracles:
+    @settings(max_examples=60, deadline=None)
+    @given(bloch=st.tuples(*[st.floats(-1.0, 1.0)] * 3))
+    def test_qubit_coherence_robustness_is_l1_coherence(self, bloch):
+        # for a qubit, R = C_l1 = 2|rho_01| (Napoli et al., PRL 116, 150502, 2016)
+        x, y, z = np.array(bloch) / max(1.0, float(np.linalg.norm(bloch)))
+        rho = 0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]])
+        spec = incoherent_set(2)
+        res = robustness_dual(rho, spec)
+        assert res.status == CONVERGED
+        assert res.lower_bound - 1e-12 <= 2 * abs(rho[0, 1]) <= res.upper_bound + 1e-12
+        assert_certified(res, rho, spec)
 
 
 # pure-only hulls take the matrix-product path; the mixed hull adds the tensordot one
