@@ -251,9 +251,10 @@ def stabilizer_set(n: int) -> FreeSet:
 
 
 def membership(spec: FreeSet, rho, tol: float = 1e-7) -> bool:
-    """True iff the robustness of ``rho`` w.r.t. the hull is <= tol."""
+    """True iff the certified upper bound on the robustness of ``rho`` w.r.t.
+    the hull is <= tol."""
     from .solver import robustness_dual  # deferred: solver builds on this module
 
     rho = assert_density(rho)
     result = robustness_dual(rho, spec, tol=min(tol, 1e-7) / 2)
-    return result.value <= tol
+    return result.upper_bound <= tol

@@ -524,7 +524,7 @@ def _lift_bipartite(kind: str, d: int) -> FreeSet | None:
         return incoherent_set(d * d)
     if kind == "stabilizer":
         n = int(round(math.log2(d)))
-        if 2 ** (2 * n) == d * d and 2 * n <= 3:
+        if 2 ** (2 * n) == d * d and 2 * n <= STABILIZER_MAX_QUBITS:
             return stabilizer_set(2 * n)
     return None
 

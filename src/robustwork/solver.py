@@ -17,17 +17,18 @@ solvers", 2010).  Its iterates are the weights q and the witness Y; the
 slacks S = sum_k q_k sigma_k - rho and u_k = 1 - Tr[Y sigma_k] are
 recomputed from them, so both programs stay exactly feasible and the step is
 only shortened when S or Y fails a Cholesky factorisation or some u_k <= 0.
-Each iteration solves the smaller of two eliminations of the Newton system:
-the m x m Schur complement in the weights step, or, when the extreme points
-outnumber r^2 (r the rank of the hull's support), a partitioned system in the
-scaled witness step.  There a weights step dq_k = d_k t_k + d_k^2 F_k y
-(d_k^2 = q_k/u_k, F_k the real coordinates of the scaled extreme point)
-carries the solve error of y times d_k^2, which stalls the gap near 1e-9; so
-the rows with d_k^2 |F_k|^2 > 1, largest first and at most r^2 of them, keep
-dq_k as unknowns in an explicit block no larger than the witness system.  The
-system is built once per iteration, and the predictor and the corrector solve
-it with their own right-hand sides.  Because every iterate is feasible, both
-certificates are unconditional:
+Each iteration solves one of two eliminations of the Newton system: the
+m x m Schur complement in the weights step or, when the extreme points
+outnumber r^2 (r the rank of the hull's support), a bordered system in the
+scaled witness step y.  The latter keeps as unknowns the steps dq_k of the
+r^2 weights with the largest d_k^2 |F_k|^2 (d_k^2 = q_k/u_k, F_k the real
+coordinates of the scaled extreme point), since eliminating them through
+dq_k = d_k t_k + d_k^2 F_k y would multiply the solve error of y by d_k^2.
+Its matrix is symmetric quasi-definite and is solved as it stands (Vanderbei,
+SIAM J. Optim. 5, 100-113, 1995).  Either system is built once per
+iteration, and the predictor and the corrector solve it with their own
+right-hand sides.  Because every iterate is feasible, both certificates are
+unconditional:
 
 * the weights q > 0 keep S(q) > 0, so sum(q) - 1 is a true upper bound;
 * the witness Y > 0 meets every constraint, so Tr[Y rho] - 1 is a true lower
@@ -305,28 +306,25 @@ def _schur_direction(it: _Iterate):
 
 def _witness_direction(it: _Iterate):
     """Scaled witness step dy = R^H dY R in real coordinates y, with dq_B kept
-    for the block B: with K = I + F_S^T diag(d_S^2) F_S, h = T - F_S^T (d_S t_S)
-    and E = diag(1/d_B^2) + F_B K^{-1} F_B^T, it solves
-    E dq_B = t_B/d_B + F_B K^{-1} h and y = K^{-1} (h - F_B^T dq_B)."""
+    for the r^2 rows B of largest d_k^2 |F_k|^2: with K = I + F_S^T diag(d_S^2)
+    F_S over the other rows S, it solves the quasi-definite system
+    [[K, F_B^T], [F_B, -diag(1/d_B^2)]] [y; dq_B] = [hvec(T) - F_S^T (d_S t_S);
+    -t_B/d_B] once per right-hand side."""
     F = it.coords()
-    score = it.d**2 * (F * F).sum(axis=1)
-    big = np.argsort(score)[::-1][:min(np.count_nonzero(score > 1.0), F.shape[1])]
+    n = F.shape[1]
+    big = np.argsort(it.d**2 * (F * F).sum(axis=1))[::-1][:n]
     d_small = it.d.copy()
     d_small[big] = 0.0
     K = F.T @ (F * (d_small**2)[:, None])
     K[np.diag_indices_from(K)] += 1.0
-    FB = F[big]
-    W = np.linalg.solve(K, FB.T)
-    E = FB @ W
-    E[np.diag_indices_from(E)] += 1.0 / it.d[big] ** 2
+    A = np.block([[K, F[big].T], [F[big], np.diag(-1.0 / it.d[big] ** 2)]])
 
     def solve(t: np.ndarray, T: np.ndarray):
-        z = np.linalg.solve(K, _hvec(T) - F.T @ (d_small * t))
-        dq_big = np.linalg.solve(E, t[big] / it.d[big] + FB @ z)
-        y = z - W @ dq_big
-        dq = it.d * t + it.d**2 * (F @ y)
-        dq[big] = dq_big
-        dy = _hmat(y, T.shape[0])
+        rhs = np.concatenate([_hvec(T) - F.T @ (d_small * t), -t[big] / it.d[big]])
+        x = np.linalg.solve(A, rhs)
+        dq = it.d * t + it.d**2 * (F @ x[:n])
+        dq[big] = x[n:]
+        dy = _hmat(x[:n], T.shape[0])
         return dq, T - dy, dy
 
     return solve
@@ -379,7 +377,7 @@ def _solve(rho: np.ndarray, spec: FreeSet, tol: float, max_newton: int):
     eye = np.eye(prog.rank, dtype=complex)
     it = best = _Iterate(prog, _initial_point(prog),
                          0.5 * eye / prog.constraint_values(eye).max())
-    # the smaller Newton system: m x m in the weights, or r^2 x r^2 in the witness
+    # m x m in the weights, or the bordered 2r^2 x 2r^2 system once m > r^2
     direction = _witness_direction if prog.m > prog.rank**2 else _schur_direction
     used = 0
     while best.upper - best.lower > tol * max(1.0, abs(best.upper)):

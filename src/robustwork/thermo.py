@@ -242,7 +242,7 @@ def rank1_summary(c: float, y, psi, spec: FreeSet | None) -> WitnessSummary:
     else:
         if spec.dim != y.shape[0]:
             raise ValueError("free set and witness dimensions differ")
-        vals = [c * np.abs(np.stack(spec.vectors).conj() @ y) ** 2] if spec.vectors else []
+        vals = [c * np.abs(y.conj() @ spec.vector_array) ** 2] if spec.vectors else []
         vals += [np.array([c * np.vdot(y, m @ y).real for m in spec.matrices])]
         constraints, S_free = np.concatenate(vals), _free_entropies(spec)
     energy = c * float(np.abs(np.vdot(y, psi)) ** 2)

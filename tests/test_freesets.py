@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import robustwork.solver as solver_module
 from robustwork.freesets import (
     StabilizerGroup,
     _lagrangian_subspaces,
@@ -172,6 +173,18 @@ class TestMembership:
         w = rng.dirichlet(np.ones(6))
         rho = sum(wi * projector(v) for wi, v in zip(w, spec.vectors))
         assert membership(spec, rho, tol=1e-7)
+
+    def test_membership_reads_the_upper_bound(self, monkeypatch):
+        # an interval whose midpoint is below tol proves nothing while its
+        # upper end is above it
+        def unresolved(rho, spec, tol):
+            return solver_module.RobustnessResult(
+                value=0.75e-7, witness=None, primal_weights=None, gap=1.5e-7,
+                status=solver_module.MAX_ITERATIONS, lower_bound=0.0,
+                upper_bound=1.5e-7, newton_iterations=1)
+
+        monkeypatch.setattr(solver_module, "robustness_dual", unresolved)
+        assert not membership(stabilizer_set(1), maximally_mixed(2), tol=1e-7)
 
 
 class TestFiniteHull:

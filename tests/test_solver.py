@@ -304,6 +304,27 @@ class TestRoadmapInstances:
             assert res.status == CONVERGED, k
             assert res.gap <= 1e-10 * max(1.0, res.upper_bound)
 
+    def test_haar_state_against_stabilizer3_at_tol_1e12(self):
+        # with the bordered witness-route system the tail below a relative gap
+        # of 1e-10 takes a few iterations, not dozens
+        spec = stabilizer_set(3)
+        rho = projector(random_pure_state(8, np.random.default_rng(0)))
+        res = robustness_dual(rho, spec, tol=1e-12)
+        assert res.status == CONVERGED
+        assert res.newton_iterations <= 25
+        assert_certified(res, rho, spec)
+
+    def test_random_pure_states_against_stabilizer_converge_at_tol_1e12(self):
+        for k in range(20):
+            n = 2 + k % 2
+            spec = stabilizer_set(n)
+            rho = projector(random_pure_state(2**n, np.random.default_rng(100 + k)))
+            res = robustness_dual(rho, spec, tol=1e-12)
+            assert res.status == CONVERGED, k
+            assert res.newton_iterations <= 40, k
+            assert res.gap <= 1e-12 * max(1.0, res.upper_bound)
+            assert_certified(res, rho, spec)
+
     def test_budget_stop_returns_the_smallest_gap(self, monkeypatch):
         # near the float64 reach of this program the steps shrink and the gap
         # may wander; the certificates come from the best iterate, not the last
@@ -319,7 +340,7 @@ class TestRoadmapInstances:
         monkeypatch.setattr(solver_module, "_mehrotra_step", recorded)
         spec = stabilizer_set(3)
         rho = projector(random_pure_state(8, np.random.default_rng(0)))
-        res = robustness_dual(rho, spec, tol=1e-12, max_newton=30)
+        res = robustness_dual(rho, spec, tol=1e-15, max_newton=30)
         assert res.status == MAX_ITERATIONS and res.newton_iterations == 30
         assert res.gap == pytest.approx(min(gaps), abs=1e-12)
         assert_certified(res, rho, spec)
@@ -333,7 +354,7 @@ class TestNewtonSolve:
                      random_density_matrix(2, np.random.default_rng(3))]),
     ], ids=["stabilizer1", "incoherent3", "mixed-hull"])
     def test_schur_and_witness_routes_agree(self, spec):
-        # the m x m system in the weights and the r^2 x r^2 system in the
+        # the m x m system in the weights and the bordered system in the
         # scaled witness step are two eliminations of one Newton system
         rho = random_density_matrix(spec.dim, rng)
         prog = _Program.from_spec(rho, spec)
@@ -369,8 +390,9 @@ class TestNewtonSolve:
         (incoherent_set(8), random_density_matrix(8, np.random.default_rng(6))),
     ], ids=["stabilizer2", "stabilizer3", "incoherent8"])
     def test_one_newton_build_per_iteration(self, monkeypatch, spec, rho):
-        # the predictor and the corrector share the Newton matrix of their iterate
-        counts = {"build": 0, "coords": 0}
+        # the predictor and the corrector share the Newton matrix of their
+        # iterate, and each right-hand side takes one linear solve
+        counts = {"build": 0, "coords": 0, "solve": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -382,9 +404,11 @@ class TestNewtonSolve:
             monkeypatch.setattr(solver_module, route,
                                 counted("build", getattr(solver_module, route)))
         monkeypatch.setattr(_Iterate, "coords", counted("coords", _Iterate.coords))
+        monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
         res = robustness_dual(rho, spec)
         assert res.status == CONVERGED
         assert counts["build"] == res.newton_iterations
+        assert counts["solve"] == 2 * res.newton_iterations
         # pure hulls build F only on the witness route, where m > r^2
         witness_route = spec.n_points > spec.dim**2
         assert counts["coords"] == (res.newton_iterations if witness_route else 0)
