@@ -7,21 +7,25 @@ hulls may also carry mixed density matrices.
 
 Stabilizer states are enumerated from GF(2) symplectic generator matrices: a
 depth-first search lists each maximal isotropic (Lagrangian) subspace of
-F_2^{2n} once, by its least basis; each of its 2^n sign patterns multiplies
-the half-projectors (I + s_k G_k)/2, built once per call, in generator order;
-and the rank-1 states are deduplicated by hashing the phase-normalized
-amplitude vector at 1e-8 granularity.  Expected counts are 6, 60, 1080.
+F_2^{2n} once, by its least basis.  All (subspace, sign pattern) pairs form one
+batch: generator position k gathers its half-projectors (I + s_k G_k)/2 from a
+table of all 4^n Pauli rows and multiplies that (N, d, d) stack into the
+products, whose small dyadic entries make them exact.  The rank-1 states are
+deduplicated by hashing the phase-normalized amplitude vector at 1e-8
+granularity.  Expected counts are 6, 60, 1080.  A free set proves I/d in its
+hull once (``contains_maximally_mixed``), and the incoherent and stabilizer
+sets are cached, so each of them proves it once per process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations, product
 
 import numpy as np
 
-from .linalg import assert_density, assert_pure, projector
+from .linalg import assert_density, assert_pure, maximally_mixed, projector
 from .states import basis_state, pauli_string
 
 __all__ = [
@@ -74,6 +78,12 @@ class FreeSet:
         V = np.stack(self.vectors, axis=1)
         V.flags.writeable = False
         return V
+
+    @cached_property
+    def contains_maximally_mixed(self) -> bool:
+        """Whether I/d lies in the hull (theorem 2's precondition), proved by
+        ``membership`` on first read and kept for the life of the set."""
+        return membership(self, maximally_mixed(self.dim), tol=1e-6)
 
     def density_matrices(self) -> list[np.ndarray]:
         """All extreme points as density matrices (pure ones first)."""
@@ -151,20 +161,19 @@ class StabilizerGroup:
     def state_vector(self) -> np.ndarray:
         """Joint +1 eigenstate of the signed generators."""
         eye = np.eye(2**self.n, dtype=complex)
-        return _joint_eigenvector([(eye + s * pauli_string(*_split_row(row, self.n))) / 2.0
-                                   for row, s in zip(self.rows, self.signs)])
+        return _joint_eigenvectors(((eye + s * pauli_string(*_split_row(row, self.n))) / 2.0)[None]
+                                   for row, s in zip(self.rows, self.signs))[0]
 
 
-def _joint_eigenvector(halves) -> np.ndarray:
-    """Unit vector spanning the range of the product of the half-projectors (I + s G)/2."""
-    P = np.eye(halves[0].shape[0], dtype=complex)
-    for H in halves:
-        P = P @ H
-    if abs(P.trace().real - 1.0) > 1e-9:
+def _joint_eigenvectors(halves) -> np.ndarray:
+    """Row i: unit vector spanning the range of the i-th product of half-projectors
+    (I + s G)/2; ``halves`` yields one (N, d, d) stack per generator, in order."""
+    P = reduce(np.matmul, halves)
+    if np.any(np.abs(np.trace(P, axis1=1, axis2=2).real - 1.0) > 1e-9):
         raise ValueError("projector is not rank 1")
-    col = int(np.argmax(np.linalg.norm(P, axis=0)))
-    v = P[:, col]
-    return _phase_normalize(v / np.linalg.norm(v))
+    cols = np.argmax(np.linalg.norm(P, axis=1), axis=1)
+    V = P[np.arange(len(P)), :, cols]
+    return _phase_normalize(V / np.linalg.norm(V, axis=1, keepdims=True))
 
 
 def _split_row(row: int, n: int):
@@ -179,16 +188,16 @@ def _symplectic_product(a: int, b: int, n: int) -> int:
     return (bin(ax & bz).count("1") + bin(az & bx).count("1")) % 2
 
 
-def _phase_normalize(v: np.ndarray) -> np.ndarray:
-    k = int(np.argmax(np.abs(v) > 1e-8))
-    w = v * (abs(v[k]) / v[k])
-    w[np.abs(w) < 1e-12] = 0.0
-    return w
+def _phase_normalize(V: np.ndarray) -> np.ndarray:
+    first = V[np.arange(len(V)), np.argmax(np.abs(V) > 1e-8, axis=1)]
+    W = V * (np.abs(first) / first)[:, None]
+    W[np.abs(W) < 1e-12] = 0.0
+    return W
 
 
-def _vector_key(v: np.ndarray) -> tuple:
-    """Dedup key of a vector that ``_joint_eigenvector`` has already phase-normalized."""
-    return tuple(np.round(v.view(float), 8).tolist())
+def _vector_keys(V: np.ndarray) -> list[tuple]:
+    """Dedup keys of the rows of ``V``, already phase-normalized by ``_joint_eigenvectors``."""
+    return [tuple(row) for row in np.round(V.view(float), 8).tolist()]
 
 
 def _lagrangian_subspaces(n: int) -> list[tuple[int, ...]]:
@@ -224,16 +233,15 @@ def enumerate_stabilizer_states(n: int) -> list[np.ndarray]:
     if not 1 <= n <= STABILIZER_MAX_QUBITS:
         raise ValueError(f"stabilizer enumeration supports n in 1..{STABILIZER_MAX_QUBITS}")
     eye = np.eye(2**n, dtype=complex)
-    halves: dict[int, list[np.ndarray]] = {}  # row -> [(I + G)/2, (I - G)/2]
-    states = {}
-    for rows in _lagrangian_subspaces(n):
-        for row in set(rows) - halves.keys():
-            G = pauli_string(*_split_row(row, n))
-            halves[row] = [(eye + s * G) / 2.0 for s in (1, -1)]
-        for choice in product((0, 1), repeat=n):
-            v = _joint_eigenvector([halves[row][c] for row, c in zip(rows, choice)])
-            states.setdefault(_vector_key(v), v)
-    out = list(states.values())
+    paulis = np.stack([pauli_string(*_split_row(row, n)) for row in range(4**n)])
+    halves = np.stack([(eye + s * paulis) / 2.0 for s in (1, -1)], axis=1)  # [row, c] = (I + (-1)^c G)/2
+    # state i has subspace i // 2^n and sign pattern i % 2^n, in product((0, 1), repeat=n) order
+    subspaces = np.array(_lagrangian_subspaces(n))
+    patterns = np.array(list(product((0, 1), repeat=n)))
+    index = np.repeat(subspaces, len(patterns), axis=0)
+    choice = np.tile(patterns, (len(subspaces), 1))
+    vectors = _joint_eigenvectors(halves[index[:, j], choice[:, j]] for j in range(n))
+    out = list(dict(zip(_vector_keys(vectors), vectors)).values())
     if len(out) != stabilizer_state_count(n):
         raise RuntimeError(f"enumerated {len(out)} states, expected {stabilizer_state_count(n)}")
     return out

@@ -31,13 +31,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .freesets import FreeSet, membership
+from .freesets import FreeSet
 from .linalg import (
     INF_BETA,
     assert_density,
     assert_hermitian,
     assert_pure,
-    maximally_mixed,
     gibbs_state,
     policy,
     trace_inner,
@@ -478,8 +477,10 @@ def _residual_state(y, a: float, d: int) -> np.ndarray:
 
 
 def require_maximally_mixed(spec_prime: FreeSet, d: int) -> None:
-    """Theorem 2's precondition on the free set, checked by membership."""
-    if not membership(spec_prime, maximally_mixed(d), tol=1e-6):
+    """Theorem 2's precondition on the free set: a d-dimensional hull holding I/d."""
+    if spec_prime.dim != d:
+        raise ValueError(f"spec_prime has dimension {spec_prime.dim}, expected {d}")
+    if not spec_prime.contains_maximally_mixed:
         raise ValueError("spec_prime must contain the maximally mixed state")
 
 

@@ -1,8 +1,10 @@
 import hashlib
+from itertools import product
 
 import numpy as np
 import pytest
 
+import robustwork.freesets as freesets_module
 import robustwork.solver as solver_module
 from robustwork.freesets import (
     StabilizerGroup,
@@ -137,12 +139,28 @@ class TestStabilizerEnumeration:
         for v in enumerate_stabilizer_states(2):
             assert abs(np.vdot(v, v).real - 1.0) < 1e-10
 
+    def test_repeated_generator_is_not_rank_one(self, monkeypatch):
+        # Z x I twice: the sign patterns give (I + Z)/2 (trace 2) or 0 (trace 0)
+        monkeypatch.setattr(freesets_module, "_lagrangian_subspaces", lambda n: ((0b0100, 0b0100),))
+        with pytest.raises(ValueError, match="projector is not rank 1"):
+            enumerate_stabilizer_states(2)
+
 
 class TestStabilizerGroup:
     def test_state_of_z_generator(self):
         # single generator +Z stabilizes |0>
         g = StabilizerGroup(n=1, rows=(0b10,), signs=(1,))
         assert np.abs(g.state_vector() - basis_state(2, 0)).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_state_vector_matches_enumeration_bitwise(self, n):
+        # the enumeration lists subspace by subspace, sign patterns in product order
+        states = enumerate_stabilizer_states(n)
+        patterns = list(product((1, -1), repeat=n))
+        for i, rows in enumerate(_lagrangian_subspaces(n)):
+            for j, signs in enumerate(patterns):
+                v = StabilizerGroup(n, rows, signs).state_vector()
+                assert v.tobytes() == states[i * len(patterns) + j].tobytes()
 
     def test_rejects_dependent_generators(self):
         with pytest.raises(ValueError):
@@ -185,6 +203,27 @@ class TestMembership:
 
         monkeypatch.setattr(solver_module, "robustness_dual", unresolved)
         assert not membership(stabilizer_set(1), maximally_mixed(2), tol=1e-7)
+
+
+class TestContainsMaximallyMixed:
+    @pytest.mark.parametrize("build, k", [(incoherent_set, d) for d in range(2, 9)]
+                             + [(stabilizer_set, n) for n in (1, 2, 3)])
+    def test_standard_sets_contain_it(self, build, k):
+        assert build(k).contains_maximally_mixed
+
+    def test_is_proved_once_per_set(self, monkeypatch):
+        calls = []
+        original = solver_module.robustness_dual
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "robustness_dual", counting)
+        hull = finite_hull([basis_state(2, 0), (basis_state(2, 0) + basis_state(2, 1)) / np.sqrt(2)])
+        assert not hull.contains_maximally_mixed
+        assert not hull.contains_maximally_mixed
+        assert len(calls) == 1
 
 
 class TestFiniteHull:

@@ -28,9 +28,18 @@ def scenario(**body):
     return load_scenario({"schema_version": 1, "name": "reuse", **GRID3, **body})
 
 
+def clear_free_set_caches():
+    """Drop the cached free sets, and with them each set's proved I/d membership."""
+    incoherent_set.cache_clear()
+    stabilizer_set.cache_clear()
+
+
 @pytest.fixture
 def solves(monkeypatch):
-    """List that grows by one per robustness_dual call, from any module."""
+    """List that grows by one per robustness_dual call, from any module.
+
+    The free-set caches are cleared before and after the test, so each run
+    counts the one I/d membership solve per free set its theorem 2 needs."""
     calls = []
     original = solver.robustness_dual
 
@@ -41,7 +50,9 @@ def solves(monkeypatch):
     for mod in (solver, thermo, channels, scenarios, cli):
         if getattr(mod, "robustness_dual", None) is original:
             monkeypatch.setattr(mod, "robustness_dual", counting)
-    return calls
+    clear_free_set_caches()
+    yield calls
+    clear_free_set_caches()
 
 
 @pytest.fixture
@@ -80,6 +91,16 @@ class TestSolveCounts:
             checks=["theorem1", "eq10", "theorem2", "corollary1"]))
         assert len(report["entries"]) == 2 * 9 * 4
         assert len(solves) == 4, solves
+
+    def test_second_run_reuses_the_maximally_mixed_proof(self, solves):
+        # I/d membership is a fact of the cached free set: a rerun solves only the residuals
+        sc = scenario(state={"named": "golden", "d": [2, 4]}, free_set={"kind": "incoherent"},
+                      checks=["theorem2"])
+        run_scenario(sc)
+        assert len(solves) == 4, solves
+        solves.clear()
+        run_scenario(sc)
+        assert len(solves) == 2, solves
 
     def test_channel_grid_solves_each_program_once(self, solves):
         # Choi program, theorem3 input membership, theorem3 output program
@@ -132,6 +153,7 @@ class TestSolveCounts:
         # no eigendecomposition (theorem2's residual weight is 1.0 throughout)
         counts = []
         for grid in ({"lambda_grid": [1000.0], "beta_grid": ["inf"]}, GRID3):
+            clear_free_set_caches()
             eigs.clear()
             run_scenario(load_scenario({
                 "schema_version": 1, "name": "eigs", "state": {"named": "golden", "d": 8},

@@ -40,6 +40,7 @@ from robustwork.states import (
 )
 
 from conftest import SEEDS
+from oracles import _H, _S, _cnot_op, _single_qubit_op
 
 rng = np.random.default_rng(SEEDS["solver"])
 
@@ -448,6 +449,30 @@ class TestIndependentOracles:
         assert res.status == CONVERGED
         assert res.lower_bound - 1e-12 <= 2 * abs(rho[0, 1]) <= res.upper_bound + 1e-12
         assert_certified(res, rho, spec)
+
+
+class TestMetamorphic:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_clifford_word_keeps_stabilizer_robustness(self, n, seed, data):
+        # Cliffords permute the stabilizer states, so R(U psi) = R(psi)
+        # (Howard & Campbell, PRL 118, 090501, 2017): the certified intervals
+        # of psi and of its image after each prefix of the word share a point
+        gates = [_single_qubit_op(G, q, n) for G in (_H, _S) for q in range(n)]
+        gates += [_cnot_op(c, t, n) for c in range(n) for t in range(n) if c != t]
+        word = data.draw(st.lists(st.sampled_from(gates), min_size=6, max_size=6))
+        psi = random_pure_state(2**n, np.random.default_rng(seed))
+        spec = stabilizer_set(n)
+        lower, upper = -np.inf, np.inf
+        for G in [np.eye(2**n)] + word:
+            psi = G @ psi
+            rho = projector(psi)
+            res = robustness_dual(rho, spec)
+            assert res.status == CONVERGED
+            assert_certified(res, rho, spec)
+            lower, upper = max(lower, res.lower_bound), min(upper, res.upper_bound)
+        assert lower <= upper + 1e-12
 
 
 # pure-only hulls take the matrix-product path; the mixed hull adds the tensordot one

@@ -26,6 +26,7 @@ from robustwork.thermo import (
     eq10_report,
     max_free_extractable_work,
     rank1_summary,
+    require_maximally_mixed,
     residual_thermal_closed_form,
     simulate_protocol,
     theorem1_bound,
@@ -341,6 +342,16 @@ class TestTheorem2:
         bad = finite_hull([basis_state(2, 0)])
         with pytest.raises(ValueError):
             verify_theorem2(golden_state(2), 2.0, ctx, 2, bad)
+
+    def test_require_maximally_mixed_rejects(self):
+        from robustwork.freesets import finite_hull
+
+        plus = (basis_state(2, 0) + basis_state(2, 1)) / np.sqrt(2)
+        with pytest.raises(ValueError, match="maximally mixed"):
+            require_maximally_mixed(finite_hull([basis_state(2, 0), plus]), 2)
+        with pytest.raises(ValueError, match="dimension 2, expected 4"):
+            require_maximally_mixed(incoherent_set(2), 4)
+        require_maximally_mixed(incoherent_set(4), 4)
 
 
     def test_midpoint_inside_upper_end_outside_fails(self, monkeypatch):
