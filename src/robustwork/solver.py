@@ -38,6 +38,16 @@ unconditional:
 
 The reported ``value`` is the midpoint of the certified interval and ``gap``
 its width.  Convergence means gap <= tol * max(1, upper bound).
+
+When rho and every extreme point are real (golden states, real Choi states
+against incoherent sets), the program is solved in real arithmetic, exactly:
+if Y is dual feasible, so is Re(Y) = (Y + conj Y)/2, since conj Y = Y^T is
+PSD and Tr[Re(Y) sigma] = Re Tr[Y sigma] = Tr[Y sigma] for real symmetric
+sigma; the objective Tr[Y rho] is unchanged too, so real symmetric witnesses
+reach the Hermitian optimum.  The NT scaling of real PSD matrices is real,
+so every array of the solve inherits the program's dtype, a witness step has
+r(r+1)/2 real coordinates instead of r^2, and the returned witness is cast
+back to complex.
 """
 
 from __future__ import annotations
@@ -163,9 +173,11 @@ class _Program:
             raise ValueError(
                 f"state dimension {rho.shape[0]} does not match free set {spec.label()}"
             )
-        if spec.all_pure:
-            return cls(rho, spec.vector_array, None)
-        return cls(rho, None, np.stack(spec.density_matrices()))
+        points = spec.vector_array if spec.all_pure else np.stack(spec.density_matrices())
+        if not (rho.imag.any() or points.imag.any()):
+            # real data: solve over real symmetric witnesses (module docstring)
+            rho, points = rho.real.copy(), points.real.copy()
+        return cls(rho, points, None) if spec.all_pure else cls(rho, None, points)
 
     @property
     def feasible(self) -> bool:
@@ -210,18 +222,25 @@ def _triu(r: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _hvec(X: np.ndarray) -> np.ndarray:
     """Real coordinates of Hermitian matrices (last two axes): the diagonal,
-    then sqrt(2) Re and sqrt(2) Im of the strict upper triangle, so that
-    ``_hvec(X) @ _hvec(Z) == Tr[X Z]``."""
+    then sqrt(2) Re and, for complex X, sqrt(2) Im of the strict upper
+    triangle, so that ``_hvec(X) @ _hvec(Z) == Tr[X Z]``."""
     i, j = _triu(X.shape[-1])
-    off = math.sqrt(2.0) * X[..., i, j]
-    return np.concatenate([np.diagonal(X, axis1=-2, axis2=-1).real, off.real, off.imag], axis=-1)
+    return _real_coords(np.diagonal(X, axis1=-2, axis2=-1), math.sqrt(2.0) * X[..., i, j], -1)
+
+
+def _real_coords(diag: np.ndarray, off: np.ndarray, axis: int) -> np.ndarray:
+    """Join diagonal and scaled off-diagonal parts; Im parts only for complex data."""
+    parts = [diag.real, off.real, off.imag] if np.iscomplexobj(off) else [diag, off]
+    return np.concatenate(parts, axis=axis)
 
 
 def _hmat(x: np.ndarray, r: int) -> np.ndarray:
-    """The Hermitian r x r matrix with real coordinates ``x``."""
+    """The Hermitian r x r matrix with real coordinates ``x``; real symmetric
+    when ``x`` has no imaginary part (r(r+1)/2 entries)."""
     i, j = _triu(r)
-    off = (x[r:r + len(i)] + 1j * x[r + len(i):]) / math.sqrt(2.0)
-    X = np.diag(x[:r]).astype(complex)
+    n = r + len(i)
+    off = (x[r:n] + 1j * x[n:] if len(x) > n else x[r:n]) / math.sqrt(2.0)
+    X = np.diag(x[:r]).astype(off.dtype)
     X[i, j] = off
     X[j, i] = off.conj()
     return X
@@ -276,8 +295,7 @@ class _Iterate:
             return _hvec(self.gmats)
         g = self.gvecs
         i, j = _triu(g.shape[0])
-        off = math.sqrt(2.0) * (g[i] * g[j].conj())
-        return np.concatenate([np.abs(g) ** 2, off.real, off.imag]).T
+        return _real_coords(np.abs(g) ** 2, math.sqrt(2.0) * (g[i] * g[j].conj()), 0).T
 
 
 # Both routes solve the same scaled Newton system.  With the scaled steps
@@ -305,9 +323,10 @@ def _schur_direction(it: _Iterate):
 
 
 def _witness_direction(it: _Iterate):
-    """Scaled witness step dy = R^H dY R in real coordinates y, with dq_B kept
-    for the r^2 rows B of largest d_k^2 |F_k|^2: with K = I + F_S^T diag(d_S^2)
-    F_S over the other rows S, it solves the quasi-definite system
+    """Scaled witness step dy = R^H dY R in its n real coordinates y (r^2, or
+    r(r+1)/2 when real), with dq_B kept for the n rows B of largest
+    d_k^2 |F_k|^2: with K = I + F_S^T diag(d_S^2) F_S over the other rows S,
+    it solves the quasi-definite system
     [[K, F_B^T], [F_B, -diag(1/d_B^2)]] [y; dq_B] = [hvec(T) - F_S^T (d_S t_S);
     -t_B/d_B] once per right-hand side."""
     F = it.coords()
@@ -340,7 +359,7 @@ def _max_step(it: _Iterate, dq, du, ds, dy) -> float:
 
 def _mehrotra_step(prog: _Program, it: _Iterate, direction) -> _Iterate | None:
     """One predictor-corrector iteration; None when no step could be taken."""
-    lam = np.diag(it.lam).astype(complex)
+    lam = np.diag(it.lam).astype(prog.rho.dtype)
     newton = direction(it)
 
     def solve(t, T):
@@ -374,10 +393,11 @@ def _solve(rho: np.ndarray, spec: FreeSet, tol: float, max_newton: int):
     prog = _Program.from_spec(rho, spec)
     if not prog.feasible:
         return prog, None, 0, INFEASIBLE
-    eye = np.eye(prog.rank, dtype=complex)
+    eye = np.eye(prog.rank, dtype=prog.rho.dtype)
     it = best = _Iterate(prog, _initial_point(prog),
                          0.5 * eye / prog.constraint_values(eye).max())
-    # m x m in the weights, or the bordered 2r^2 x 2r^2 system once m > r^2
+    # m x m in the weights, or the bordered system (2r^2 square, or r(r+1) when
+    # real) once m > r^2
     direction = _witness_direction if prog.m > prog.rank**2 else _schur_direction
     used = 0
     while best.upper - best.lower > tol * max(1.0, abs(best.upper)):
@@ -411,7 +431,7 @@ def robustness_dual(rho, spec: FreeSet, tol: float = DEFAULT_TOL,
 
     # re-derive the lower bound from the expanded witness in the full space,
     # with a defensive rescale so the recorded certificate is self-contained
-    witness = prog.expand(it.Y)
+    witness = prog.expand(it.Y).astype(complex)
     witness = 0.5 * (witness + dagger(witness))
     cons = witness_constraints(witness, spec)
     cmax = float(cons.max())

@@ -91,29 +91,3 @@ def pauli_string(bits_x, bits_z) -> np.ndarray:
         out = np.kron(out, op)
     return out
 
-
-def clifford_unitaries_1q() -> list[np.ndarray]:
-    """The 24 single-qubit Clifford unitaries (up to global phase).
-
-    Generated by closing {H, S} under multiplication; phases are normalized
-    so the set deduplicates cleanly.
-    """
-
-    def normalize(U):
-        # fix global phase: first nonzero entry real positive
-        flat = U.reshape(-1)
-        k = np.argmax(np.abs(flat) > 1e-9)
-        return U * (abs(flat[k]) / flat[k])
-
-    seen = {}
-    frontier = [normalize(np.eye(2, dtype=complex))]
-    while frontier:
-        U = frontier.pop()
-        key = tuple(np.round(U.reshape(-1), 9).tolist())
-        if key in seen:
-            continue
-        seen[key] = U
-        for G in (HADAMARD, S_GATE):
-            frontier.append(normalize(G @ U))
-    assert len(seen) == 24
-    return list(seen.values())

@@ -65,6 +65,33 @@ def clifford_orbit_states(n: int) -> list[np.ndarray]:
     return list(seen.values())
 
 
+def clifford_unitaries_1q() -> list[np.ndarray]:
+    """The 24 single-qubit Clifford unitaries (up to global phase).
+
+    Generated by closing {H, S} under multiplication; phases are normalized
+    so the set deduplicates cleanly.
+    """
+
+    def normalize(U):
+        # fix global phase: first nonzero entry real positive
+        flat = U.reshape(-1)
+        k = np.argmax(np.abs(flat) > 1e-9)
+        return U * (abs(flat[k]) / flat[k])
+
+    seen = {}
+    frontier = [normalize(np.eye(2, dtype=complex))]
+    while frontier:
+        U = frontier.pop()
+        key = tuple(np.round(U.reshape(-1), 9).tolist())
+        if key in seen:
+            continue
+        seen[key] = U
+        for G in (_H, _S):
+            frontier.append(normalize(G @ U))
+    assert len(seen) == 24
+    return list(seen.values())
+
+
 def stabilizer_count_formula(n: int) -> int:
     """2^n * prod_{k=1}^{n} (2^k + 1), computed by an explicit loop."""
     total = 2**n

@@ -40,7 +40,6 @@ from robustwork.solver import (
 from robustwork.states import (
     HADAMARD,
     T_GATE,
-    clifford_unitaries_1q,
     golden_state,
     random_density_matrix,
     random_hermitian,
@@ -59,7 +58,13 @@ from robustwork.thermo import (
 )
 
 from conftest import SEEDS
-from oracles import clifford_orbit_states, phase_key, random_kraus_channel, stabilizer_count_formula
+from oracles import (
+    clifford_orbit_states,
+    clifford_unitaries_1q,
+    phase_key,
+    random_kraus_channel,
+    stabilizer_count_formula,
+)
 
 SQRT2 = math.sqrt(2.0)
 

@@ -23,7 +23,6 @@ from robustwork.states import (
     HADAMARD,
     T_GATE,
     basis_state,
-    clifford_unitaries_1q,
     golden_state,
     maximally_entangled_state,
     random_density_matrix,
@@ -32,7 +31,7 @@ from robustwork.states import (
 from robustwork.thermo import ThermoContext
 
 from conftest import SEEDS
-from oracles import random_kraus_channel
+from oracles import clifford_unitaries_1q, random_kraus_channel
 
 rng = np.random.default_rng(SEEDS["channels"])
 

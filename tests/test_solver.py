@@ -83,6 +83,19 @@ class TestNamedValues:
         assert res.value <= 1e-7
         assert res.status == CONVERGED
 
+    def test_real_state_against_complex_hull(self):
+        # |+> is real but one extreme point is not, so the program must stay
+        # complex.  The hull is the Bloch triangle |0>, |1>, e = (cos t, sin t, 0)
+        # with t = pi/8; 1 + R = min over the hull of <+|sigma^{-1}|+>, reached
+        # on the segment from I/2 to e at 1 + sin t, so R = sin(pi/8)
+        tilted = (basis_state(2, 0) + np.exp(1j * np.pi / 8) * basis_state(2, 1)) / math.sqrt(2)
+        spec = finite_hull([basis_state(2, 0), basis_state(2, 1), tilted])
+        rho = projector(golden_state(2))
+        res = robustness_dual(rho, spec)
+        assert res.status == CONVERGED
+        assert res.lower_bound <= math.sin(math.pi / 8) <= res.upper_bound
+        assert_certified(res, rho, spec)
+
 
 class TestPrimal:
     def test_extreme_point_gives_indicator(self):
@@ -473,6 +486,55 @@ class TestMetamorphic:
             assert_certified(res, rho, spec)
             lower, upper = max(lower, res.lower_bound), min(upper, res.upper_bound)
         assert lower <= upper + 1e-12
+
+    @staticmethod
+    def _phased_permutation(d: int, gen: np.random.Generator) -> np.ndarray:
+        """D P: a random permutation followed by random diagonal phases."""
+        phases = np.exp(2j * np.pi * gen.uniform(size=d))
+        return phases[:, None] * np.eye(d)[gen.permutation(d)]
+
+    def _assert_same_robustness(self, pairs, dtypes):
+        """Solve each (rho, spec), check its arithmetic and certificates, and
+        require the certified intervals to share a point."""
+        lower, upper = -np.inf, np.inf
+        for (rho, spec), dtype in zip(pairs, dtypes, strict=True):
+            assert _Program.from_spec(rho, spec).rho.dtype == dtype
+            res = robustness_dual(rho, spec)
+            assert res.status == CONVERGED
+            assert res.witness.dtype == np.complex128
+            assert_certified(res, rho, spec)
+            lower, upper = max(lower, res.lower_bound), min(upper, res.upper_bound)
+        assert lower <= upper + 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))
+    def test_phased_permutation_keeps_coherence_robustness(self, d, seed):
+        # D P maps incoherent states onto incoherent states, so R(rho) is
+        # invariant under rho -> D P rho P^T D^dag (Baumgratz et al., PRL 113,
+        # 140401, 2014).  A real rho is solved in real arithmetic and its image
+        # in complex arithmetic, so this also cross-checks the two dtypes.
+        gen = np.random.default_rng(seed)
+        G = gen.normal(size=(d, d))
+        rho = G @ G.T / np.trace(G @ G.T)
+        U = self._phased_permutation(d, gen)
+        spec = incoherent_set(d)
+        self._assert_same_robustness([(rho, spec), (U @ rho @ U.conj().T, spec)],
+                                     [np.float64, np.complex128])
+
+    def test_phased_permutation_of_real_hull(self):
+        # 12 real extreme points in d = 3 exceed r^2 = 9, so both programs take
+        # the witness route; rotating the state and the hull by one unitary
+        # keeps R
+        gen = np.random.default_rng(SEEDS["solver"])
+        vecs = gen.normal(size=(12, 3))
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        G = gen.normal(size=(3, 3))
+        rho = G @ G.T / np.trace(G @ G.T)
+        U = self._phased_permutation(3, gen)
+        pairs = [(rho, finite_hull(list(vecs))),
+                 (U @ rho @ U.conj().T, finite_hull(list(vecs @ U.T)))]
+        assert all(spec.n_points > spec.dim**2 for _, spec in pairs)
+        self._assert_same_robustness(pairs, [np.float64, np.complex128])
 
 
 # pure-only hulls take the matrix-product path; the mixed hull adds the tensordot one

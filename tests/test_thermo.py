@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 from robustwork.freesets import incoherent_set, stabilizer_set
 from robustwork.linalg import INF_BETA, gibbs_state, maximally_mixed, projector
 from robustwork import thermo
-from robustwork.solver import RobustnessResult, pure_coherence_witness, tstate_magic_witness
+from robustwork.solver import (
+    RobustnessResult,
+    pure_coherence_witness,
+    robustness_dual,
+    tstate_magic_witness,
+)
 from robustwork.states import (
     basis_state,
     golden_state,
@@ -329,6 +334,17 @@ class TestTheorem2:
         rep = verify_theorem2(golden_state(4), 4.0, ctx, 4, incoherent_set(4))
         assert rep.satisfied
         assert rep.lhs <= 1.0 / 3.0 + 1e-7
+
+    @pytest.mark.parametrize("d", [4, 8, 16, 32, 64])
+    def test_golden_equality_case(self, d):
+        # at beta = inf (a = 1) the residual (I - |g><g|)/(d - 1) of a golden
+        # state meets theorem 2 with equality, R = 1/(d - 1); the certified
+        # interval itself must hold that value
+        g = golden_state(d)
+        rho = (np.eye(d) - np.outer(g, g.conj())) / (d - 1)
+        res = robustness_dual(rho, incoherent_set(d))
+        assert res.status == "converged"
+        assert res.lower_bound <= 1.0 / (d - 1) <= res.upper_bound
 
     def test_zero_coupling_leaves_no_resource(self):
         ctx = ThermoContext(beta=1e-12, lam=1.0)
