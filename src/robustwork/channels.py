@@ -91,10 +91,8 @@ def make_channel(kraus_list) -> QuantumChannel:
 
 
 def unitary_channel(U) -> QuantumChannel:
-    U = np.asarray(U, dtype=complex)
-    if np.abs(dagger(U) @ U - np.eye(U.shape[0])).max() > 1e-9:
-        raise ValueError("matrix is not unitary")
-    return QuantumChannel(kraus=(U,), dim=U.shape[0])
+    """The channel rho -> U rho U^dag; U^dag U = I is the completeness check."""
+    return make_channel([U])
 
 
 def depolarizing_channel(d: int, p: float = 1.0) -> QuantumChannel:
@@ -123,15 +121,10 @@ def apply_channel(E: QuantumChannel, rho) -> np.ndarray:
 
 def choi_state(E: QuantumChannel) -> ChoiState:
     """J = (E tensor id)|Phi><Phi|; rank 1 for unitary channels."""
-    d = E.dim
-    phi = projector(maximally_entangled_state(d))
-    J = np.zeros((d * d, d * d), dtype=complex)
-    eye = np.eye(d, dtype=complex)
-    for K in E.kraus:
-        KI = np.kron(K, eye)
-        J += KI @ phi @ dagger(KI)
-    J = 0.5 * (J + dagger(J))
-    return ChoiState(matrix=J, d=d)
+    eye = np.eye(E.dim, dtype=complex)
+    lifted = make_channel([np.kron(K, eye) for K in E.kraus])
+    return ChoiState(matrix=apply_channel(lifted, projector(maximally_entangled_state(E.dim))),
+                     d=E.dim)
 
 
 def apply_via_choi(J: ChoiState, rho) -> np.ndarray:

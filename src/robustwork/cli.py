@@ -34,7 +34,8 @@ from .scenarios import (
     sweep,
     sweep_to_csv,
 )
-from .solver import INFEASIBLE, Rank1NotTightError, rank1_truncation, robustness_dual
+from .solver import (INFEASIBLE, MAX_ITERATIONS, Rank1NotTightError, rank1_truncation,
+                     robustness_dual)
 from .thermo import ThermoContext, eq10_report, simulate_protocol, theorem1_report, witness_summary
 
 EXIT_OK = 0
@@ -117,7 +118,7 @@ def _cmd_solve(args) -> int:
             except Rank1NotTightError as exc:
                 payload["rank1"] = {"error": str(exc)}
     _emit(report_to_json_text(payload), args.out, f"{args.command}.json")
-    return EXIT_NONCONVERGED if result.status == "max_iterations" else EXIT_OK
+    return EXIT_NONCONVERGED if result.status == MAX_ITERATIONS else EXIT_OK
 
 
 def _cmd_protocol(args) -> int:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .states import basis_state, pauli_string
 
 __all__ = [
     "FreeSet",
-    "StabilizerGroup",
     "incoherent_extreme_points",
     "incoherent_set",
     "enumerate_stabilizer_states",
@@ -130,39 +129,6 @@ def finite_hull(points) -> FreeSet:
 # ---------------------------------------------------------------------------
 # stabilizer enumeration
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StabilizerGroup:
-    """n commuting independent Pauli generators with signs.
-
-    Rows are symplectic bit vectors (x|z) of length 2n encoded as python
-    ints; signs are +-1.
-    """
-
-    n: int
-    rows: tuple[int, ...]
-    signs: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.rows) != self.n or len(self.signs) != self.n:
-            raise ValueError("need exactly n generators and n signs")
-        if any(s not in (-1, 1) for s in self.signs):
-            raise ValueError("signs must be +-1")
-        span = {0}
-        for r in self.rows:
-            span |= {s ^ r for s in span}
-        if len(span) != 2**self.n:
-            raise ValueError("generators are dependent over GF(2)")
-        for a, b in combinations(self.rows, 2):
-            if _symplectic_product(a, b, self.n):
-                raise ValueError("generators do not commute")
-
-    def state_vector(self) -> np.ndarray:
-        """Joint +1 eigenstate of the signed generators."""
-        eye = np.eye(2**self.n, dtype=complex)
-        return _joint_eigenvectors(((eye + s * pauli_string(*_split_row(row, self.n))) / 2.0)[None]
-                                   for row, s in zip(self.rows, self.signs))[0]
 
 
 def _joint_eigenvectors(halves) -> np.ndarray:

@@ -28,12 +28,15 @@ def complex_to_pair(z) -> list:
     return [z.real, z.imag]
 
 
+def _is_number(x) -> bool:
+    """A finite number: JSON booleans and the Infinity/NaN tokens are not numbers."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def pair_to_complex(obj, where: str = "value") -> complex:
-    if isinstance(obj, (int, float)):
+    if _is_number(obj):
         return complex(obj)
-    if isinstance(obj, (list, tuple)) and len(obj) == 2 and all(
-        isinstance(x, (int, float)) for x in obj
-    ):
+    if isinstance(obj, (list, tuple)) and len(obj) == 2 and all(_is_number(x) for x in obj):
         return complex(obj[0], obj[1])
     raise ValueError(f"{where}: expected a number or [re, im] pair, got {obj!r}")
 

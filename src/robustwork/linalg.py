@@ -134,11 +134,6 @@ def hermitian_eig(A):
     return w, V
 
 
-def _spectral_rebuild(V: np.ndarray, w: np.ndarray) -> np.ndarray:
-    out = (V * w) @ V.conj().T
-    return 0.5 * (out + out.conj().T)
-
-
 def gibbs_state(H, beta: float) -> np.ndarray:
     """Thermal state exp(-beta H) / Tr exp(-beta H).
 
@@ -152,13 +147,24 @@ def gibbs_state(H, beta: float) -> np.ndarray:
     if beta < 0:
         raise ValueError(f"beta must be >= 0 or inf, got {beta}")
     w, V = np.linalg.eigh(H)
+    out = (V * _thermal_weights(w, beta)) @ V.conj().T
+    return 0.5 * (out + out.conj().T)
+
+
+def _thermal_weights(w: np.ndarray, beta: float) -> np.ndarray:
+    """Gibbs populations of the ascending spectrum ``w``: uniform on the ground
+    window ``policy.ground_tol`` at beta = inf, else exp(-beta (w - w[0])), normalized."""
     if beta == INF_BETA:
-        mask = w <= w[0] + policy.ground_tol
-        p = mask / mask.sum()
+        p = (w <= w[0] + policy.ground_tol).astype(float)
     else:
         p = np.exp(-beta * (w - w[0]))
-        p = p / p.sum()
-    return _spectral_rebuild(V, p)
+    return p / p.sum()
+
+
+def _entropy(p: np.ndarray) -> float:
+    """-sum p ln p in nats over probabilities ``p`` in [0, 1], with 0 ln 0 = 0."""
+    p = p[p > 0.0]
+    return float(max(0.0, -np.dot(p, np.log(p))))
 
 
 def von_neumann_entropy(rho) -> float:
@@ -167,9 +173,7 @@ def von_neumann_entropy(rho) -> float:
     Eigenvalues are clamped to [0, 1] before the log, so states that pass
     the PSD tolerance never produce NaNs.
     """
-    w = np.clip(_density_spectrum(rho, "state")[1], 0.0, 1.0)
-    w = w[w > 0.0]
-    return float(max(0.0, -np.dot(w, np.log(w))))
+    return _entropy(np.clip(_density_spectrum(rho, "state")[1], 0.0, 1.0))
 
 
 def tensor(*ops) -> np.ndarray:

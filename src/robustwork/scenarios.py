@@ -41,6 +41,7 @@ from .channels import (
 )
 from .freesets import STABILIZER_MAX_QUBITS, FreeSet, finite_hull, incoherent_set, stabilizer_set
 from .iojson import (
+    _is_number,
     beta_to_json,
     json_to_matrix,
     json_to_vector,
@@ -127,10 +128,6 @@ def _as_grid(obj, path: str, parse_item) -> tuple:
     return tuple(parse_item(x, f"{path}[{i}]") for i, x in enumerate(obj))
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def _parse_positive(x, path: str) -> float:
     if not _is_number(x) or not x > 0:
         raise ScenarioError(f"{path}: expected a positive number, got {x!r}")
@@ -159,10 +156,20 @@ def _parse_beta_item(x, path: str) -> float:
 class _StateVariant:
     label: str
     d: int
-    n: int | None          # qubit count for tensor-power families
+    n: int | None           # qubit count for tensor-power families
     psi: np.ndarray | None  # pure-state vector when available
-    rho: np.ndarray
-    named: str | None
+    rho: np.ndarray | None  # None above _SDP_DIM_CAP, where no program is solved
+
+
+def _variant(label: str, psi=None, rho=None, n: int | None = None) -> _StateVariant:
+    """A state variant; its density matrix (|psi><psi| for a pure state) is
+    kept only up to _SDP_DIM_CAP."""
+    d = (psi if psi is not None else rho).shape[0]
+    if d > _SDP_DIM_CAP:
+        rho = None
+    elif rho is None:
+        rho = projector(psi)
+    return _StateVariant(label, d, n, psi, rho)
 
 
 def _int_list(obj, path: str) -> list[int]:
@@ -178,35 +185,27 @@ def parse_state_spec(obj, path: str = "state") -> list[_StateVariant]:
         name = obj["named"]
         if name == "golden":
             _check_keys(obj, path, ("named", "d"))
-            out = []
-            for d in _int_list(obj["d"], f"{path}.d"):
-                psi = golden_state(d)
-                out.append(_StateVariant(f"golden({d})", d, None, psi, projector(psi), "golden"))
-            return out
+            return [_variant(f"golden({d})", golden_state(d))
+                    for d in _int_list(obj["d"], f"{path}.d")]
         if name == "tstate":
             _check_keys(obj, path, ("named", "n"))
-            out = []
-            for n in _int_list(obj["n"], f"{path}.n"):
-                psi = t_state(n)
-                rho = projector(psi) if 2**n <= _SDP_DIM_CAP else None
-                out.append(_StateVariant(f"tstate({n})", 2**n, n, psi, rho, "tstate"))
-            return out
+            return [_variant(f"tstate({n})", t_state(n), n=n)
+                    for n in _int_list(obj["n"], f"{path}.n")]
         if name == "basis":
             _check_keys(obj, path, ("named", "d", "j"))
             d, j = _parse_int(obj["d"], f"{path}.d", 2), _parse_int(obj["j"], f"{path}.j", 0)
             if j >= d:
                 raise ScenarioError(f"{path}.j: index out of range for d={d}")
-            psi = basis_state(d, j)
-            return [_StateVariant(f"basis({d},{j})", d, None, psi, projector(psi), "basis")]
+            return [_variant(f"basis({d},{j})", basis_state(d, j))]
         raise ScenarioError(f"{path}.named: unknown state '{name}'")
     if "vector" in obj:
         _check_keys(obj, path, ("vector",))
         psi = assert_pure(json_to_vector(obj["vector"], f"{path}.vector"))
-        return [_StateVariant("custom-pure", psi.shape[0], None, psi, projector(psi), None)]
+        return [_variant("custom-pure", psi)]
     if "matrix" in obj:
         _check_keys(obj, path, ("matrix",))
         rho = assert_density(json_to_matrix(obj["matrix"], f"{path}.matrix"))
-        return [_StateVariant("custom-mixed", rho.shape[0], None, None, rho, None)]
+        return [_variant("custom-mixed", rho=rho)]
     raise ScenarioError(f"{path}: expected one of 'named', 'vector', 'matrix'")
 
 
@@ -220,7 +219,7 @@ def _single_state(obj, path: str = "state") -> _StateVariant:
     return variants[0]
 
 
-_NAMED_GATES = {"identity": None, "hadamard": HADAMARD, "t_gate": T_GATE, "s_gate": S_GATE}
+_NAMED_GATES = {"hadamard": HADAMARD, "t_gate": T_GATE, "s_gate": S_GATE}
 
 
 def parse_channel_spec(obj, path: str = "channel") -> tuple[QuantumChannel, str]:
@@ -231,7 +230,7 @@ def parse_channel_spec(obj, path: str = "channel") -> tuple[QuantumChannel, str]
             _check_keys(obj, path, ("named",), ("d",))
             d = _parse_int(obj.get("d", 2), f"{path}.d", 1)
             return unitary_channel(np.eye(d)), f"identity({d})"
-        if name in _NAMED_GATES and name != "identity":
+        if name in _NAMED_GATES:
             _check_keys(obj, path, ("named",))
             return unitary_channel(_NAMED_GATES[name]), name
         if name == "depolarizing":
@@ -408,7 +407,7 @@ def _resolve_state_witness(variant: _StateVariant, fs_spec: dict, tol: float) ->
     closed = None
     if variant.psi is not None and kind == "incoherent":
         closed = (*pure_coherence_witness(variant.psi), robustness_pure_coherence(variant.psi))
-    elif variant.named == "tstate" and kind == "stabilizer":
+    elif variant.n is not None and kind == "stabilizer":
         n = variant.n
         closed = ((4.0 - 2.0 * math.sqrt(2.0)) ** n, t_state(n), tstate_magic_robustness(n))
     if closed is not None:
@@ -416,7 +415,7 @@ def _resolve_state_witness(variant: _StateVariant, fs_spec: dict, tol: float) ->
         return _Resolved(free_set, rank1_summary(c, y, variant.psi, free_set), c, y,
                          {"value": R, "gap": 0.0, "status": "closed_form"})
 
-    if free_set is None or variant.d > _SDP_DIM_CAP:
+    if free_set is None or variant.rho is None:
         raise ScenarioError(
             f"no closed-form witness applies to free set kind '{kind}' at dimension "
             f"{variant.d}, and the robustness program is out of reach"

@@ -64,6 +64,7 @@ from .linalg import (
     assert_pure,
     dagger,
     projector,
+    tensor_power,
     trace_inner,
 )
 from .states import PAULI_X, PAULI_Y
@@ -562,11 +563,7 @@ def single_qubit_magic_witness() -> np.ndarray:
 
 def tstate_magic_witness(n: int) -> np.ndarray:
     """Tensor-power witness for |T>^{tensor n} (optimal by multiplicativity)."""
-    Y1 = single_qubit_magic_witness()
-    out = Y1
-    for _ in range(n - 1):
-        out = np.kron(out, Y1)
-    return out
+    return tensor_power(single_qubit_magic_witness(), n)
 
 
 def rank1_witness_from_pure(psi, spec: FreeSet, tol: float = DEFAULT_TOL) -> tuple[float, np.ndarray]:

@@ -1,10 +1,10 @@
-"""Named states, gates, and seeded random generators used across the library."""
+"""Named states, gates and Pauli strings; the seeded random generators serve tests and demos."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import assert_pure, dagger
+from .linalg import assert_pure, dagger, tensor, tensor_power
 
 __all__ = [
     "PAULI_X",
@@ -49,12 +49,7 @@ def golden_state(d: int) -> np.ndarray:
 def t_state(n: int = 1) -> np.ndarray:
     """|T>^{tensor n} with |T> = (|0> + e^{i pi/4}|1>)/sqrt(2)."""
     single = np.array([1.0, np.exp(1j * np.pi / 4)], dtype=complex) / np.sqrt(2)
-    if n == 1:
-        return single
-    out = single
-    for _ in range(n - 1):
-        out = np.kron(out, single)
-    return out
+    return tensor_power(single, n)
 
 
 def maximally_entangled_state(d: int) -> np.ndarray:
@@ -85,9 +80,5 @@ def random_hermitian(d: int, rng: np.random.Generator, scale: float = 1.0) -> np
 def pauli_string(bits_x, bits_z) -> np.ndarray:
     """Hermitian Pauli operator from X/Z bit rows (I, X, Z, Y per qubit)."""
     table = {(0, 0): np.eye(2, dtype=complex), (1, 0): PAULI_X, (0, 1): PAULI_Z, (1, 1): PAULI_Y}
-    ops = [table[(int(x), int(z))] for x, z in zip(bits_x, bits_z, strict=True)]
-    out = ops[0]
-    for op in ops[1:]:
-        out = np.kron(out, op)
-    return out
+    return tensor(*(table[(int(x), int(z))] for x, z in zip(bits_x, bits_z, strict=True)))
 

@@ -34,11 +34,11 @@ import numpy as np
 from .freesets import FreeSet
 from .linalg import (
     INF_BETA,
-    assert_density,
+    _entropy,
+    _thermal_weights,
     assert_hermitian,
     assert_pure,
     gibbs_state,
-    policy,
     trace_inner,
     von_neumann_entropy,
 )
@@ -183,19 +183,11 @@ class WitnessSummary:
         return self.energy - 1.0
 
     def gibbs(self, ctx: ThermoContext) -> tuple[float, float]:
-        """(F(tau), S(tau)) for the Gibbs state tau of H = lambda * Y.
-
-        At beta = inf, tau is uniform on the eigenvalues of H within
-        ``policy.ground_tol`` of the minimum, as in ``gibbs_state``.
-        """
+        """(F(tau), S(tau)) for the Gibbs state tau of H = lambda * Y, with the
+        populations ``gibbs_state`` puts on the spectrum of H."""
         h = ctx.lam * self.spectrum
-        if ctx.beta == INF_BETA:
-            p = (h <= h[0] + policy.ground_tol).astype(float)
-        else:
-            p = np.exp(-ctx.beta * (h - h[0]))
-        p = p / p.sum()
-        nz = p[p > 0.0]
-        S_tau = float(max(0.0, -np.dot(nz, np.log(nz))))
+        p = _thermal_weights(h, ctx.beta)
+        S_tau = _entropy(p)
         return float(np.dot(p, h)) - _over_beta(S_tau, ctx.beta), S_tau
 
     def free_energies(self, ctx: ThermoContext) -> tuple[float, np.ndarray]:
@@ -255,16 +247,7 @@ def rank1_summary(c: float, y, psi, spec: FreeSet | None) -> WitnessSummary:
 
 def free_energy(rho, H, beta: float) -> float:
     """F_H(rho) = Tr[H rho] - S(rho)/beta; at beta = inf just the energy."""
-    rho = assert_density(rho)
-    H = assert_hermitian(H, "Hamiltonian")
-    if rho.shape != H.shape:
-        raise ValueError(f"dimension mismatch: state {rho.shape} vs H {H.shape}")
-    if beta == 0.0:
-        raise ValueError("free energy is unbounded at beta = 0; use beta > 0 or inf")
-    energy = trace_inner(H, rho)
-    if beta == INF_BETA:
-        return energy
-    return energy - von_neumann_entropy(rho) / beta
+    return witness_summary(H, rho).free_energies(ThermoContext(beta, 1.0))[0]
 
 
 def _works(s: WitnessSummary, ctx: ThermoContext) -> tuple[float, np.ndarray, float]:

@@ -96,6 +96,12 @@ class TestChannelAction:
         with pytest.raises(ValueError):
             apply_via_choi(J, maximally_mixed(3))
 
+    def test_unitary_channel_rejects_non_unitary(self):
+        with pytest.raises(ValueError, match="K\\^dag K = I"):
+            unitary_channel(np.diag([1.0, 0.5]))
+        with pytest.raises(ValueError, match="shape"):
+            unitary_channel(np.ones((2, 3)) / np.sqrt(2))
+
 
 class TestChannelRobustness:
     def test_hadamard_is_free(self):

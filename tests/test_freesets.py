@@ -7,8 +7,8 @@ import pytest
 import robustwork.freesets as freesets_module
 import robustwork.solver as solver_module
 from robustwork.freesets import (
-    StabilizerGroup,
     _lagrangian_subspaces,
+    _split_row,
     _symplectic_product,
     enumerate_stabilizer_states,
     finite_hull,
@@ -19,7 +19,7 @@ from robustwork.freesets import (
     stabilizer_state_count,
 )
 from robustwork.linalg import maximally_mixed, projector
-from robustwork.states import HADAMARD, S_GATE, basis_state, t_state
+from robustwork.states import HADAMARD, S_GATE, basis_state, pauli_string, t_state
 
 from conftest import SEEDS
 from oracles import _cnot_op, clifford_orbit_states, phase_key, stabilizer_count_formula
@@ -112,6 +112,19 @@ class TestStabilizerEnumeration:
         assert len(spans) == count
 
     @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_states_solve_their_eigen_equations(self, n):
+        # state i * 2^n + j is stabilized by the generators G_k of subspace i
+        # with the signs s_k = (-1)^c_k of pattern j, in product((0, 1)) order
+        states = enumerate_stabilizer_states(n)
+        patterns = list(product((0, 1), repeat=n))
+        for i, rows in enumerate(_lagrangian_subspaces(n)):
+            gens = [pauli_string(*_split_row(row, n)) for row in rows]
+            for j, bits in enumerate(patterns):
+                v = states[i * len(patterns) + j]
+                for G, c in zip(gens, bits):
+                    assert np.abs((-1) ** c * (G @ v) - v).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_clifford_orbit(self, n):
         ours = {phase_key(v) for v in enumerate_stabilizer_states(n)}
         orbit = {phase_key(v) for v in clifford_orbit_states(n)}
@@ -144,36 +157,6 @@ class TestStabilizerEnumeration:
         monkeypatch.setattr(freesets_module, "_lagrangian_subspaces", lambda n: ((0b0100, 0b0100),))
         with pytest.raises(ValueError, match="projector is not rank 1"):
             enumerate_stabilizer_states(2)
-
-
-class TestStabilizerGroup:
-    def test_state_of_z_generator(self):
-        # single generator +Z stabilizes |0>
-        g = StabilizerGroup(n=1, rows=(0b10,), signs=(1,))
-        assert np.abs(g.state_vector() - basis_state(2, 0)).max() < 1e-12
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_state_vector_matches_enumeration_bitwise(self, n):
-        # the enumeration lists subspace by subspace, sign patterns in product order
-        states = enumerate_stabilizer_states(n)
-        patterns = list(product((1, -1), repeat=n))
-        for i, rows in enumerate(_lagrangian_subspaces(n)):
-            for j, signs in enumerate(patterns):
-                v = StabilizerGroup(n, rows, signs).state_vector()
-                assert v.tobytes() == states[i * len(patterns) + j].tobytes()
-
-    def test_rejects_dependent_generators(self):
-        with pytest.raises(ValueError):
-            StabilizerGroup(n=2, rows=(0b0011, 0b0011), signs=(1, 1))
-
-    def test_rejects_anticommuting_generators(self):
-        # X and Z on the same qubit
-        with pytest.raises(ValueError):
-            StabilizerGroup(n=2, rows=(0b0001, 0b0100), signs=(1, 1))
-
-    def test_rejects_bad_signs(self):
-        with pytest.raises(ValueError):
-            StabilizerGroup(n=1, rows=(0b10,), signs=(2,))
 
 
 class TestMembership:

@@ -12,6 +12,8 @@ from robustwork.scenarios import (
     ScenarioError,
     SWEEP_COLUMNS,
     load_scenario,
+    parse_input,
+    parse_state_spec,
     report_to_json_text,
     run_scenario,
     sweep,
@@ -67,6 +69,21 @@ class TestParsing:
     def test_numeric_fields_reject_booleans_and_strings(self, overrides, field):
         with pytest.raises(ScenarioError, match=field):
             load_scenario(scenario_dict(**overrides))
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"tol": math.inf}, "scenario.tol"),
+        ({"lambda_grid": [100.0, math.inf]}, "scenario.lambda_grid"),
+        ({"lambda_grid": [math.nan]}, "scenario.lambda_grid"),
+        ({"min_lambda_beta_factor": math.inf}, "scenario.min_lambda_beta_factor"),
+    ])
+    def test_numeric_fields_reject_non_finite(self, overrides, field):
+        with pytest.raises(ScenarioError, match=field):
+            load_scenario(scenario_dict(**overrides))
+
+    def test_input_lambda_rejects_infinity(self):
+        with pytest.raises(ScenarioError, match="input.lambda"):
+            parse_input({**GOLDEN2, "lambda": math.inf, "beta": 1.0},
+                        ("state", "lambda", "beta", "free_set"))
 
     def test_state_and_channel_exclusive(self):
         with pytest.raises(ScenarioError, match="exactly one"):
@@ -242,6 +259,16 @@ class TestRunScenario:
         (zero_t,) = [e for e in report["entries"]
                      if e["check"] == "theorem1" and e["beta"] == "inf"]
         assert zero_t["report"]["lhs"] == pytest.approx((4 - 2 * math.sqrt(2)) ** 4, rel=1e-12)
+        assert report["exit_code"] == 0
+
+    def test_golden_above_the_cap_runs_through_the_closed_form(self):
+        state = {"named": "golden", "d": [128, 256]}
+        assert [v.rho for v in parse_state_spec(state)] == [None, None]
+        report = run_scenario(load_scenario(scenario_dict(state=state)))
+        for e in report["entries"]:
+            assert e["robustness"]["status"] == "closed_form"
+            assert e["robustness"]["value"] == pytest.approx(e["d"] - 1.0, rel=1e-12)
+            assert e["report"]["satisfied"]
         assert report["exit_code"] == 0
 
     def test_detail_keys_do_not_depend_on_dimension(self):
@@ -565,6 +592,39 @@ class TestCli:
         pytest.param(["freeset", "dump", "--kind", "stabilizer", "--tol", "1e-7"], None, "--tol",
                      id="dump-unknown-flag"),
         pytest.param(["verify"], None, "--input", id="verify-without-input"),
+        pytest.param(["robustness"], {**GOLDEN2, "tol": math.inf}, "input.tol", id="tol-infinity"),
+        pytest.param(["protocol"], {**GOLDEN2, "lambda": math.inf, "beta": 1.0}, "input.lambda",
+                     id="lambda-infinity"),
+        pytest.param(["verify"], scenario_dict(lambda_grid=[math.inf]), "scenario.lambda_grid",
+                     id="lambda-grid-infinity"),
+        pytest.param(["verify"], scenario_dict(min_lambda_beta_factor=math.inf),
+                     "scenario.min_lambda_beta_factor", id="min-lambda-beta-factor-infinity"),
+        pytest.param(["robustness"], {"state": {"named": "golden", "d": 100},
+                                      "free_set": {"kind": "incoherent"}},
+                     "golden(100) has dimension 100, above the cap of 64", id="golden-above-cap"),
+        pytest.param(["robustness"], {"state": {"named": "basis", "d": 100, "j": 0},
+                                      "free_set": {"kind": "incoherent"}},
+                     "basis(100,0) has dimension 100, above the cap of 64", id="basis-above-cap"),
+        pytest.param(["witness"], {"state": {"vector": [[0.1, 0.0]] * 100},
+                                   "free_set": {"kind": "incoherent"}},
+                     "custom-pure has dimension 100, above the cap of 64", id="vector-above-cap"),
+        pytest.param(["robustness"], {"state": {"matrix": [[True, 0], [0, False]]},
+                                      "free_set": {"kind": "incoherent"}},
+                     "state.matrix[0][0]", id="matrix-boolean-entry"),
+        pytest.param(["robustness"], {"state": {"vector": [[True, False], [0, 0]]},
+                                      "free_set": {"kind": "incoherent"}},
+                     "state.vector[0]", id="vector-boolean-entry"),
+        pytest.param(["channel"], {"channel": {"kraus": [[[1, 0], [0, True]]]},
+                                   "free_set": {"kind": "incoherent"}, "lambda": 1.0,
+                                   "beta": 1.0},
+                     "channel.kraus", id="kraus-boolean-entry"),
+        pytest.param(["robustness"], {"state": {"named": "basis", "d": 2, "j": 0},
+                                      "free_set": {"kind": "finite_hull",
+                                                   "states": [[True, 0], [0, 1]]}},
+                     "free_set.states[0]", id="finite-hull-boolean-entry"),
+        pytest.param(["protocol"], {"state": {"named": "golden", "d": 2}, "lambda": 1.0,
+                                    "beta": 1.0, "witness": [[True, 0], [0, 1]]},
+                     "input.witness", id="protocol-witness-boolean-entry"),
     ])
     def test_input_error_exit_code(self, tmp_path, argv, doc, field):
         if doc is not None:

@@ -182,6 +182,12 @@ class TestWitnesses:
         cons = witness_constraints(tstate_magic_witness(2), stabilizer_set(2))
         assert cons.max() == pytest.approx(1.0, abs=1e-12)
 
+    def test_zero_copies_rejected(self):
+        with pytest.raises(ValueError):
+            t_state(0)
+        with pytest.raises(ValueError):
+            tstate_magic_witness(0)
+
     def test_pure_coherence_witness_is_optimal(self):
         for _ in range(10):
             d = int(rng.integers(2, 7))

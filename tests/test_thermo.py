@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustwork.freesets import incoherent_set, stabilizer_set
-from robustwork.linalg import INF_BETA, gibbs_state, maximally_mixed, projector
+from robustwork.linalg import (
+    INF_BETA,
+    gibbs_state,
+    maximally_mixed,
+    projector,
+    trace_inner,
+    von_neumann_entropy,
+)
 from robustwork import thermo
 from robustwork.solver import (
     RobustnessResult,
@@ -84,6 +91,27 @@ class TestFreeEnergy:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             free_energy(maximally_mixed(2), np.eye(3), beta=1.0)
+
+    def test_negative_beta_rejected(self):
+        with pytest.raises(ValueError, match="beta"):
+            free_energy(maximally_mixed(2), np.eye(2), beta=-1.0)
+
+
+class TestSummaryGibbs:
+    @pytest.mark.parametrize("beta", [INF_BETA, 0.7])
+    def test_summary_gibbs_matches_gibbs_state(self, beta):
+        # a doubly degenerate ground level: at beta = inf tau is uniform on it
+        U = np.linalg.qr(random_hermitian(4, rng) + 1j * np.eye(4))[0]
+        Y = U @ np.diag([0.5, 0.5, 1.5, 3.0]) @ U.conj().T
+        ctx = ThermoContext(beta=beta, lam=2.0)
+        tau = gibbs_state(ctx.lam * Y, beta)
+        S_tau = von_neumann_entropy(tau)
+        F_tau = trace_inner(ctx.lam * Y, tau) - (0.0 if beta == INF_BETA else S_tau / beta)
+        got_F, got_S = witness_summary(Y).gibbs(ctx)
+        assert got_S == pytest.approx(S_tau, abs=1e-12)
+        assert got_F == pytest.approx(F_tau, abs=1e-12)
+        if beta == INF_BETA:
+            assert got_S == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 class TestWork:
