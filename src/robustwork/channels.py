@@ -67,7 +67,7 @@ class QuantumChannel:
             if K.shape != (self.dim, self.dim):
                 raise ValueError(f"Kraus operator shape {K.shape} != ({self.dim}, {self.dim})")
             acc += dagger(K) @ K
-        if np.abs(acc - np.eye(self.dim)).max() > 1e-9:
+        if not np.abs(acc - np.eye(self.dim)).max() <= 1e-9:  # also catches NaN
             raise ValueError("Kraus operators do not satisfy sum K^dag K = I")
 
 

@@ -20,11 +20,11 @@ the tight value max_k Tr[Y sigma_k] = 1, and theorem2 is then skipped.
 from __future__ import annotations
 
 import datetime as _dt
-import json
 import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -614,26 +614,45 @@ def run_scenario(scenario: Scenario) -> dict:
     return report
 
 
-def _json_default(x):
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    raise TypeError(f"not JSON serializable: {type(x)}")
+_NONFINITE_TEXT = {"nan": "null", "inf": '"inf"', "-inf": '"-inf"'}
+# the JSON text of a value of exactly this type
+_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__, type(None): lambda _: "null",
+                float: lambda x: _NONFINITE_TEXT.get(text := float.__repr__(x), text),
+                bool: lambda b: "true" if b else "false"}
 
 
-def _sanitize(obj):
-    """JSON-safe copy: +-inf become the strings "inf"/"-inf" and NaN becomes null."""
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    return obj
+def _json_parts(obj, indent: str, out: list) -> None:
+    """Append ``json.dumps(obj, sort_keys=True, indent=2)`` to ``out``, but with float NaN
+    as null and +-inf as "inf"/"-inf"; other numpy scalars must be finite after ``.item()``."""
+    inner = indent + "  "
+    if isinstance(obj, dict):  # encode_basestring_ascii refuses a key that is no str
+        keys, brackets = sorted(obj), "{}"
+        heads = [f",\n{inner}{encode_basestring_ascii(k)}: " for k in keys]
+        values = map(obj.get, keys)
+    elif isinstance(obj, (list, tuple)):
+        heads, values, brackets = [",\n" + inner] * len(obj), obj, "[]"
+    else:  # a scalar, whose type may subclass a JSON type, as json.dumps allows
+        if isinstance(obj, (np.floating, np.integer)) and not isinstance(obj, float):
+            if not math.isfinite(obj := obj.item()):
+                raise ValueError(f"out of range numpy scalar: {obj!r}")
+        text = next((_SCALAR_TEXT[t] for t in type(obj).__mro__ if t in _SCALAR_TEXT), None)
+        if text is None:
+            raise TypeError(f"not JSON serializable: {type(obj)}")
+        out.append(text(obj))
+        return
+    if heads:
+        heads[0] = brackets[0] + heads[0][1:]
+    for head, value in zip(heads, values):
+        text = _SCALAR_TEXT.get(type(value))
+        out.append(head if text is None else head + text(value))
+        if text is None:
+            _json_parts(value, inner, out)
+    out.append("\n" + indent + brackets[1] if heads else brackets)
 
 
 def report_to_json_text(report: dict) -> str:
-    return json.dumps(_sanitize(report), sort_keys=True, indent=2, default=_json_default,
-                      allow_nan=False)
+    _json_parts(report, "", out := [])
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

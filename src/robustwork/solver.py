@@ -48,6 +48,16 @@ reach the Hermitian optimum.  The NT scaling of real PSD matrices is real,
 so every array of the solve inherits the program's dtype, a witness step has
 r(r+1)/2 real coordinates instead of r^2, and the returned witness is cast
 back to complex.
+
+Theorem 2's residual (I - a|T^n><T^n|)/(d - a) and stabilizer(n) are invariant
+under qubit permutations and (X+Y)/sqrt 2 on any qubit, which fixes |T> (Gatermann &
+Parrilo, J. Pure Appl. Algebra 192, 95, 2004; Heinrich & Gross, Quantum 3, 132, 2019).
+Twirling over that group keeps a feasible pair feasible at the same objective and maps
+onto span{P_j}, P_j projecting onto the Hamming-weight-j class of the {|T>, |T^perp>}^n
+basis, so sigma enters only through its profile p(sigma) = (Tr[P_j sigma])_j (28 at
+n = 3).  robustness_dual(diag(p(rho)), hull of the diag(p(sigma))) is lifted back: its
+witness's diagonal f to Y = sum_j f_j P_j, a profile's weight w to w / S on each of its
+S states (their average is sum_j p_j P_j / Tr P_j), and the lower bound is re-derived.
 """
 
 from __future__ import annotations
@@ -58,7 +68,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .freesets import FreeSet
+from .freesets import FreeSet, _tstate_profiles, stabilizer_set
 from .linalg import (
     assert_density,
     assert_pure,
@@ -146,7 +156,6 @@ class _Program:
         w, U = np.linalg.eigh(omega)
         keep = w > max(w[-1], 1e-300) * 1e-12
         self.rank = int(keep.sum())
-        self.full_dim = d
         # omega is diag(omega_w) in its kept eigenbasis, where rho reads rho_w
         B = U[:, keep]
         self.omega_w = w[keep]
@@ -429,10 +438,12 @@ def robustness_dual(rho, spec: FreeSet, tol: float = DEFAULT_TOL,
             status=status, lower_bound=0.0, upper_bound=math.inf,
             newton_iterations=0,
         )
+    return _certify(rho, spec, prog.expand(it.Y), it.q, status, used)
 
-    # re-derive the lower bound from the expanded witness in the full space,
-    # with a defensive rescale so the recorded certificate is self-contained
-    witness = prog.expand(it.Y).astype(complex)
+
+def _certify(rho, spec: FreeSet, witness, weights, status: str, used: int) -> RobustnessResult:
+    """Re-derive the lower bound of a witness in ``rho``'s space from every extreme point."""
+    witness = witness.astype(complex)
     witness = 0.5 * (witness + dagger(witness))
     cons = witness_constraints(witness, spec)
     cmax = float(cons.max())
@@ -440,20 +451,30 @@ def robustness_dual(rho, spec: FreeSet, tol: float = DEFAULT_TOL,
         witness = witness / cmax
     lower = trace_inner(witness, rho) - 1.0
     if lower < 0.0:
-        witness = np.eye(prog.full_dim, dtype=complex)
+        witness = np.eye(rho.shape[0], dtype=complex)
         lower = 0.0
-    upper = max(it.upper, lower)
+    upper = max(float(weights.sum()) - 1.0, lower)
     gap = upper - lower
     return RobustnessResult(
         value=max(0.0, 0.5 * (lower + upper)),
         witness=witness,
-        primal_weights=it.q,
+        primal_weights=weights,
         gap=gap,
         status=status,
         lower_bound=lower,
         upper_bound=upper,
         newton_iterations=used,
     )
+
+
+def _twirled_dual(rho, n: int, tol: float, max_newton: int) -> RobustnessResult:
+    """robustness_dual(rho, stabilizer_set(n)) for rho in span{P_j} (module docstring)."""
+    V, classes, hull, index, counts = _tstate_profiles(n)
+    p = (dagger(V) @ rho @ V).diagonal().real @ classes
+    res = robustness_dual(np.diag(p), hull, tol=tol, max_newton=max_newton)  # I/d in the hull
+    Y = (V * (classes @ res.witness.diagonal().real)) @ dagger(V)
+    weights = (res.primal_weights / counts)[index]
+    return _certify(rho, stabilizer_set(n), Y, weights, res.status, res.newton_iterations)
 
 
 def robustness_primal(rho, spec: FreeSet, tol: float = DEFAULT_TOL,

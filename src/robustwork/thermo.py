@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .freesets import FreeSet
+from .freesets import STABILIZER_MAX_QUBITS, FreeSet, stabilizer_set
 from .linalg import (
     INF_BETA,
     _entropy,
@@ -42,7 +42,9 @@ from .linalg import (
     trace_inner,
     von_neumann_entropy,
 )
-from .solver import DEFAULT_MAX_NEWTON, DEFAULT_TOL, robustness_dual, witness_constraints
+from .solver import (DEFAULT_MAX_NEWTON, DEFAULT_TOL, _twirled_dual, robustness_dual,
+                     witness_constraints)
+from .states import t_state
 
 __all__ = [
     "ThermoContext",
@@ -474,7 +476,11 @@ def theorem2_at_weight(y, a: float, d: int, spec_prime: FreeSet, tol: float = DE
     Assumes ``require_maximally_mixed(spec_prime, d)`` has passed.  Grid
     points sharing ``a`` share this report.
     """
-    result = robustness_dual(_residual_state(y, a, d), spec_prime, tol=tol, max_newton=max_newton)
+    rho, n = _residual_state(y, a, d), d.bit_length() - 1
+    twirl = (spec_prime.kind == "stabilizer" and n <= STABILIZER_MAX_QUBITS
+             and spec_prime is stabilizer_set(n) and abs(np.vdot(t_state(n), y)) >= 1.0 - 1e-14)
+    result = (_twirled_dual(rho, n, tol, max_newton) if twirl
+              else robustness_dual(rho, spec_prime, tol=tol, max_newton=max_newton))
     detail = {"upper_bound": result.upper_bound, "gap": result.gap, "status": result.status}
     # an upper bound on R is proved only by the upper end of the certified interval
     return _report("theorem2", result.upper_bound, 1.0 / (d - 1), "upper", True,

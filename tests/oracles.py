@@ -122,3 +122,28 @@ def random_kraus_channel(d: int, n_kraus: int, rng: np.random.Generator):
     w, V = np.linalg.eigh(M)
     inv_sqrt = (V / np.sqrt(w)) @ V.conj().T
     return [B @ inv_sqrt for B in blocks]
+
+
+def old_report_to_json_text(report) -> str:
+    """The two-pass emitter the library used before its one-pass one: a
+    sanitizing copy (NaN -> null, +-inf -> "inf"/"-inf"), then the
+    pure-Python ``json.dumps`` with sorted keys and an indent of 2."""
+    import json
+    import math
+
+    def sanitize(obj):
+        if isinstance(obj, float) and not math.isfinite(obj):
+            return None if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
+        if isinstance(obj, dict):
+            return {k: sanitize(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [sanitize(v) for v in obj]
+        return obj
+
+    def default(x):
+        if isinstance(x, (np.floating, np.integer)):
+            return x.item()
+        raise TypeError(f"not JSON serializable: {type(x)}")
+
+    return json.dumps(sanitize(report), sort_keys=True, indent=2, default=default,
+                      allow_nan=False)

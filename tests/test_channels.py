@@ -102,6 +102,11 @@ class TestChannelAction:
         with pytest.raises(ValueError, match="shape"):
             unitary_channel(np.ones((2, 3)) / np.sqrt(2))
 
+    def test_unitary_channel_rejects_nan(self):
+        # the completeness residual is NaN here, and NaN > tol is False
+        with pytest.raises(ValueError, match="K\\^dag K = I"):
+            unitary_channel([[np.nan, 0], [0, 1]])
+
 
 class TestChannelRobustness:
     def test_hadamard_is_free(self):

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustwork.freesets import stabilizer_set
 from robustwork.linalg import projector
@@ -22,6 +24,23 @@ from robustwork.scenarios import (
 from robustwork.states import t_state
 from robustwork.thermo import ThermoContext, verify_eq10_ratio
 from robustwork.solver import tstate_magic_witness
+
+from oracles import old_report_to_json_text
+
+# report-like documents: non-ASCII text, NaN, +-inf, numpy scalars, tuples,
+# empty containers and nesting
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70), st.floats(), st.text(),
+    st.floats().map(np.float64), st.integers(-2**62, 2**62).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+)
+JSON_DOCS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=40,
+)
 
 
 def strict_json(text: str):
@@ -201,9 +220,28 @@ class TestRunScenario:
         assert None in slacks
 
     def test_json_text_refuses_nan(self):
-        # a NaN that _sanitize cannot see (not a float subclass) must raise, not leak
+        # a NaN that is no float subclass (np.float32) must raise, not leak
         with pytest.raises(ValueError):
             report_to_json_text({"entries": [], "x": np.float32("nan")})
+        with pytest.raises(ValueError):
+            report_to_json_text([np.float32("-inf")])
+
+    @pytest.mark.parametrize("key", [1, 1.5, None, True, ("a",)])
+    def test_json_text_rejects_non_string_keys(self, key):
+        # json.dumps would coerce 1, 1.5, None and True to strings
+        with pytest.raises(TypeError):
+            report_to_json_text({"entries": [{key: 0.0}]})
+
+    def test_json_text_handles_deep_nesting(self):
+        doc = {"x": -0.0}
+        for depth in range(60):
+            doc = [doc, {}, "\u00e9"] if depth % 2 else {"d": doc, "e": (), "f": float("nan")}
+        assert report_to_json_text(doc) == old_report_to_json_text(doc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=JSON_DOCS)
+    def test_json_text_matches_two_pass_emitter(self, doc):
+        assert report_to_json_text(doc) == old_report_to_json_text(doc)
 
     def test_theorem2_runs_with_closed_form_witness(self):
         sc = load_scenario(scenario_dict(checks=["theorem2"], beta_grid=[1.0]))

@@ -542,6 +542,34 @@ class TestMetamorphic:
         assert all(spec.n_points > spec.dim**2 for _, spec in pairs)
         self._assert_same_robustness(pairs, [np.float64, np.complex128])
 
+    @settings(max_examples=25, deadline=None)
+    @given(d=st.integers(2, 5), ranks=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+           p=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_robustness_is_convex(self, d, ranks, p, seed):
+        # R(p rho + (1-p) sigma) <= p R(rho) + (1-p) R(sigma): a convex
+        # combination of the two optimal decompositions decomposes the mixture
+        # (Napoli et al., PRL 116, 150502, 2016).  The lower end of the
+        # mixture's interval must stay below the upper ends' combination.
+        gen = np.random.default_rng(seed)
+        rho, sigma = (random_density_matrix(d, gen, rank=min(r, d)) for r in ranks)
+        spec = incoherent_set(d)
+        mix, a, b = (robustness_dual(x, spec) for x in (p * rho + (1 - p) * sigma, rho, sigma))
+        assert mix.lower_bound <= p * a.upper_bound + (1 - p) * b.upper_bound + 1e-12
+
+    @settings(max_examples=20, deadline=None)
+    @given(dims=st.tuples(st.integers(2, 4), st.integers(2, 4)), seed=st.integers(0, 2**32 - 1))
+    def test_product_witness_bounds_tensor_robustness(self, dims, seed):
+        # Y1 (x) Y2 is dual feasible for incoherent(d1 d2), so 1 + R(rho (x) sigma)
+        # >= (1 + R(rho)) (1 + R(sigma)) (Regula, J. Phys. A 51, 045303, 2018):
+        # the product of the lower ends must stay below the upper end of the product
+        gen = np.random.default_rng(seed)
+        rho, sigma = (random_density_matrix(d, gen, rank=int(gen.integers(1, d + 1)))
+                      for d in dims)
+        a = robustness_dual(rho, incoherent_set(dims[0]))
+        b = robustness_dual(sigma, incoherent_set(dims[1]))
+        ab = robustness_dual(np.kron(rho, sigma), incoherent_set(dims[0] * dims[1]))
+        assert (1 + a.lower_bound) * (1 + b.lower_bound) <= 1 + ab.upper_bound + 1e-12
+
 
 # pure-only hulls take the matrix-product path; the mixed hull adds the tensordot one
 RECHECK_SPECS = [

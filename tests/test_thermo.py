@@ -5,23 +5,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustwork.freesets import incoherent_set, stabilizer_set
+from robustwork.freesets import _tstate_profiles, finite_hull, incoherent_set, stabilizer_set
 from robustwork.linalg import (
     INF_BETA,
     gibbs_state,
     maximally_mixed,
     projector,
+    tensor_power,
     trace_inner,
     von_neumann_entropy,
 )
 from robustwork import thermo
 from robustwork.solver import (
+    DEFAULT_MAX_NEWTON,
+    DEFAULT_TOL,
     RobustnessResult,
+    _twirled_dual,
+    primal_slack,
     pure_coherence_witness,
     robustness_dual,
     tstate_magic_witness,
+    witness_is_feasible,
 )
 from robustwork.states import (
+    PAULI_Z,
     basis_state,
     golden_state,
     random_density_matrix,
@@ -409,6 +416,61 @@ class TestTheorem2:
         rep = theorem2_at_weight(golden_state(d), 1.0, d, incoherent_set(d))
         assert rep.lhs == fake.upper_bound
         assert rep.satisfied is False
+
+
+class TestTwirlReduction:
+    """Theorem 2's |T>^n residuals are solved over the stabilizer profiles
+    (solver docstring); the lifted certificates must hold in the full space."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("a", [0.5, 0.9, 1.0])
+    def test_reduced_solve_matches_full_solve(self, n, a):
+        d, spec = 2**n, stabilizer_set(n)
+        rho = thermo._residual_state(t_state(n), a, d)
+        red = _twirled_dual(rho, n, DEFAULT_TOL, DEFAULT_MAX_NEWTON)
+        full = robustness_dual(rho, spec)
+        assert red.status == full.status == "converged"
+        assert max(red.lower_bound, full.lower_bound) <= min(red.upper_bound, full.upper_bound)
+        assert red.gap <= DEFAULT_TOL * max(1.0, red.upper_bound)  # the lift keeps it closed
+        assert witness_is_feasible(red.witness, spec)
+        assert trace_inner(red.witness, rho) - 1.0 == pytest.approx(red.lower_bound, abs=1e-12)
+        assert red.primal_weights.shape == (spec.n_points,) and red.primal_weights.min() >= 0.0
+        assert red.primal_weights.sum() - 1.0 == pytest.approx(red.upper_bound, abs=1e-12)
+        assert np.linalg.eigvalsh(primal_slack(red.primal_weights, rho, spec))[0] >= -1e-9
+
+    @pytest.mark.parametrize("n, rows", [(1, 3), (2, 9), (3, 28)])
+    def test_profile_table(self, n, rows):
+        V, classes, hull, index, counts = _tstate_profiles(n)
+        assert hull.n_points == rows == len(counts)
+        assert np.bincount(index).tolist() == counts.tolist()
+        assert np.allclose(V[:, 0], t_state(n))
+        # P_j = V diag(classes[:, j]) V^dag: each profile is (Tr[P_j sigma])_j
+        P = [(V * classes[:, j]) @ V.conj().T for j in range(n + 1)]
+        for k in range(0, stabilizer_set(n).n_points, 7):
+            sigma = projector(stabilizer_set(n).vectors[k])
+            profile = [trace_inner(Pj, sigma) for Pj in P]
+            assert np.allclose(np.diag(hull.matrices[index[k]]).real, profile, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_dispatch_takes_the_reduced_route_only_for_t_states(self, n, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[1])
+            return _twirled_dual(*args, **kwargs)
+
+        monkeypatch.setattr(thermo, "_twirled_dual", spy)
+        d, spec = 2**n, stabilizer_set(n)
+        theorem2_at_weight(np.exp(0.3j) * t_state(n), 1.0, d, spec)
+        assert calls == [n]
+        others = [
+            (tensor_power(PAULI_Z @ t_state(1), n), spec),  # |T^perp>^n
+            (random_pure_state(d, np.random.default_rng(SEEDS["thermo"] + n)), spec),
+            (t_state(n), finite_hull(spec.vectors)),
+        ]
+        for y, free in others:
+            theorem2_at_weight(y, 1.0, d, free)
+        assert calls == [n]
 
 
 def state_reports(summary, ctx):
