@@ -17,15 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .freesets import FreeSet, membership
-from .linalg import assert_density, dagger, partial_trace, projector, trace_inner
+from .linalg import _density_spectrum, assert_density, dagger, partial_trace, projector, trace_inner
 from .solver import DEFAULT_TOL, RobustnessResult, robustness_dual
 from .states import maximally_entangled_state
 from .thermo import (
+    _DEGENERATE_R,
     BoundReport,
     ThermoContext,
     WitnessSummary,
+    _cost_ratio,
     _report,
-    corollary1_bound,
     extractable_work,
     theorem1_precondition,
     witness_summary,
@@ -145,10 +146,16 @@ def channel_robustness_lower(E: QuantumChannel, bipartite_spec: FreeSet,
     intended free channels; its witnesses are then feasible for the channel
     dual program, so the solved value cannot exceed the channel robustness.
     """
+    return _choi_program(E, bipartite_spec, tol)[1]
+
+
+def _choi_program(E: QuantumChannel, bipartite_spec: FreeSet,
+                  tol: float) -> tuple[ChoiState, RobustnessResult]:
+    """The Choi state of E and its program solved against ``bipartite_spec``."""
     J = choi_state(E)
     if bipartite_spec.dim != J.d**2:
         raise ValueError("bipartite free set must live on dimension d^2")
-    return robustness_dual(J.matrix, bipartite_spec, tol=tol)
+    return J, robustness_dual(J.matrix, bipartite_spec, tol=tol)
 
 
 def channel_cost_proxy(E: QuantumChannel, H_AB, beta: float) -> float:
@@ -170,8 +177,8 @@ class OutputWitness:
 def theorem3_output_witness(E: QuantumChannel, sigma_in, spec: FreeSet,
                             tol: float = DEFAULT_TOL) -> OutputWitness:
     """Validate the free pure input and solve the output state's program."""
-    sigma_in = assert_density(sigma_in)
-    if np.linalg.eigvalsh(sigma_in)[-1] < 1.0 - 1e-9:
+    sigma_in, spectrum = _density_spectrum(sigma_in, "state")
+    if spectrum[-1] < 1.0 - 1e-9:
         raise ValueError("sigma_in must be pure")
     if not membership(spec, sigma_in, tol=1e-6):
         raise ValueError("sigma_in must be a free state")
@@ -190,7 +197,7 @@ def theorem3_report(w: OutputWitness, ctx: ThermoContext) -> BoundReport:
     S_out = w.summary.S_rho
     pre = theorem1_precondition(R, S_out, ctx)
     detail = {"R": R, "S_out": S_out, "solver_status": w.result.status}
-    if R <= 1e-9:
+    if R <= _DEGENERATE_R:
         return _report("theorem3", math.inf, math.inf, "upper", False,
                        detail={**detail, "reason": "channel output is free; bound undefined"})
 
@@ -220,25 +227,19 @@ def theorem3_bound(E: QuantumChannel, sigma_in, spec: FreeSet, ctx: ThermoContex
 def theorem4_report(choi: WitnessSummary, result: RobustnessResult,
                     ctx: ThermoContext) -> BoundReport:
     """Theorem 4 at one (lambda, beta) from the solved Choi program ``result``
-    and the summary of its witness, with the Choi state as the state."""
+    and the summary of its witness, with the Choi state as the state: corollary
+    1's cost ratio, at R = ``result.lower_bound``."""
     R = result.lower_bound
-    S_J = choi.S_rho
-    detail = {"R": R, "S_choi": S_J, "solver_status": result.status}
-    if R <= 1e-9:
+    detail = {"R": R, "S_choi": choi.S_rho, "solver_status": result.status}
+    if R <= _DEGENERATE_R:
         return _report("theorem4", 1.0, 1.0, "upper", False,
                        detail={**detail, "reason": "channel is free w.r.t. the relaxation"})
-
-    f_tau, S_tau = choi.gibbs(ctx)
-    f_J, f_free = choi.free_energies(ctx)
-    cost_channel = f_J - f_tau
-    pre = theorem1_precondition(R, S_J, ctx)
-    if cost_channel <= 0.0:
+    ratio = _cost_ratio(choi, R, ctx, 0.0)
+    if ratio is None:
         return _report("theorem4", math.inf, math.inf, "upper", False,
                        detail={**detail, "reason": "nonpositive channel cost"})
-    achieved = max(float(f_free.max()) - f_tau, 0.0) / cost_channel
-    rhs = corollary1_bound(R, S_J, S_tau, ctx)
-    detail["S_tau"] = S_tau
-    return _report("theorem4", achieved, rhs, "upper", pre, detail=detail)
+    achieved, rhs, pre, S_tau = ratio
+    return _report("theorem4", achieved, rhs, "upper", pre, detail={**detail, "S_tau": S_tau})
 
 
 def theorem4_bound(E: QuantumChannel, bipartite_spec: FreeSet, ctx: ThermoContext,
@@ -249,6 +250,5 @@ def theorem4_bound(E: QuantumChannel, bipartite_spec: FreeSet, ctx: ThermoContex
     W_cost(omega) / W_cost(E) at H_AB = lambda * Z with Z the Choi witness;
     bound: (1 + S(tau)/(lam beta)) / (1 + R + (S(tau) - S(J))/(lam beta)).
     """
-    result = channel_robustness_lower(E, bipartite_spec, tol=tol)
-    choi = witness_summary(result.witness, choi_state(E).matrix, bipartite_spec)
-    return theorem4_report(choi, result, ctx)
+    J, result = _choi_program(E, bipartite_spec, tol)
+    return theorem4_report(witness_summary(result.witness, J.matrix, bipartite_spec), result, ctx)

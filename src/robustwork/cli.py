@@ -21,13 +21,13 @@ from .channels import choi_state
 from .iojson import beta_to_json, json_to_matrix, matrix_to_json, vector_to_json
 from .linalg import assert_hermitian
 from .scenarios import (
+    _SDP_DIM_CAP,
     ScenarioError,
     _parse_int,
     _parse_positive,
     _single_state,
     build_free_set,
     load_scenario,
-    parse_channel_spec,
     parse_input,
     report_to_json_text,
     run_scenario,
@@ -176,21 +176,24 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_channel(args) -> int:
     obj = _input(args, ("channel", "free_set", "lambda", "beta"), ("input_state",))
-    channel, label = parse_channel_spec(obj["channel"])
     # channel, free_set, input_state and tol are scenario fields as they stand
     fields = {k: v for k, v in obj.items() if k not in ("lambda", "beta")}
-    report = run_scenario(load_scenario({
+    scenario = load_scenario({
         **fields,
         "schema_version": 1,
-        "name": label,
+        "name": "channel",
         "lambda_grid": [obj["lambda"]],
         "beta_grid": [obj["beta"]],
         "checks": ["theorem3", "theorem4"],
-    }))
+    })
+    channel, label = scenario.channel
+    report = run_scenario(scenario)
     entries = report["entries"]
     payload = {
         "channel": label,
-        "choi": matrix_to_json(choi_state(channel).matrix),
+        # above the cap theorem4 is skipped, and the d^2 x d^2 Choi state is not built either
+        "choi": (None if channel.dim**2 > _SDP_DIM_CAP
+                 else matrix_to_json(choi_state(channel).matrix)),
         "robustness_lower": entries[0]["robustness"],
         "bounds": {e["check"]: e["report"] for e in entries},
         "skips": {e["check"]: e["reason"] for e in entries if e["skipped"]},

@@ -10,11 +10,11 @@ depth-first search lists each maximal isotropic (Lagrangian) subspace of
 F_2^{2n} once, by its least basis.  All (subspace, sign pattern) pairs form one
 batch: generator position k gathers its half-projectors (I + s_k G_k)/2 from a
 table of all 4^n Pauli rows and multiplies that (N, d, d) stack into the
-products, whose small dyadic entries make them exact.  The rank-1 states are
-deduplicated by hashing the phase-normalized amplitude vector at 1e-8
-granularity.  Expected counts are 6, 60, 1080.  A free set proves I/d in its
-hull once (``contains_maximally_mixed``), and the incoherent and stabilizer
-sets are cached, so each of them proves it once per process.
+products, whose small dyadic entries make them exact.  Distinct (subspace,
+sign pattern) pairs are distinct states, so the batch lists each state once,
+phase-normalized; the counts are checked against 6, 60, 1080.  A free set
+proves I/d in its hull once (``contains_maximally_mixed``), and the incoherent
+and stabilizer sets are cached, so each of them proves it once per process.
 """
 
 from __future__ import annotations
@@ -161,11 +161,6 @@ def _phase_normalize(V: np.ndarray) -> np.ndarray:
     return W
 
 
-def _vector_keys(V: np.ndarray) -> list[tuple]:
-    """Dedup keys of the rows of ``V``, already phase-normalized by ``_joint_eigenvectors``."""
-    return [tuple(row) for row in np.round(V.view(float), 8).tolist()]
-
-
 def _lagrangian_subspaces(n: int) -> list[tuple[int, ...]]:
     """All maximal isotropic subspaces of F_2^{2n}, each once by its least basis, sorted.
 
@@ -195,7 +190,7 @@ def stabilizer_state_count(n: int) -> int:
 
 
 def enumerate_stabilizer_states(n: int) -> list[np.ndarray]:
-    """All n-qubit pure stabilizer states, deduplicated up to global phase."""
+    """All n-qubit pure stabilizer states, each once, phase-normalized."""
     if not 1 <= n <= STABILIZER_MAX_QUBITS:
         raise ValueError(f"stabilizer enumeration supports n in 1..{STABILIZER_MAX_QUBITS}")
     eye = np.eye(2**n, dtype=complex)
@@ -207,10 +202,9 @@ def enumerate_stabilizer_states(n: int) -> list[np.ndarray]:
     index = np.repeat(subspaces, len(patterns), axis=0)
     choice = np.tile(patterns, (len(subspaces), 1))
     vectors = _joint_eigenvectors(halves[index[:, j], choice[:, j]] for j in range(n))
-    out = list(dict(zip(_vector_keys(vectors), vectors)).values())
-    if len(out) != stabilizer_state_count(n):
-        raise RuntimeError(f"enumerated {len(out)} states, expected {stabilizer_state_count(n)}")
-    return out
+    if len(vectors) != (count := stabilizer_state_count(n)):
+        raise RuntimeError(f"enumerated {len(vectors)} states, expected {count}")
+    return list(vectors)
 
 
 @lru_cache(maxsize=STABILIZER_MAX_QUBITS)

@@ -12,7 +12,7 @@ afterwards, through the Hamiltonian lambda*Y.  So each distinct program is
 solved once per run, each witness is summarized once (``thermo.WitnessSummary``:
 one eigendecomposition, or the closed form of a rank-1 witness), and the
 grid points are then evaluated in a plain loop of scalar formulas.  Named
-states with a closed-form witness run at any dimension; a free set that
+states with a closed-form witness run above the SDP cap; a free set that
 cannot be enumerated (stabilizer states above 3 qubits) enters only through
 the tight value max_k Tr[Y sigma_k] = 1, and theorem2 is then skipped.
 """
@@ -30,9 +30,8 @@ import numpy as np
 
 from .channels import (
     QuantumChannel,
-    choi_state,
+    _choi_program,
     make_channel,
-    channel_robustness_lower,
     theorem3_output_witness,
     theorem3_report,
     theorem4_report,
@@ -96,6 +95,10 @@ SWEEP_COLUMNS = ("scenario", "check", "d", "n", "lambda", "beta",
 
 _THEOREM2_DIM_CAP = 16
 _SDP_DIM_CAP = 64  # no robustness program is solved above this; larger states need a closed form
+# named families and free sets, whose d x d arrays are built in full; the largest in
+# use is tstate(10) against incoherent(1024)
+_FAMILY_DIM_CAP = 1024
+_FAMILY_QUBIT_CAP = _FAMILY_DIM_CAP.bit_length() - 1
 
 
 class ScenarioError(ValueError):
@@ -134,9 +137,11 @@ def _parse_positive(x, path: str) -> float:
     return float(x)
 
 
-def _parse_int(x, path: str, low: int) -> int:
-    if not isinstance(x, int) or isinstance(x, bool) or x < low:
-        raise ScenarioError(f"{path}: expected an integer >= {low}, got {x!r}")
+def _parse_int(x, path: str, low: int, high: int | None = None) -> int:
+    """An integer in low..high, checked before anything of that size is built."""
+    if not isinstance(x, int) or isinstance(x, bool) or x < low or (high is not None and x > high):
+        bounds = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ScenarioError(f"{path}: expected an integer {bounds}, got {x!r}")
     return x
 
 
@@ -172,11 +177,11 @@ def _variant(label: str, psi=None, rho=None, n: int | None = None) -> _StateVari
     return _StateVariant(label, d, n, psi, rho)
 
 
-def _int_list(obj, path: str) -> list[int]:
+def _int_list(obj, path: str, high: int) -> list[int]:
     items = obj if isinstance(obj, list) else [obj]
     if not items:
         raise ScenarioError(f"{path}: empty list")
-    return [_parse_int(x, path, 1) for x in items]
+    return [_parse_int(x, path, 1, high) for x in items]
 
 
 def parse_state_spec(obj, path: str = "state") -> list[_StateVariant]:
@@ -186,14 +191,15 @@ def parse_state_spec(obj, path: str = "state") -> list[_StateVariant]:
         if name == "golden":
             _check_keys(obj, path, ("named", "d"))
             return [_variant(f"golden({d})", golden_state(d))
-                    for d in _int_list(obj["d"], f"{path}.d")]
+                    for d in _int_list(obj["d"], f"{path}.d", _FAMILY_DIM_CAP)]
         if name == "tstate":
             _check_keys(obj, path, ("named", "n"))
             return [_variant(f"tstate({n})", t_state(n), n=n)
-                    for n in _int_list(obj["n"], f"{path}.n")]
+                    for n in _int_list(obj["n"], f"{path}.n", _FAMILY_QUBIT_CAP)]
         if name == "basis":
             _check_keys(obj, path, ("named", "d", "j"))
-            d, j = _parse_int(obj["d"], f"{path}.d", 2), _parse_int(obj["j"], f"{path}.j", 0)
+            d = _parse_int(obj["d"], f"{path}.d", 2, _FAMILY_DIM_CAP)
+            j = _parse_int(obj["j"], f"{path}.j", 0)
             if j >= d:
                 raise ScenarioError(f"{path}.j: index out of range for d={d}")
             return [_variant(f"basis({d},{j})", basis_state(d, j))]
@@ -228,14 +234,14 @@ def parse_channel_spec(obj, path: str = "channel") -> tuple[QuantumChannel, str]
         name = obj["named"]
         if name == "identity":
             _check_keys(obj, path, ("named",), ("d",))
-            d = _parse_int(obj.get("d", 2), f"{path}.d", 1)
+            d = _parse_int(obj.get("d", 2), f"{path}.d", 1, _SDP_DIM_CAP)
             return unitary_channel(np.eye(d)), f"identity({d})"
         if name in _NAMED_GATES:
             _check_keys(obj, path, ("named",))
             return unitary_channel(_NAMED_GATES[name]), name
         if name == "depolarizing":
             _check_keys(obj, path, ("named",), ("d", "p"))
-            d = _parse_int(obj.get("d", 2), f"{path}.d", 1)
+            d = _parse_int(obj.get("d", 2), f"{path}.d", 1, _SDP_DIM_CAP)
             p = obj.get("p", 1.0)
             if not _is_number(p) or not 0 <= p <= 1:
                 raise ScenarioError(f"{path}.p: expected a number in [0, 1], got {p!r}")
@@ -246,10 +252,14 @@ def parse_channel_spec(obj, path: str = "channel") -> tuple[QuantumChannel, str]
         if not isinstance(obj["kraus"], list) or not obj["kraus"]:
             raise ScenarioError(f"{path}.kraus: expected a nonempty array of matrices")
         try:
-            return make_channel([json_to_matrix(K, f"{path}.kraus[{i}]")
-                                 for i, K in enumerate(obj["kraus"])]), "custom-kraus"
+            channel = make_channel([json_to_matrix(K, f"{path}.kraus[{i}]")
+                                    for i, K in enumerate(obj["kraus"])])
         except ValueError as exc:
             raise ScenarioError(f"{path}.kraus: {exc}") from None
+        if channel.dim > _SDP_DIM_CAP:
+            raise ScenarioError(f"{path}.kraus: dimension {channel.dim} above the cap of "
+                                f"{_SDP_DIM_CAP} for a channel")
+        return channel, "custom-kraus"
     raise ScenarioError(f"{path}: expected one of 'named', 'kraus'")
 
 
@@ -263,13 +273,14 @@ def _parse_free_set(obj, d: int | None,
     kind = obj.get("kind")
     if kind == "incoherent":
         _check_keys(obj, path, ("kind",), ("dim",))
-        dim = _parse_int(obj.get("dim", d or 2), f"{path}.dim", 2)
+        dim = _parse_int(obj.get("dim", d or 2), f"{path}.dim", 2, _FAMILY_DIM_CAP)
         if d not in (None, dim):
             raise ScenarioError(f"{path}.dim: {dim} does not match dimension {d}")
         return kind, lambda: incoherent_set(dim)
     if kind == "stabilizer":
         _check_keys(obj, path, ("kind",), ("n",))
-        n = _parse_int(obj.get("n", 1 if d is None else round(math.log2(d))), f"{path}.n", 1)
+        n = _parse_int(obj.get("n", 1 if d is None else round(math.log2(d))), f"{path}.n", 1,
+                       _FAMILY_QUBIT_CAP)
         if d not in (None, 2**n):
             raise ScenarioError(f"{path}.n: 2^{n} does not match dimension {d}")
         return kind, lambda: stabilizer_set(n)
@@ -304,10 +315,10 @@ def build_free_set(obj, d: int | None, path: str = "free_set") -> FreeSet:
 class Scenario:
     name: str
     seed: int
-    state: dict | None
-    channel: dict | None
-    input_state: dict | None
-    free_set: dict
+    state: tuple | None             # the state variants, parsed once
+    channel: tuple | None           # (QuantumChannel, label)
+    input_state: np.ndarray | None  # theorem 3's input: the given state, else |0><0|
+    free_set: dict                  # parsed per variant, against its dimension
     lambda_grid: tuple
     beta_grid: tuple
     checks: tuple
@@ -348,20 +359,21 @@ def load_scenario(obj) -> Scenario:
     if not _is_number(epsilon) or not 0 <= epsilon < 1:
         raise ScenarioError(f"scenario.epsilon: expected a number in [0, 1), got {epsilon!r}")
 
-    # parse eagerly so malformed specs fail at load time
+    # parsed once, here: malformed specs fail at load time, and the runner reads the result
+    state = channel = input_state = None
     if has_state:
-        parse_state_spec(obj["state"])
+        state = tuple(parse_state_spec(obj["state"]))
     else:
-        parse_channel_spec(obj["channel"])
-        if "input_state" in obj:
-            _single_state(obj["input_state"], "input_state")
+        channel = parse_channel_spec(obj["channel"])
+        input_state = (_single_state(obj["input_state"], "input_state").rho
+                       if "input_state" in obj else projector(basis_state(channel[0].dim, 0)))
 
     return Scenario(
         name=obj["name"],
         seed=_parse_int(obj.get("seed", 0), "scenario.seed", 0),
-        state=obj.get("state"),
-        channel=obj.get("channel"),
-        input_state=obj.get("input_state"),
+        state=state,
+        channel=channel,
+        input_state=input_state,
         free_set=obj["free_set"],
         lambda_grid=_as_grid(obj["lambda_grid"], "scenario.lambda_grid", _parse_positive),
         beta_grid=_as_grid(obj["beta_grid"], "scenario.beta_grid", _parse_beta_item),
@@ -528,44 +540,38 @@ def _lift_bipartite(kind: str, d: int) -> FreeSet | None:
     return None
 
 
-def _channel_input(scenario: Scenario, d: int) -> np.ndarray:
-    if scenario.input_state is None:
-        return projector(basis_state(d, 0))
-    return _single_state(scenario.input_state, "input_state").rho
-
-
 def _channel_family(scenario: Scenario, channel: QuantumChannel):
     """The robustness block and the grid evaluator of a channel."""
     d = channel.dim
     kind, build = _parse_free_set(scenario.free_set, d)
-    bipartite = _lift_bipartite(kind, d)
-    choi = choi_summary = robustness = None
-    if bipartite is not None:
-        # one Choi solve serves the robustness block and theorem4
-        choi = channel_robustness_lower(channel, bipartite, tol=scenario.tol)
+    theorem4_skip = choi = choi_summary = robustness = None
+    if d * d > _SDP_DIM_CAP:
+        theorem4_skip = f"Choi dimension {d * d} above the SDP cap of {_SDP_DIM_CAP}"
+    elif (bipartite := _lift_bipartite(kind, d)) is None:
+        theorem4_skip = "free set kind cannot be lifted to the bipartite space"
+    else:
+        # one Choi state and one solve serve the robustness block and theorem4
+        J, choi = _choi_program(channel, bipartite, scenario.tol)
         robustness = {"value": choi.value, "gap": choi.gap, "status": choi.status}
-        choi_summary = witness_summary(choi.witness, choi_state(channel).matrix, bipartite)
+        choi_summary = witness_summary(choi.witness, J.matrix, bipartite)
     output = None
     if "theorem3" in scenario.checks:
-        output = theorem3_output_witness(channel, _channel_input(scenario, d), build(),
-                                         tol=scenario.tol)
+        output = theorem3_output_witness(channel, scenario.input_state, build(), tol=scenario.tol)
 
     def evaluate(check: str, ctx: ThermoContext) -> BoundReport | str:
         if check == "theorem3":
             return theorem3_report(output, ctx)
-        if bipartite is None:
-            return "free set kind cannot be lifted to the bipartite space"
-        return theorem4_report(choi_summary, choi, ctx)
+        return theorem4_skip or theorem4_report(choi_summary, choi, ctx)
 
     return robustness, evaluate
 
 
 def _grid_entries(scenario: Scenario) -> list[dict]:
     if scenario.state is not None:
-        entries = [e for v in parse_state_spec(scenario.state)
+        entries = [e for v in scenario.state
                    for e in _grid(scenario, v.label, v.d, v.n, *_state_family(scenario, v))]
     else:
-        channel, label = parse_channel_spec(scenario.channel)
+        channel, label = scenario.channel
         entries = _grid(scenario, label, channel.dim, None, *_channel_family(scenario, channel))
     entries.sort(key=lambda e: (e["d"], e["n"] if e["n"] is not None else -1,
                                 e["lambda"], math.inf if e["beta"] == "inf" else e["beta"],

@@ -63,6 +63,7 @@ S states (their average is sum_j p_j P_j / Tr P_j), and the lower bound is re-de
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -428,8 +429,14 @@ def robustness_dual(rho, spec: FreeSet, tol: float = DEFAULT_TOL,
     and primal weights certifying the upper bound; ``status`` is
     ``max_iterations`` when ``max_newton`` interior-point iterations did not
     close the gap or no step kept the point feasible (the bounds are still
-    valid) and ``infeasible`` when no mixture dominates ``rho``.
+    valid) and ``infeasible`` when no mixture dominates ``rho``.  Raises
+    ValueError unless ``tol`` is finite and > 0 and ``max_newton`` an integer >= 0.
     """
+    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0.0 < tol < math.inf):
+        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
+    if isinstance(max_newton, bool) or not (isinstance(max_newton, numbers.Integral)
+                                            and max_newton >= 0):
+        raise ValueError(f"max_newton must be an integer >= 0, got {max_newton!r}")
     rho = assert_density(rho)
     prog, it, used, status = _solve(rho, spec, tol, max_newton)
     if it is None:

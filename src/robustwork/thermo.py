@@ -380,15 +380,25 @@ def eq10_report(s: WitnessSummary, ctx: ThermoContext, epsilon: float = 0.05,
     return _report("eq10", ratio, rhs, "lower", pre, detail=detail)
 
 
+def _cost_ratio(s: WitnessSummary, R: float, ctx: ThermoContext,
+                floor: float) -> tuple[float, float, bool, float] | None:
+    """Under H = lambda * Y: the cost ratio max(max_k W(sigma_k), 0) / W(rho), its
+    corollary1_bound and the theorem-1 precondition at robustness R, and S(tau);
+    None when W(rho) <= floor."""
+    w_rho, w_free, S_tau = _works(s, ctx)
+    if w_rho <= floor:
+        return None
+    return (max(float(w_free.max()), 0.0) / w_rho, corollary1_bound(R, s.S_rho, S_tau, ctx),
+            theorem1_precondition(R, s.S_rho, ctx), S_tau)
+
+
 def corollary1_report(s: WitnessSummary, ctx: ThermoContext) -> BoundReport:
     """Cost ratio max_k W(sigma_k) / W(rho) <= corollary1_bound."""
-    w_rho, w_free, S_tau = _works(s, ctx)
-    if w_rho <= _ZERO_WORK:
+    ratio = _cost_ratio(s, s.R, ctx, _ZERO_WORK)
+    if ratio is None:
         return _report("corollary1", math.inf, 1.0, "upper", False,
                        detail={"reason": "state is thermal under the witness Hamiltonian"})
-    achieved = max(float(w_free.max()), 0.0) / w_rho
-    pre = theorem1_precondition(s.R, s.S_rho, ctx)
-    rhs = corollary1_bound(s.R, s.S_rho, S_tau, ctx)
+    achieved, rhs, pre, S_tau = ratio
     detail = {"R": s.R, "S_rho": s.S_rho, "S_tau": S_tau}
     return _report("corollary1", achieved, rhs, "upper", pre, detail=detail)
 

@@ -14,11 +14,12 @@ from robustwork.channels import (
     make_channel,
     theorem3_bound,
     theorem4_bound,
+    theorem4_report,
     unitary_channel,
 )
 from robustwork.freesets import incoherent_set, stabilizer_set
 from robustwork.linalg import INF_BETA, maximally_mixed, projector, von_neumann_entropy
-from robustwork.solver import tstate_magic_robustness
+from robustwork.solver import robustness_dual, tstate_magic_robustness
 from robustwork.states import (
     HADAMARD,
     T_GATE,
@@ -28,7 +29,7 @@ from robustwork.states import (
     random_density_matrix,
     t_state,
 )
-from robustwork.thermo import ThermoContext
+from robustwork.thermo import ThermoContext, corollary1_report, witness_summary
 
 from conftest import SEEDS
 from oracles import clifford_unitaries_1q, random_kraus_channel
@@ -201,3 +202,24 @@ class TestTheorem4:
         rep = theorem4_bound(unitary_channel(HADAMARD), stabilizer_set(2), ctx)
         assert not rep.precondition_met
         assert rep.rhs == 1.0
+
+    @pytest.mark.parametrize("spec", [incoherent_set(4), stabilizer_set(2)], ids=["inc", "stab"])
+    def test_is_corollary1_on_the_choi_state(self, spec):
+        # theorem 4 is corollary 1's cost ratio evaluated on the Choi state: from
+        # one Choi summary, every nondegenerate pair of reports agrees exactly
+        gen = np.random.default_rng(SEEDS["channels"] + 1)
+        compared = 0
+        for n_kraus in (1, 1, 2, 3):
+            J = choi_state(make_channel(random_kraus_channel(2, n_kraus, gen)))
+            result = robustness_dual(J.matrix, spec)
+            summary = witness_summary(result.witness, J.matrix, spec)
+            for lam in (0.5, 10.0, 1e4):
+                for beta in (0.3, 1.0, 50.0, INF_BETA):
+                    ctx = ThermoContext(beta=beta, lam=lam)
+                    t4, c1 = theorem4_report(summary, result, ctx), corollary1_report(summary, ctx)
+                    if "reason" in t4.detail or "reason" in c1.detail:
+                        continue
+                    compared += 1
+                    assert (t4.lhs, t4.rhs, t4.precondition_met) == (
+                        c1.lhs, c1.rhs, c1.precondition_met)
+        assert compared >= 24

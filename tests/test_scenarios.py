@@ -2,12 +2,14 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robustwork import channels, cli
 from robustwork.freesets import stabilizer_set
 from robustwork.linalg import projector
 from robustwork.scenarios import (
@@ -132,6 +134,89 @@ class TestParsing:
     def test_unknown_state_field(self):
         with pytest.raises(ScenarioError, match="state"):
             load_scenario(scenario_dict(state={"named": "golden", "d": 2, "extra": 1}))
+
+
+def peak_traced_bytes(fn) -> int:
+    """Peak bytes allocated while ``fn`` runs; numpy reports its buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+CHANNEL_DOC = {**{k: v for k, v in scenario_dict().items() if k != "state"},
+               "checks": ["theorem3", "theorem4"]}
+
+
+class TestDimensionCaps:
+    """Every dimension a document gives is checked before anything that size is built."""
+
+    @pytest.mark.parametrize("doc, field", [
+        pytest.param(scenario_dict(state={"named": "basis", "d": 10**12, "j": 0}), "state.d",
+                     id="basis"),
+        pytest.param(scenario_dict(state={"named": "golden", "d": [2, 2048]}), "state.d",
+                     id="golden-family"),
+        pytest.param(scenario_dict(state={"named": "tstate", "n": 11}), "state.n", id="tstate"),
+        pytest.param({**CHANNEL_DOC, "channel": {"named": "depolarizing", "d": 65}}, "channel.d",
+                     id="depolarizing"),
+        pytest.param({**CHANNEL_DOC, "channel": {"named": "identity", "d": 10**12}}, "channel.d",
+                     id="identity"),
+        pytest.param({**CHANNEL_DOC, "channel": {"kraus": [np.eye(65).tolist()]}},
+                     "channel.kraus: dimension 65", id="kraus"),
+    ])
+    def test_load_rejects_before_building(self, doc, field):
+        def load():
+            with pytest.raises(ScenarioError, match=field):
+                load_scenario(doc)
+
+        assert peak_traced_bytes(load) < 2**20
+
+    @pytest.mark.parametrize("state, free_set, field", [
+        ({"named": "golden", "d": 2}, {"kind": "incoherent", "dim": 10**9}, "free_set.dim"),
+        ({"named": "tstate", "n": 1}, {"kind": "stabilizer", "n": 10**12}, "free_set.n"),
+    ], ids=["incoherent", "stabilizer"])
+    def test_free_set_rejected_before_building(self, state, free_set, field):
+        sc = load_scenario(scenario_dict(state=state, free_set=free_set))
+
+        def run():
+            with pytest.raises(ScenarioError, match=field):
+                run_scenario(sc)
+
+        assert peak_traced_bytes(run) < 2**20
+
+    def test_largest_family_in_use_is_accepted(self):
+        sc = load_scenario(scenario_dict(state={"named": "tstate", "n": 10}))
+        assert sc.state[0].d == 1024
+
+    def test_freeset_dump_flag_rejected_before_building(self, capsys):
+        argv = ["freeset", "dump", "--kind", "incoherent", "--dim", str(10**9)]
+        codes = []
+        assert peak_traced_bytes(lambda: codes.append(cli.main(argv))) < 2**20
+        assert codes == [4]
+        assert "error: freeset.dim" in capsys.readouterr().err
+
+    def test_theorem4_skipped_above_the_choi_cap(self, monkeypatch, tmp_path, capsys):
+        def no_choi(E):
+            raise AssertionError("no Choi state above the cap")
+
+        monkeypatch.setattr(channels, "choi_state", no_choi)
+        monkeypatch.setattr(cli, "choi_state", no_choi)
+        doc = {**CHANNEL_DOC, "channel": {"named": "depolarizing", "d": 9, "p": 0.5},
+               "free_set": {"kind": "incoherent"}}
+        report = run_scenario(load_scenario(doc))
+        t4 = [e for e in report["entries"] if e["check"] == "theorem4"]
+        assert t4 and all(e["skipped"] and e["reason"] == "Choi dimension 81 above the SDP cap "
+                          "of 64" and e["robustness"] is None for e in t4)
+        assert any(e["check"] == "theorem3" for e in report["entries"])
+        path = tmp_path / "ch.json"
+        path.write_text(json.dumps({"channel": doc["channel"], "free_set": doc["free_set"],
+                                    "lambda": 1.0, "beta": 1.0}))
+        assert cli.main(["channel", "--input", str(path)]) == 0
+        out = strict_json(capsys.readouterr().out)
+        assert out["choi"] is None and out["skips"]["theorem4"] == t4[0]["reason"]
 
 
 class TestRunScenario:
@@ -640,6 +725,9 @@ class TestCli:
         pytest.param(["robustness"], {"state": {"named": "golden", "d": 100},
                                       "free_set": {"kind": "incoherent"}},
                      "golden(100) has dimension 100, above the cap of 64", id="golden-above-cap"),
+        pytest.param(["robustness"], {"state": {"named": "basis", "d": 10**12, "j": 0},
+                                      "free_set": {"kind": "incoherent"}},
+                     "state.d: expected an integer in 2..1024", id="basis-above-family-cap"),
         pytest.param(["robustness"], {"state": {"named": "basis", "d": 100, "j": 0},
                                       "free_set": {"kind": "incoherent"}},
                      "basis(100,0) has dimension 100, above the cap of 64", id="basis-above-cap"),

@@ -55,6 +55,22 @@ def solves(monkeypatch):
     clear_free_set_caches()
 
 
+def count_calls(monkeypatch, name: str, modules) -> list:
+    """List that grows by one per call of the function ``name``, patched at every
+    module binding of it among ``modules`` (the first one defines it)."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for mod in modules:
+        if getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
 @pytest.fixture
 def eigs(monkeypatch):
     """List that grows by one per numpy eigh/eigvalsh call."""
@@ -161,6 +177,34 @@ class TestSolveCounts:
                 "checks": ["theorem1", "eq10", "theorem2", "corollary1"], **grid}))
             counts.append(len(eigs))
         assert counts[0] == counts[1], counts
+
+
+class TestBuildCounts:
+    """Each Choi state is built once per channel run, and each scenario spec is
+    parsed once, by load_scenario."""
+
+    def test_channel_run_builds_one_choi_state(self, monkeypatch):
+        builds = count_calls(monkeypatch, "choi_state", (channels, scenarios, cli))
+        report = run_scenario(scenario(channel={"named": "t_gate"},
+                                       free_set={"kind": "stabilizer"},
+                                       checks=["theorem3", "theorem4"]))
+        assert report["entries"][0]["robustness"]["status"] == "converged"
+        assert len(builds) == 1
+        builds.clear()
+        theorem4_bound(unitary_channel(T_GATE), stabilizer_set(2), ThermoContext(1.0, 100.0))
+        assert len(builds) == 1
+
+    def test_specs_are_parsed_once(self, monkeypatch):
+        states = count_calls(monkeypatch, "parse_state_spec", (scenarios,))
+        chans = count_calls(monkeypatch, "parse_channel_spec", (scenarios,))
+        run_scenario(scenario(state={"named": "golden", "d": [2, 4]},
+                              free_set={"kind": "incoherent"}, checks=["theorem1"]))
+        assert (len(states), len(chans)) == (1, 0)
+        states.clear()
+        run_scenario(scenario(channel={"named": "hadamard"}, free_set={"kind": "stabilizer"},
+                              input_state={"named": "basis", "d": 2, "j": 1},
+                              checks=["theorem3", "theorem4"]))
+        assert (len(states), len(chans)) == (1, 1)
 
 
 class TestSplitMatchesPublic:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robustwork.solver as solver_module
-from robustwork.freesets import finite_hull, incoherent_set, stabilizer_set
+from robustwork.freesets import finite_hull, incoherent_set, membership, stabilizer_set
 from robustwork.linalg import maximally_mixed, projector, trace_inner
 from robustwork.solver import (
     CONVERGED,
@@ -95,6 +95,24 @@ class TestNamedValues:
         assert res.status == CONVERGED
         assert res.lower_bound <= math.sin(math.pi / 8) <= res.upper_bound
         assert_certified(res, rho, spec)
+
+
+class TestArguments:
+    # with tol = nan, `gap > tol` is False at once: "converged" after 0
+    # iterations with a gap of 8; a negative tol runs out the whole budget
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-7, True])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            robustness_dual(projector(golden_state(4)), incoherent_set(4), tol=tol)
+
+    @pytest.mark.parametrize("max_newton", [-1, 2.0, True])
+    def test_max_newton_must_be_a_nonnegative_integer(self, max_newton):
+        with pytest.raises(ValueError, match="max_newton"):
+            robustness_dual(projector(golden_state(4)), incoherent_set(4), max_newton=max_newton)
+
+    def test_membership_inherits_the_tol_check(self):
+        with pytest.raises(ValueError, match="tol"):
+            membership(incoherent_set(2), maximally_mixed(2), tol=math.nan)
 
 
 class TestPrimal:
@@ -555,6 +573,21 @@ class TestMetamorphic:
         spec = incoherent_set(d)
         mix, a, b = (robustness_dual(x, spec) for x in (p * rho + (1 - p) * sigma, rho, sigma))
         assert mix.lower_bound <= p * a.upper_bound + (1 - p) * b.upper_bound + 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(spec=st.sampled_from([*map(incoherent_set, range(2, 6)), *map(stabilizer_set, (1, 2))]),
+           p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_mixing_with_a_free_state_never_raises_robustness(self, spec, p, seed, data):
+        # rho + s gamma = (1 + s) tau gives p rho + (1-p) sigma + p s gamma =
+        # (1 + p s) (a free mixture) for free sigma, so R(p rho + (1-p) sigma)
+        # <= p R(rho): the mixture's lower end stays below p times rho's upper end
+        gen = np.random.default_rng(seed)
+        rho = random_density_matrix(spec.dim, gen, rank=int(gen.integers(1, spec.dim + 1)))
+        k = data.draw(st.integers(0, spec.n_points))  # n_points stands for I/d
+        sigma = (spec.density_matrices() + [maximally_mixed(spec.dim)])[k]
+        mix, base = (robustness_dual(x, spec) for x in (p * rho + (1 - p) * sigma, rho))
+        assert mix.lower_bound <= p * base.upper_bound + 1e-12
 
     @settings(max_examples=20, deadline=None)
     @given(dims=st.tuples(st.integers(2, 4), st.integers(2, 4)), seed=st.integers(0, 2**32 - 1))
