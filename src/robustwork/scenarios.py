@@ -367,6 +367,9 @@ def load_scenario(obj) -> Scenario:
         channel = parse_channel_spec(obj["channel"])
         input_state = (_single_state(obj["input_state"], "input_state").rho
                        if "input_state" in obj else projector(basis_state(channel[0].dim, 0)))
+        if len(input_state) != channel[0].dim:
+            raise ScenarioError(f"scenario.input_state: dimension {len(input_state)} does not "
+                                f"match the channel's dimension {channel[0].dim}")
 
     return Scenario(
         name=obj["name"],

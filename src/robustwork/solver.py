@@ -27,8 +27,12 @@ dq_k = d_k t_k + d_k^2 F_k y would multiply the solve error of y by d_k^2.
 Its matrix is symmetric quasi-definite and is solved as it stands (Vanderbei,
 SIAM J. Optim. 5, 100-113, 1995).  Either system is built once per
 iteration, and the predictor and the corrector solve it with their own
-right-hand sides.  Because every iterate is feasible, both certificates are
-unconditional:
+right-hand sides.  Both routes satisfy the scaled complementarity equation
+dq/d + d du = t, so the slack step is read off it, du = (t - dq/d)/d.  The
+predictor's cone steps add up to ds + dy = -diag(lam), so scaled by
+diag(lam)^{-1/2} on both sides dy = -I - ds, and one spectrum gives both
+least eigenvalues: lambda_min(dy) = -1 - lambda_max(ds).  Because every
+iterate is feasible, both certificates are unconditional:
 
 * the weights q > 0 keep S(q) > 0, so sum(q) - 1 is a true upper bound;
 * the witness Y > 0 meets every constraint, so Tr[Y rho] - 1 is a true lower
@@ -265,7 +269,7 @@ class _Iterate:
     constructor raises ``LinAlgError`` unless q > 0, u > 0 and both S and Y
     pass a Cholesky factorisation.  With S = Ls Ls^H, Y = Ly Ly^H and the SVD
     Ly^H Ls = U diag(lam) V^H, the scaling R = Ls V diag(lam)^{-1/2} gives
-    R^{-1} S R^{-H} = R^H Y R = diag(lam) and R^{-1} = diag(lam)^{-1/2} U^H Ly^H.
+    R^{-1} S R^{-H} = R^H Y R = diag(lam) and R^{-1} = diag(lam)^{-1/2} (Ly U)^H.
     The scaled extreme points G_k = R^{-1} sigma_k R^{-H} are kept as vectors
     (pure hulls) or as matrices.
     """
@@ -280,7 +284,9 @@ class _Iterate:
         Ly = np.linalg.cholesky(self.Y)
         U, lam, _ = np.linalg.svd(dagger(Ly) @ Ls)
         self.lam = lam
-        self.rinv = (dagger(U) @ dagger(Ly)) / np.sqrt(lam)[:, None]
+        isqrt = 1.0 / np.sqrt(lam)
+        self.rinv = dagger(Ly @ U) * isqrt[:, None]
+        self.scale = isqrt[:, None] * isqrt  # X * scale = diag(lam)^{-1/2} X diag(lam)^{-1/2}
         self.d = np.sqrt(q / self.u)
         self.lam_lp = np.sqrt(q * self.u)
         self.mu = float(self.lam_lp @ self.lam_lp + lam @ lam) / (prog.m + prog.rank)
@@ -289,16 +295,7 @@ class _Iterate:
         else:
             self.gvecs, self.gmats = None, self.rinv @ prog.mats @ dagger(self.rinv)
         self.upper = float(q.sum()) - 1.0
-        self.lower = float(np.trace(self.Y @ prog.rho).real) - 1.0
-
-    def mix(self, coeff: np.ndarray) -> np.ndarray:
-        """sum_k coeff_k G_k."""
-        M = _mix(self.gvecs, self.gmats, coeff)
-        return 0.5 * (M + dagger(M))
-
-    def pair(self, X: np.ndarray) -> np.ndarray:
-        """Tr[G_k X] for every k."""
-        return _constraint_values(self.gvecs, self.gmats, X)
+        self.lower = float(np.vdot(self.Y, prog.rho).real) - 1.0
 
     def coords(self) -> np.ndarray:
         """Real coordinates of every G_k, one row each (m x r^2)."""
@@ -313,7 +310,7 @@ class _Iterate:
 # dq/d + d du = t (weights) and ds + dy = T (cone), where ds = sum_k dq_k G_k
 # and du_k = -Tr[G_k dy], they eliminate different unknowns.  Each builds its
 # matrix once per iterate and returns the solver of (t, T) that the predictor
-# and the corrector share.
+# and the corrector share; du is then read off the weights equation.
 
 
 def _schur_direction(it: _Iterate):
@@ -323,11 +320,12 @@ def _schur_direction(it: _Iterate):
     else:
         F = it.coords()
         H = F @ F.T
-    H[np.diag_indices_from(H)] += it.u / it.q
+    H.reshape(-1)[::len(H) + 1] += it.u / it.q
 
     def solve(t: np.ndarray, T: np.ndarray):
-        dq = np.linalg.solve(H, t / it.d + it.pair(T))
-        ds = it.mix(dq)
+        dq = np.linalg.solve(H, t / it.d + _constraint_values(it.gvecs, it.gmats, T))
+        ds = _mix(it.gvecs, it.gmats, dq)
+        ds = 0.5 * (ds + dagger(ds))
         return dq, ds, T - ds
 
     return solve
@@ -345,9 +343,11 @@ def _witness_direction(it: _Iterate):
     big = np.argsort(it.d**2 * (F * F).sum(axis=1))[::-1][:n]
     d_small = it.d.copy()
     d_small[big] = 0.0
-    K = F.T @ (F * (d_small**2)[:, None])
-    K[np.diag_indices_from(K)] += 1.0
-    A = np.block([[K, F[big].T], [F[big], np.diag(-1.0 / it.d[big] ** 2)]])
+    A = np.zeros((n + len(big),) * 2)
+    A[:n, :n] = F.T @ (F * (d_small**2)[:, None])
+    A[n:, :n] = F[big]
+    A[:n, n:] = A[n:, :n].T
+    A.reshape(-1)[::len(A) + 1] += np.concatenate([np.ones(n), -1.0 / it.d[big] ** 2])
 
     def solve(t: np.ndarray, T: np.ndarray):
         rhs = np.concatenate([_hvec(T) - F.T @ (d_small * t), -t[big] / it.d[big]])
@@ -360,32 +360,39 @@ def _witness_direction(it: _Iterate):
     return solve
 
 
-def _max_step(it: _Iterate, dq, du, ds, dy) -> float:
-    """Largest step keeping q, u, diag(lam) + a ds and diag(lam) + a dy in their cones."""
-    floor = min(float((dq / it.q).min()), float((du / it.u).min()))
-    scale = np.sqrt(np.outer(it.lam, it.lam))
-    floor = min(floor, *np.linalg.eigvalsh(np.stack([ds, dy]) / scale)[:, 0].tolist())
+def _max_step(it: _Iterate, dq, du, ds, dy=None) -> float:
+    """Largest step keeping q, u, diag(lam) + a ds and diag(lam) + a dy in their
+    cones; without ``dy``, the predictor's dy = -diag(lam) - ds (module docstring)."""
+    if dy is None:
+        w = np.linalg.eigvalsh(ds * it.scale)
+        cone = min(w[0], -1.0 - w[-1])
+    else:
+        cone = np.linalg.eigvalsh(np.stack([ds, dy]) * it.scale)[:, 0].min()
+    floor = min(float((dq / it.q).min()), float((du / it.u).min()), float(cone))
     return math.inf if floor >= 0.0 else -1.0 / floor
 
 
 def _mehrotra_step(prog: _Program, it: _Iterate, direction) -> _Iterate | None:
     """One predictor-corrector iteration; None when no step could be taken."""
-    lam = np.diag(it.lam).astype(prog.rho.dtype)
+    lam = it.lam
     newton = direction(it)
 
     def solve(t, T):
         dq, ds, dy = newton(t, T)
-        return dq, -it.pair(dy), ds, dy
+        return dq, (t - dq / it.d) / it.d, ds, dy
 
     try:
-        dq, du, ds, dy = solve(-it.lam_lp, -lam)
-        a = min(1.0, _max_step(it, dq, du, ds, dy))
-        mu_aff = (float((it.q + a * dq) @ (it.u + a * du))
-                  + float(np.trace((lam + a * ds) @ (lam + a * dy)).real)) / (prog.m + prog.rank)
+        dq, du, ds, dy = solve(-it.lam_lp, np.diag(-lam).astype(prog.rho.dtype))
+        a = min(1.0, _max_step(it, dq, du, ds))
+        # L = diag(lam) = -(ds + dy): Tr[(L + a ds)(L + a dy)] = (1 - a) Tr L^2 + a^2 Tr[ds dy]
+        mu_aff = (float((it.q + a * dq) @ (it.u + a * du)) + (1.0 - a) * float(lam @ lam)
+                  + a * a * float(np.vdot(ds, dy).real)) / (prog.m + prog.rank)
         target = (mu_aff / it.mu) ** 3 * it.mu
         t = (target - it.lam_lp**2 - dq * du) / it.lam_lp
-        M = target * np.eye(prog.rank) - lam @ lam - 0.5 * (ds @ dy + dy @ ds)
-        dq, du, ds, dy = solve(t, 2.0 * M / np.add.outer(it.lam, it.lam))
+        P = ds @ dy
+        M = -0.5 * (P + dagger(P))  # -(ds dy + dy ds)/2, as (ds dy)^H = dy ds
+        M.reshape(-1)[::prog.rank + 1] += target - lam * lam
+        dq, du, ds, dy = solve(t, 2.0 * M / np.add.outer(lam, lam))
     except np.linalg.LinAlgError:
         return None
     alpha = min(1.0, _STEP_FRACTION * _max_step(it, dq, du, ds, dy))

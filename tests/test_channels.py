@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from robustwork.channels import (
+    _PURE_FREE_SLACK,
     QuantumChannel,
     apply_channel,
     apply_via_choi,
@@ -13,11 +14,12 @@ from robustwork.channels import (
     depolarizing_channel,
     make_channel,
     theorem3_bound,
+    theorem3_output_witness,
     theorem4_bound,
     theorem4_report,
     unitary_channel,
 )
-from robustwork.freesets import incoherent_set, stabilizer_set
+from robustwork.freesets import finite_hull, incoherent_set, membership, stabilizer_set
 from robustwork.linalg import INF_BETA, maximally_mixed, projector, von_neumann_entropy
 from robustwork.solver import robustness_dual, tstate_magic_robustness
 from robustwork.states import (
@@ -182,6 +184,71 @@ class TestTheorem3:
         ctx = ThermoContext(beta=1.0, lam=10.0)
         with pytest.raises(ValueError):
             theorem3_bound(unitary_channel(T_GATE), projector(t_state(1)), stabilizer_set(1), ctx)
+
+    def test_mixed_free_input_rejected(self):
+        # I/2 is free, but theorem 3 needs a pure input
+        with pytest.raises(ValueError, match="must be a pure state of the free set"):
+            theorem3_bound(unitary_channel(T_GATE), maximally_mixed(2), incoherent_set(2),
+                           ThermoContext(beta=1.0, lam=10.0))
+
+    def test_input_of_another_dimension_rejected(self):
+        ctx = ThermoContext(beta=1.0, lam=10.0)
+        with pytest.raises(ValueError, match="sigma_in has dimension 4 and the free set 2, "
+                                             "but the channel acts on dimension 2"):
+            theorem3_bound(unitary_channel(T_GATE), projector(basis_state(4, 0)),
+                           stabilizer_set(1), ctx)
+        with pytest.raises(ValueError, match="the free set 4, but the channel acts on dimension 2"):
+            theorem3_bound(unitary_channel(T_GATE), projector(basis_state(2, 0)),
+                           stabilizer_set(2), ctx)
+
+
+def free_input_accepted(spec, sigma_in) -> bool:
+    """Whether theorem 3 takes ``sigma_in`` as a free pure input of the identity channel."""
+    try:
+        theorem3_output_witness(unitary_channel(np.eye(spec.dim)), sigma_in, spec)
+    except ValueError as exc:
+        assert "must be a pure state of the free set" in str(exc)
+        return False
+    return True
+
+
+def near_basis_state(eps: float) -> np.ndarray:
+    return projector(np.array([math.sqrt(1.0 - eps), math.sqrt(eps)], dtype=complex))
+
+
+class TestFreePureInput:
+    """The extremality test of theorem 3's input against the membership solve it replaced."""
+
+    @pytest.mark.parametrize("spec", [incoherent_set(2), incoherent_set(3), incoherent_set(4),
+                                      stabilizer_set(1), stabilizer_set(2)],
+                             ids=["inc2", "inc3", "inc4", "stab1", "stab2"])
+    def test_every_generator_is_free(self, spec):
+        for sigma in spec.density_matrices():
+            assert free_input_accepted(spec, sigma)
+            assert membership(spec, sigma, tol=1e-6)
+
+    @pytest.mark.parametrize("spec, sigma_in, free", [
+        (stabilizer_set(1), projector(t_state(1)), False),
+        # a pure generator given as a matrix
+        (finite_hull([projector(t_state(1)), maximally_mixed(2)]), projector(t_state(1)), True),
+        # the mixed generator's support contains sigma_in, which is still not in the hull
+        (finite_hull([basis_state(2, 1), maximally_mixed(2)]), projector(basis_state(2, 0)), False),
+    ], ids=["tstate", "pure-matrix-generator", "inside-mixed-support"])
+    def test_matches_membership(self, spec, sigma_in, free):
+        assert free_input_accepted(spec, sigma_in) is free
+        assert membership(spec, sigma_in, tol=1e-6) is free
+
+    # accepted iff 1 - |<0|psi>|^2 <= _PURE_FREE_SLACK; the float nearest 1 - 1e-13 lies one
+    # ulp below 1 - _PURE_FREE_SLACK, so eps = 1e-13 is rejected
+    @pytest.mark.parametrize("eps, free", [
+        (1e-9, False), (1e-12, False), (1e-13, False), (1e-14, True), (0.0, True)])
+    @pytest.mark.parametrize("spec", [incoherent_set(2), stabilizer_set(1)], ids=["inc2", "stab1"])
+    def test_near_free_inputs(self, spec, eps, free):
+        assert _PURE_FREE_SLACK == 1e-13
+        sigma_in = near_basis_state(eps)
+        assert free_input_accepted(spec, sigma_in) is free
+        # nothing the membership solve rejects is accepted
+        assert membership(spec, sigma_in, tol=1e-6) or not free
 
 
 class TestTheorem4:

@@ -126,6 +126,12 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="schema_version"):
             load_scenario(scenario_dict(schema_version=2))
 
+    def test_channel_input_state_dimension_mismatch(self):
+        with pytest.raises(ScenarioError, match=r"scenario\.input_state: dimension 4 does not "
+                                                r"match the channel's dimension 2"):
+            load_scenario({**CHANNEL_DOC, "channel": {"named": "t_gate"},
+                           "input_state": {"named": "basis", "d": 4, "j": 0}})
+
     def test_free_set_dimension_mismatch(self):
         sc = load_scenario(scenario_dict(free_set={"kind": "incoherent", "dim": 3}))
         with pytest.raises(ScenarioError, match="free_set.dim"):
@@ -751,6 +757,12 @@ class TestCli:
         pytest.param(["protocol"], {"state": {"named": "golden", "d": 2}, "lambda": 1.0,
                                     "beta": 1.0, "witness": [[True, 0], [0, 1]]},
                      "input.witness", id="protocol-witness-boolean-entry"),
+        pytest.param(["channel"], {"channel": {"named": "t_gate"},
+                                   "free_set": {"kind": "stabilizer"}, "lambda": 100.0,
+                                   "beta": "inf",
+                                   "input_state": {"named": "basis", "d": 4, "j": 0}},
+                     "input_state: dimension 4 does not match the channel's dimension 2",
+                     id="channel-input-state-dimension"),
     ])
     def test_input_error_exit_code(self, tmp_path, argv, doc, field):
         if doc is not None:

@@ -119,12 +119,12 @@ class TestSolveCounts:
         assert len(solves) == 2, solves
 
     def test_channel_grid_solves_each_program_once(self, solves):
-        # Choi program, theorem3 input membership, theorem3 output program
+        # Choi program and theorem3 output program; the free pure input is an overlap test
         report = run_scenario(scenario(channel={"named": "t_gate"},
                                        free_set={"kind": "stabilizer"},
                                        checks=["theorem3", "theorem4"]))
         assert len(report["entries"]) == 9 * 2
-        assert len(solves) == 3, solves
+        assert len(solves) == 2, solves
 
     def test_sdp_witness_is_reused_for_rank1(self, solves):
         sc = scenario(state={"vector": [[0.8, 0.0], [0.0, 0.6]]},
@@ -148,7 +148,7 @@ class TestSolveCounts:
                                     "lambda": 100.0, "beta": "inf"}))
         assert cli.main(["channel", "--input", str(path)]) == 0
         assert set(json.loads(capsys.readouterr().out)["bounds"]) == {"theorem3", "theorem4"}
-        assert len(solves) == 3, solves
+        assert len(solves) == 2, solves
 
     def test_cli_witness_verb(self, solves, tmp_path, capsys):
         path = tmp_path / "w.json"

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import robustwork.solver as solver_module
 from robustwork.freesets import finite_hull, incoherent_set, membership, stabilizer_set
+from robustwork.channels import choi_state, unitary_channel
 from robustwork.linalg import maximally_mixed, projector, trace_inner
 from robustwork.solver import (
     CONVERGED,
@@ -16,6 +18,7 @@ from robustwork.solver import (
     _Iterate,
     _Program,
     _constraint_values,
+    _max_step,
     _schur_direction,
     _witness_direction,
     primal_slack,
@@ -31,6 +34,8 @@ from robustwork.solver import (
     witness_is_feasible,
 )
 from robustwork.states import (
+    HADAMARD,
+    T_GATE,
     basis_state,
     golden_state,
     random_density_matrix,
@@ -384,6 +389,27 @@ class TestRoadmapInstances:
         assert_certified(res, rho, spec)
 
 
+class TestIterationCounts:
+    """Status and interior-point iterations of the certify_mix benchmark instances."""
+
+    @pytest.mark.parametrize("rho, spec, iterations", [
+        (projector(golden_state(2)), incoherent_set(2), 6),
+        (projector(golden_state(32)), incoherent_set(32), 6),
+        (projector(golden_state(64)), incoherent_set(64), 6),
+        (projector(t_state(1)), stabilizer_set(1), 6),
+        (projector(t_state(2)), stabilizer_set(2), 7),
+        (projector(t_state(3)), stabilizer_set(3), 8),
+        (random_density_matrix(32, np.random.default_rng(0)), incoherent_set(32), 14),
+        (projector(random_pure_state(8, np.random.default_rng(0))), stabilizer_set(3), 15),
+        (choi_state(unitary_channel(T_GATE)).matrix, stabilizer_set(2), 7),
+        (choi_state(unitary_channel(HADAMARD)).matrix, stabilizer_set(2), 7),
+    ], ids=["golden-2", "golden-32", "golden-64", "tstate-1", "tstate-2", "tstate-3",
+            "ginibre-32", "haar-stab3", "choi-t_gate", "choi-hadamard"])
+    def test_converges_in(self, rho, spec, iterations):
+        res = robustness_dual(rho, spec)
+        assert (res.status, res.newton_iterations) == (CONVERGED, iterations)
+
+
 class TestNewtonSolve:
     @pytest.mark.parametrize("spec", [
         stabilizer_set(1),
@@ -422,6 +448,36 @@ class TestNewtonSolve:
         for a, b in zip(_schur_direction(it)(t, T), _witness_direction(it)(t, T)):
             assert np.abs(a - b).max() <= 1e-8 * max(1.0, np.abs(a).max())
 
+    @pytest.mark.parametrize("route, spec, rho", [
+        ("_schur_direction", incoherent_set(4), random_density_matrix(4, np.random.default_rng(7))),
+        ("_schur_direction", incoherent_set(8), projector(golden_state(8))),  # real arithmetic
+        ("_witness_direction", stabilizer_set(2), projector(t_state(2))),
+        ("_witness_direction", stabilizer_set(3),
+         projector(random_pure_state(8, np.random.default_rng(0)))),
+    ], ids=["schur-ginibre4", "schur-golden8", "witness-tstate2", "witness-haar-stab3"])
+    def test_du_solves_the_weights_equation(self, monkeypatch, route, spec, rho):
+        # du = (t - dq/d)/d, read off dq/d + d du = t, is the du = -Tr[G_k dy]
+        # of the cone equations on every iterate of a solve
+        errors = []
+        original = getattr(solver_module, route)
+
+        def checking(it):
+            newton = original(it)
+
+            def solve(t, T):
+                dq, ds, dy = newton(t, T)
+                du = -_constraint_values(it.gvecs, it.gmats, dy)
+                err = np.abs((t - dq / it.d) / it.d - du).max()
+                errors.append(err / max(1.0, np.abs(du).max()))
+                return dq, ds, dy
+            return solve
+
+        monkeypatch.setattr(solver_module, route, checking)
+        res = robustness_dual(rho, spec)
+        assert res.status == CONVERGED
+        assert len(errors) == 2 * res.newton_iterations
+        assert max(errors) <= 1e-12
+
     @pytest.mark.parametrize("spec, rho", [
         (stabilizer_set(2), projector(random_pure_state(4, np.random.default_rng(5)))),
         (stabilizer_set(3), projector(t_state(3))),
@@ -450,6 +506,22 @@ class TestNewtonSolve:
         # pure hulls build F only on the witness route, where m > r^2
         witness_route = spec.n_points > spec.dim**2
         assert counts["coords"] == (res.newton_iterations if witness_route else 0)
+
+
+class TestPredictorStep:
+    @settings(max_examples=200)
+    @given(lam=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=6),
+           seed=st.integers(0, 2**32 - 1), spread=st.floats(1e-3, 1e3))
+    def test_one_spectrum_step_equals_two_spectrum_step(self, lam, seed, spread):
+        # with ds + dy = -diag(lam), the scaled dy is -I - scaled ds, so the
+        # least eigenvalue of the scaled dy is -1 - the largest of the scaled ds
+        lam = np.array(lam)
+        ds = random_hermitian(len(lam), np.random.default_rng(seed), scale=spread)
+        dy = -np.diag(lam) - ds
+        it = SimpleNamespace(q=np.ones(1), u=np.ones(1), scale=1.0 / np.sqrt(np.outer(lam, lam)))
+        none = np.zeros(1)
+        assert _max_step(it, none, none, ds) == pytest.approx(
+            _max_step(it, none, none, ds, dy), rel=1e-12)
 
 
 class TestContractions:
