@@ -17,11 +17,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .channels import choi_state
 from .iojson import beta_to_json, json_to_matrix, matrix_to_json, vector_to_json
 from .linalg import assert_hermitian
 from .scenarios import (
-    _SDP_DIM_CAP,
     ScenarioError,
     _parse_int,
     _parse_positive,
@@ -186,14 +184,12 @@ def _cmd_channel(args) -> int:
         "beta_grid": [obj["beta"]],
         "checks": ["theorem3", "theorem4"],
     })
-    channel, label = scenario.channel
     report = run_scenario(scenario)
     entries = report["entries"]
     payload = {
-        "channel": label,
-        # above the cap theorem4 is skipped, and the d^2 x d^2 Choi state is not built either
-        "choi": (None if channel.dim**2 > _SDP_DIM_CAP
-                 else matrix_to_json(choi_state(channel).matrix)),
+        "channel": scenario.channel[1],
+        # the scenario's one Choi state: theorem4 solved it unless it was skipped
+        "choi": None if scenario.choi is None else matrix_to_json(scenario.choi.matrix),
         "robustness_lower": entries[0]["robustness"],
         "bounds": {e["check"]: e["report"] for e in entries},
         "skips": {e["check"]: e["reason"] for e in entries if e["skipped"]},

@@ -25,8 +25,8 @@ from itertools import product
 
 import numpy as np
 
-from .linalg import assert_density, assert_pure, dagger, maximally_mixed, projector, tensor_power
-from .states import PAULI_Z, basis_state, pauli_string, t_state
+from .linalg import assert_density, assert_pure, maximally_mixed, projector
+from .states import basis_state, pauli_string
 
 __all__ = [
     "FreeSet",
@@ -211,19 +211,6 @@ def enumerate_stabilizer_states(n: int) -> list[np.ndarray]:
 def stabilizer_set(n: int) -> FreeSet:
     # cached: every caller of stabilizer(n) shares one tuple of extreme points
     return FreeSet("stabilizer", 2**n, vectors=tuple(enumerate_stabilizer_states(n)))
-
-
-@lru_cache(maxsize=STABILIZER_MAX_QUBITS)
-def _tstate_profiles(n: int):
-    """Twirl table around |T>^n (solver docstring): basis V = [|T>, |T^perp>]^n,
-    classes[x, j] = [|x| = j], profile hull, state k's profile index[k], counts."""
-    V = tensor_power(np.stack([t_state(1), PAULI_Z @ t_state(1)], axis=1), n)
-    classes = np.eye(n + 1)[[bin(x).count("1") for x in range(2**n)]]
-    profiles = (np.abs(dagger(V) @ stabilizer_set(n).vector_array) ** 2).T @ classes
-    _, first, index, counts = np.unique(np.round(profiles, 8), axis=0, return_index=True,
-                                        return_inverse=True, return_counts=True)
-    hull = finite_hull(np.diag(p).astype(complex) for p in profiles[first])
-    return V, classes, hull, index.reshape(-1), counts
 
 
 # ---------------------------------------------------------------------------

@@ -24,13 +24,15 @@ import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .channels import (
+    ChoiState,
     QuantumChannel,
-    _choi_program,
+    choi_state,
     make_channel,
     theorem3_output_witness,
     theorem3_report,
@@ -62,7 +64,6 @@ from .states import HADAMARD, S_GATE, T_GATE, basis_state, golden_state, t_state
 from .thermo import (
     BoundReport,
     ThermoContext,
-    WitnessSummary,
     corollary1_report,
     eq10_report,
     rank1_summary,
@@ -241,7 +242,8 @@ def parse_channel_spec(obj, path: str = "channel") -> tuple[QuantumChannel, str]
             return unitary_channel(_NAMED_GATES[name]), name
         if name == "depolarizing":
             _check_keys(obj, path, ("named",), ("d", "p"))
-            d = _parse_int(obj.get("d", 2), f"{path}.d", 1, _SDP_DIM_CAP)
+            # its d^2 dense Kraus operators take d^4 memory: capped where theorem4 runs
+            d = _parse_int(obj.get("d", 2), f"{path}.d", 1, math.isqrt(_SDP_DIM_CAP))
             p = obj.get("p", 1.0)
             if not _is_number(p) or not 0 <= p <= 1:
                 raise ScenarioError(f"{path}.p: expected a number in [0, 1], got {p!r}")
@@ -326,6 +328,13 @@ class Scenario:
     tol: float
     min_lambda_beta_factor: float
 
+    @cached_property
+    def choi(self) -> ChoiState | None:
+        """The channel's Choi state, built on first read; None above _SDP_DIM_CAP."""
+        if self.channel is None or self.channel[0].dim ** 2 > _SDP_DIM_CAP:
+            return None
+        return choi_state(self.channel[0])
+
 
 def load_scenario(obj) -> Scenario:
     obj = _expect_mapping(obj, "scenario")
@@ -401,54 +410,6 @@ def parse_input(obj, required: tuple, optional: tuple = ()) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# witness resolution (one solve per state variant, shared across the grid)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Resolved:
-    free_set: FreeSet | None  # None when the free set cannot be enumerated
-    summary: WitnessSummary
-    c: float | None
-    y: np.ndarray | None
-    robustness: dict  # the report's robustness block: value, gap, status
-
-
-def _resolve_state_witness(variant: _StateVariant, fs_spec: dict, tol: float) -> _Resolved:
-    kind, build = _parse_free_set(fs_spec, variant.d)
-    enumerable = kind != "stabilizer" or variant.d <= 2**STABILIZER_MAX_QUBITS
-    free_set = build() if enumerable else None
-
-    closed = None
-    if variant.psi is not None and kind == "incoherent":
-        closed = (*pure_coherence_witness(variant.psi), robustness_pure_coherence(variant.psi))
-    elif variant.n is not None and kind == "stabilizer":
-        n = variant.n
-        closed = ((4.0 - 2.0 * math.sqrt(2.0)) ** n, t_state(n), tstate_magic_robustness(n))
-    if closed is not None:
-        c, y, R = closed
-        return _Resolved(free_set, rank1_summary(c, y, variant.psi, free_set), c, y,
-                         {"value": R, "gap": 0.0, "status": "closed_form"})
-
-    if free_set is None or variant.rho is None:
-        raise ScenarioError(
-            f"no closed-form witness applies to free set kind '{kind}' at dimension "
-            f"{variant.d}, and the robustness program is out of reach"
-        )
-    result = robustness_dual(variant.rho, free_set, tol=tol)
-    if result.status == INFEASIBLE:
-        raise ScenarioError(f"free set {free_set.label()} cannot dominate the state {variant.label}")
-    c = y = None
-    if variant.psi is not None and result.value > 10 * tol:
-        try:
-            c, y = rank1_truncation(variant.psi, free_set, result, tol)
-        except Rank1NotTightError:
-            pass
-    return _Resolved(free_set, witness_summary(result.witness, variant.rho, free_set), c, y,
-                     {"value": result.value, "gap": result.gap, "status": result.status})
-
-
-# ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
 
@@ -499,48 +460,79 @@ def _grid(scenario: Scenario, label: str, d: int, n: int | None, robustness: dic
 
 
 def _state_family(scenario: Scenario, variant: _StateVariant):
-    """The robustness block and the grid evaluator of one state variant."""
-    res = _resolve_state_witness(variant, scenario.free_set, scenario.tol)
+    """The robustness block and the grid evaluator of one state variant: one
+    witness, from a closed form or one solve, shared across the grid."""
+    kind, build = _parse_free_set(scenario.free_set, variant.d)
+    enumerable = kind != "stabilizer" or variant.d <= 2**STABILIZER_MAX_QUBITS
+    free_set = build() if enumerable else None
+    c = y = None
+    if variant.psi is not None and kind == "incoherent":
+        (c, y), R = pure_coherence_witness(variant.psi), robustness_pure_coherence(variant.psi)
+    elif variant.n is not None and kind == "stabilizer":
+        R = tstate_magic_robustness(variant.n)
+        c, y = 1.0 + R, t_state(variant.n)
+    elif free_set is None or variant.rho is None:
+        raise ScenarioError(f"no closed-form witness applies to free set kind '{kind}' at "
+                            f"dimension {variant.d}, and the robustness program is out of reach")
+    if c is not None:  # a closed-form rank-1 witness
+        summary = rank1_summary(c, y, variant.psi, free_set)
+        robustness = {"value": R, "gap": 0.0, "status": "closed_form"}
+    else:
+        result = robustness_dual(variant.rho, free_set, tol=scenario.tol)
+        if result.status == INFEASIBLE:
+            raise ScenarioError(f"free set {free_set.label()} cannot dominate the state "
+                                f"{variant.label}")
+        if variant.psi is not None and result.value > 10 * scenario.tol:
+            try:
+                c, y = rank1_truncation(variant.psi, free_set, result, scenario.tol)
+            except Rank1NotTightError:
+                pass
+        summary = witness_summary(result.witness, variant.rho, free_set)
+        robustness = {"value": result.value, "gap": result.gap, "status": result.status}
     theorem2_skip = None
     if "theorem2" in scenario.checks:
         if variant.d > _THEOREM2_DIM_CAP:
             theorem2_skip = f"dimension {variant.d} above the theorem2 solver cap"
-        elif res.free_set is None:
+        elif free_set is None:
             theorem2_skip = "theorem2 needs an enumerable free set"
-        elif res.c is None or res.y is None:
+        elif c is None or y is None:
             theorem2_skip = "theorem2 needs a resourceful pure state with a rank-1 witness"
         else:
-            require_maximally_mixed(res.free_set, variant.d)
+            require_maximally_mixed(free_set, variant.d)
     # the residual state depends on (lambda, beta) only through its weight a,
     # which is exactly 1.0 wherever beta*lambda*c exceeds ~37
     theorem2_by_weight: dict[float, BoundReport] = {}
 
     def evaluate(check: str, ctx: ThermoContext) -> BoundReport | str:
         if check == "theorem1":
-            return theorem1_report(res.summary, ctx)
+            return theorem1_report(summary, ctx)
         if check == "eq10":
-            return eq10_report(res.summary, ctx, scenario.epsilon, scenario.min_lambda_beta_factor)
+            return eq10_report(summary, ctx, scenario.epsilon, scenario.min_lambda_beta_factor)
         if check == "corollary1":
-            return corollary1_report(res.summary, ctx)
+            return corollary1_report(summary, ctx)
         if theorem2_skip is not None:
             return theorem2_skip
-        a = residual_weight(res.c, ctx)
+        a = residual_weight(c, ctx)
         if a not in theorem2_by_weight:
-            theorem2_by_weight[a] = theorem2_at_weight(res.y, a, variant.d, res.free_set,
+            theorem2_by_weight[a] = theorem2_at_weight(y, a, variant.d, free_set,
                                                        tol=scenario.tol)
         return theorem2_by_weight[a]
 
-    return res.robustness, evaluate
+    return robustness, evaluate
 
 
-def _lift_bipartite(kind: str, d: int) -> FreeSet | None:
+def _lift_bipartite(kind: str, d: int) -> FreeSet | str:
+    """Theorem 4's free set on the Choi space, or the reason theorem4 is skipped."""
+    if d * d > _SDP_DIM_CAP:
+        return f"Choi dimension {d * d} above the SDP cap of {_SDP_DIM_CAP}"
     if kind == "incoherent":
         return incoherent_set(d * d)
-    if kind == "stabilizer":
-        n = int(round(math.log2(d)))
-        if 2 ** (2 * n) == d * d and 2 * n <= STABILIZER_MAX_QUBITS:
-            return stabilizer_set(2 * n)
-    return None
+    if kind != "stabilizer":
+        return "free set kind cannot be lifted to the bipartite space"
+    n = 2 * (d.bit_length() - 1)  # d = 2^(n/2), as the free-set parser checked
+    if n > STABILIZER_MAX_QUBITS:
+        return f"stabilizer({n}) is above the {STABILIZER_MAX_QUBITS}-qubit enumeration cap"
+    return stabilizer_set(n)
 
 
 def _channel_family(scenario: Scenario, channel: QuantumChannel):
@@ -548,13 +540,12 @@ def _channel_family(scenario: Scenario, channel: QuantumChannel):
     d = channel.dim
     kind, build = _parse_free_set(scenario.free_set, d)
     theorem4_skip = choi = choi_summary = robustness = None
-    if d * d > _SDP_DIM_CAP:
-        theorem4_skip = f"Choi dimension {d * d} above the SDP cap of {_SDP_DIM_CAP}"
-    elif (bipartite := _lift_bipartite(kind, d)) is None:
-        theorem4_skip = "free set kind cannot be lifted to the bipartite space"
+    if isinstance(bipartite := _lift_bipartite(kind, d), str):
+        theorem4_skip = bipartite
     else:
         # one Choi state and one solve serve the robustness block and theorem4
-        J, choi = _choi_program(channel, bipartite, scenario.tol)
+        J = scenario.choi
+        choi = robustness_dual(J.matrix, bipartite, tol=scenario.tol)
         robustness = {"value": choi.value, "gap": choi.gap, "status": choi.status}
         choi_summary = witness_summary(choi.witness, J.matrix, bipartite)
     output = None

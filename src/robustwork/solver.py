@@ -62,6 +62,8 @@ basis, so sigma enters only through its profile p(sigma) = (Tr[P_j sigma])_j (28
 n = 3).  robustness_dual(diag(p(rho)), hull of the diag(p(sigma))) is lifted back: its
 witness's diagonal f to Y = sum_j f_j P_j, a profile's weight w to w / S on each of its
 S states (their average is sum_j p_j P_j / Tr P_j), and the lower bound is re-derived.
+This module owns the profile table (``_tstate_profiles``) and the test for when the
+twirl applies (``_twirled_dual``: y is |T>^n up to a phase against stabilizer_set(n)).
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .freesets import FreeSet, _tstate_profiles, stabilizer_set
+from .freesets import STABILIZER_MAX_QUBITS, FreeSet, finite_hull, stabilizer_set
 from .linalg import (
     assert_density,
     assert_pure,
@@ -82,7 +84,7 @@ from .linalg import (
     tensor_power,
     trace_inner,
 )
-from .states import PAULI_X, PAULI_Y
+from .states import PAULI_X, PAULI_Y, PAULI_Z, t_state
 
 __all__ = [
     "CONVERGED",
@@ -481,14 +483,32 @@ def _certify(rho, spec: FreeSet, witness, weights, status: str, used: int) -> Ro
     )
 
 
-def _twirled_dual(rho, n: int, tol: float, max_newton: int) -> RobustnessResult:
-    """robustness_dual(rho, stabilizer_set(n)) for rho in span{P_j} (module docstring)."""
+@lru_cache(maxsize=STABILIZER_MAX_QUBITS)
+def _tstate_profiles(n: int):
+    """Twirl table around |T>^n (module docstring): basis V = [|T>, |T^perp>]^n,
+    classes[x, j] = [|x| = j], profile hull, state k's profile index[k], counts."""
+    V = tensor_power(np.stack([t_state(1), PAULI_Z @ t_state(1)], axis=1), n)
+    classes = np.eye(n + 1)[[bin(x).count("1") for x in range(2**n)]]
+    profiles = (np.abs(dagger(V) @ stabilizer_set(n).vector_array) ** 2).T @ classes
+    _, first, index, counts = np.unique(np.round(profiles, 8), axis=0, return_index=True,
+                                        return_inverse=True, return_counts=True)
+    hull = finite_hull(np.diag(p).astype(complex) for p in profiles[first])
+    return V, classes, hull, index.reshape(-1), counts
+
+
+def _twirled_dual(rho, y, spec: FreeSet, tol: float, max_newton: int) -> RobustnessResult | None:
+    """robustness_dual(rho, spec) for rho in span{P_j} (module docstring) when y is
+    |T>^n up to a phase and spec is stabilizer_set(n); None for any other pair."""
+    n = spec.dim.bit_length() - 1
+    if not (spec.kind == "stabilizer" and n <= STABILIZER_MAX_QUBITS and spec is stabilizer_set(n)
+            and abs(np.vdot(t_state(n), y)) >= 1.0 - 1e-14):
+        return None
     V, classes, hull, index, counts = _tstate_profiles(n)
     p = (dagger(V) @ rho @ V).diagonal().real @ classes
     res = robustness_dual(np.diag(p), hull, tol=tol, max_newton=max_newton)  # I/d in the hull
     Y = (V * (classes @ res.witness.diagonal().real)) @ dagger(V)
     weights = (res.primal_weights / counts)[index]
-    return _certify(rho, stabilizer_set(n), Y, weights, res.status, res.newton_iterations)
+    return _certify(rho, spec, Y, weights, res.status, res.newton_iterations)
 
 
 def robustness_primal(rho, spec: FreeSet, tol: float = DEFAULT_TOL,

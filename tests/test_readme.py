@@ -1,5 +1,6 @@
 """README states the library's tolerances, defaults and caps; each number is read from the code."""
 
+import math
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,10 @@ COUNTS = " / ".join(str(stabilizer_state_count(n)) for n in range(1, STABILIZER_
                  id="family-and-channel"),
     pytest.param(f"Choi dimension `d^2` is above {_SDP_DIM_CAP} skips `theorem4`",
                  id="choi"),
+    pytest.param(f"take `d^4` memory: it has `d <= {math.isqrt(_SDP_DIM_CAP)}`",
+                 id="depolarizing"),
+    pytest.param(f"`stabilizer(2n)` above the {STABILIZER_MAX_QUBITS}-qubit enumeration cap",
+                 id="theorem4-lift"),
     pytest.param(f"SDPs are capped at dimension {_SDP_DIM_CAP}, and `theorem2` at "
                  f"{_THEOREM2_DIM_CAP}; named families and free sets at {_FAMILY_DIM_CAP}.",
                  id="scope"),

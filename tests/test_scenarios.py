@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustwork import channels, cli
+from robustwork import channels, cli, scenarios
 from robustwork.freesets import stabilizer_set
 from robustwork.linalg import projector
 from robustwork.scenarios import (
@@ -204,13 +204,26 @@ class TestDimensionCaps:
         assert codes == [4]
         assert "error: freeset.dim" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("d", [9, 64])
+    def test_depolarizing_capped_at_the_choi_cap(self, d, tmp_path, capsys):
+        # d^2 dense Kraus operators: about 256 MB at d = 64 if it were built
+        path = tmp_path / "dep.json"
+        path.write_text(json.dumps({"channel": {"named": "depolarizing", "d": d},
+                                    "free_set": {"kind": "incoherent"},
+                                    "lambda": 1.0, "beta": 1.0}))
+        codes = []
+        assert peak_traced_bytes(lambda: codes.append(
+            cli.main(["channel", "--input", str(path)]))) < 2**20
+        assert codes == [4]
+        assert "channel.d: expected an integer in 1..8" in capsys.readouterr().err
+
     def test_theorem4_skipped_above_the_choi_cap(self, monkeypatch, tmp_path, capsys):
         def no_choi(E):
             raise AssertionError("no Choi state above the cap")
 
         monkeypatch.setattr(channels, "choi_state", no_choi)
-        monkeypatch.setattr(cli, "choi_state", no_choi)
-        doc = {**CHANNEL_DOC, "channel": {"named": "depolarizing", "d": 9, "p": 0.5},
+        monkeypatch.setattr(scenarios, "choi_state", no_choi)
+        doc = {**CHANNEL_DOC, "channel": {"named": "identity", "d": 9},
                "free_set": {"kind": "incoherent"}}
         report = run_scenario(load_scenario(doc))
         t4 = [e for e in report["entries"] if e["check"] == "theorem4"]
@@ -226,6 +239,16 @@ class TestDimensionCaps:
 
 
 class TestRunScenario:
+    def test_two_qubit_stabilizer_channel_names_the_enumeration_cap(self):
+        # stabilizer(2) lifts to stabilizer(4), which is not enumerated
+        cnot = np.eye(4)[[0, 1, 3, 2]]
+        doc = {**CHANNEL_DOC, "channel": {"kraus": [[[[x, 0.0] for x in row] for row in cnot]]},
+               "free_set": {"kind": "stabilizer"}}
+        report = run_scenario(load_scenario(doc))
+        t4 = [e for e in report["entries"] if e["check"] == "theorem4"]
+        assert t4 and all(e["skipped"] and e["reason"] == "stabilizer(4) is above the 3-qubit "
+                          "enumeration cap" for e in t4)
+
     def test_golden_all_satisfied(self):
         report = run_scenario(load_scenario(scenario_dict()))
         assert report["exit_code"] == 0

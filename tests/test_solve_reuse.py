@@ -194,6 +194,27 @@ class TestBuildCounts:
         theorem4_bound(unitary_channel(T_GATE), stabilizer_set(2), ThermoContext(1.0, 100.0))
         assert len(builds) == 1
 
+    def test_channel_verb_builds_one_choi_state(self, monkeypatch, tmp_path, capsys):
+        builds = count_calls(monkeypatch, "choi_state", (channels, scenarios, cli))
+        path = tmp_path / "t_gate.json"
+        path.write_text(json.dumps({"channel": {"named": "t_gate"},
+                                    "free_set": {"kind": "stabilizer"},
+                                    "lambda": 100.0, "beta": "inf"}))
+        assert cli.main(["channel", "--input", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["choi"] is not None
+        assert len(builds) == 1
+
+    def test_verify_builds_no_choi_state_for_a_finite_hull(self, monkeypatch):
+        builds = count_calls(monkeypatch, "choi_state", (channels, scenarios, cli))
+        hull = {"kind": "finite_hull", "states": [[[1.0, 0.0], [0.0, 0.0]],
+                                                  [[0.0, 0.0], [1.0, 0.0]]]}
+        report = run_scenario(scenario(channel={"named": "t_gate"}, free_set=hull,
+                                       checks=["theorem3", "theorem4"]))
+        t4 = [e for e in report["entries"] if e["check"] == "theorem4"]
+        assert t4 and all(e["reason"] == "free set kind cannot be lifted to the bipartite space"
+                          for e in t4)
+        assert builds == []
+
     def test_specs_are_parsed_once(self, monkeypatch):
         states = count_calls(monkeypatch, "parse_state_spec", (scenarios,))
         chans = count_calls(monkeypatch, "parse_channel_spec", (scenarios,))

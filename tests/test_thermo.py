@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustwork.freesets import _tstate_profiles, finite_hull, incoherent_set, stabilizer_set
+from robustwork.freesets import finite_hull, incoherent_set, stabilizer_set
 from robustwork.linalg import (
     INF_BETA,
     gibbs_state,
@@ -20,6 +20,7 @@ from robustwork.solver import (
     DEFAULT_MAX_NEWTON,
     DEFAULT_TOL,
     RobustnessResult,
+    _tstate_profiles,
     _twirled_dual,
     primal_slack,
     pure_coherence_witness,
@@ -427,7 +428,7 @@ class TestTwirlReduction:
     def test_reduced_solve_matches_full_solve(self, n, a):
         d, spec = 2**n, stabilizer_set(n)
         rho = thermo._residual_state(t_state(n), a, d)
-        red = _twirled_dual(rho, n, DEFAULT_TOL, DEFAULT_MAX_NEWTON)
+        red = _twirled_dual(rho, t_state(n), spec, DEFAULT_TOL, DEFAULT_MAX_NEWTON)
         full = robustness_dual(rho, spec)
         assert red.status == full.status == "converged"
         assert max(red.lower_bound, full.lower_bound) <= min(red.upper_bound, full.upper_bound)
@@ -451,26 +452,39 @@ class TestTwirlReduction:
             profile = [trace_inner(Pj, sigma) for Pj in P]
             assert np.allclose(np.diag(hull.matrices[index[k]]).real, profile, atol=1e-12)
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_dispatch_takes_the_reduced_route_only_for_t_states(self, n, monkeypatch):
-        calls = []
-
-        def spy(*args, **kwargs):
-            calls.append(args[1])
-            return _twirled_dual(*args, **kwargs)
-
-        monkeypatch.setattr(thermo, "_twirled_dual", spy)
+    @staticmethod
+    def other_pairs(n):
+        """(y, free set) pairs the twirl does not apply to."""
         d, spec = 2**n, stabilizer_set(n)
-        theorem2_at_weight(np.exp(0.3j) * t_state(n), 1.0, d, spec)
-        assert calls == [n]
-        others = [
+        return [
             (tensor_power(PAULI_Z @ t_state(1), n), spec),  # |T^perp>^n
             (random_pure_state(d, np.random.default_rng(SEEDS["thermo"] + n)), spec),
             (t_state(n), finite_hull(spec.vectors)),
         ]
-        for y, free in others:
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_dispatch_takes_the_reduced_route_only_for_t_states(self, n, monkeypatch):
+        reduced = []
+
+        def spy(*args, **kwargs):
+            result = _twirled_dual(*args, **kwargs)
+            if result is not None:
+                reduced.append(len(args[1]))
+            return result
+
+        monkeypatch.setattr(thermo, "_twirled_dual", spy)
+        d, spec = 2**n, stabilizer_set(n)
+        theorem2_at_weight(np.exp(0.3j) * t_state(n), 1.0, d, spec)
+        assert reduced == [d]
+        for y, free in self.other_pairs(n):
             theorem2_at_weight(y, 1.0, d, free)
-        assert calls == [n]
+        assert reduced == [d]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_twirl_declines_other_pairs(self, n):
+        for y, free in self.other_pairs(n):
+            rho = thermo._residual_state(y, 1.0, 2**n)
+            assert _twirled_dual(rho, y, free, DEFAULT_TOL, DEFAULT_MAX_NEWTON) is None
 
 
 def state_reports(summary, ctx):
