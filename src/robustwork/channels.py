@@ -18,7 +18,7 @@ import numpy as np
 
 from .freesets import FreeSet
 from .linalg import assert_density, dagger, partial_trace, projector, trace_inner
-from .solver import DEFAULT_TOL, RobustnessResult, robustness_dual, witness_constraints
+from .solver import DEFAULT_TOL, RobustnessResult, _reaches_extreme_point, robustness_dual
 from .states import maximally_entangled_state
 from .thermo import (
     _DEGENERATE_R,
@@ -50,8 +50,6 @@ __all__ = [
     "theorem4_report",
     "theorem4_bound",
 ]
-
-_PURE_FREE_SLACK = 1e-13  # rounding bound on Tr[sigma_in sigma_k] = 1 (theorem 3's input)
 
 
 @dataclass(frozen=True)
@@ -180,13 +178,13 @@ def theorem3_output_witness(E: QuantumChannel, sigma_in, spec: FreeSet,
                             tol: float = DEFAULT_TOL) -> OutputWitness:
     """Validate the free pure input and solve the output state's program.
 
-    Pure states are extreme among states, and Tr[rho sigma] <= lambda_max(rho), so sigma_in
-    is a free pure state iff max_k Tr[sigma_in sigma_k] >= 1 - _PURE_FREE_SLACK."""
+    Pure states are extreme among states, so sigma_in is a free pure state iff it is one
+    of the extreme points, which the solver's overlap test decides at level 1."""
     sigma_in = assert_density(sigma_in)
     if not sigma_in.shape[0] == E.dim == spec.dim:
         raise ValueError(f"sigma_in has dimension {sigma_in.shape[0]} and the free set "
                          f"{spec.dim}, but the channel acts on dimension {E.dim}")
-    if not witness_constraints(sigma_in, spec).max() >= 1.0 - _PURE_FREE_SLACK:
+    if not _reaches_extreme_point(sigma_in, spec):
         raise ValueError("sigma_in must be a pure state of the free set")
     out = apply_channel(E, sigma_in)
     result = robustness_dual(out, spec, tol=tol)

@@ -62,8 +62,30 @@ basis, so sigma enters only through its profile p(sigma) = (Tr[P_j sigma])_j (28
 n = 3).  robustness_dual(diag(p(rho)), hull of the diag(p(sigma))) is lifted back: its
 witness's diagonal f to Y = sum_j f_j P_j, a profile's weight w to w / S on each of its
 S states (their average is sum_j p_j P_j / Tr P_j), and the lower bound is re-derived.
-This module owns the profile table (``_tstate_profiles``) and the test for when the
-twirl applies (``_twirled_dual``: y is |T>^n up to a phase against stabilizer_set(n)).
+When y is flat (|y_k|^2 = 1/d), the residual and the incoherent set are invariant under
+the phased permutations D P D^dag, D = diag(sqrt(d) y), and the twirled program closes in
+closed form (Napoli et al., PRL 116, 150502, 2016): the witness Y = d/(d-1) (I - |y><y|) is
+PSD with Tr[Y |k><k|] = 1, so Tr[Y rho] - 1 = a/(d - a) is a lower bound, and the weights
+q_k = lambda_max(rho) = 1/(d - a) dominate rho, as q I - rho = a|y><y|/(d - a) >= 0, so
+sum(q) - 1 = a/(d - a) is an upper bound: the interval closes at once.  This module owns
+the profile table (``_tstate_profiles``) and the test for which route applies
+(``_twirled_dual``: a flat y against an incoherent set, or y = |T>^n up to a phase against
+stabilizer_set(n)).
+
+A free state needs no iteration either when it mixes orthonormal pure extreme points,
+rho = sum_i w_i sigma_k(i) (Regula, J. Phys. A 51, 045303, 2018): the witness I is
+feasible and reaches Tr[rho] - 1 = 0, and the eigenvalues w_i as weights meet
+sum(q) - 1 = 0, so R = 0 is certified exactly.  ``robustness_dual`` tries this first.  As
+Tr[rho sigma] <= lambda_max(rho), such a rho has max_k Tr[rho sigma_k] = lambda_max(rho), one
+constraint evaluation that every other input fails (``_reaches_extreme_point``; at level 1 it
+is theorem 3's test for a free pure input).  Then each eigenvector of rho with an
+eigenvalue above rounding must overlap some extreme point to 1 - _PURE_FREE_SLACK, and the
+slack of the matched weights is rechecked down to rounding; a spectrum whose eigenbasis
+is not made of extreme points (say, a degenerate one) is left to the interior-point loop.
+
+Both certificates sit on the boundary, with the slack's least eigenvalue at rounding
+(about -1e-16), and both go through ``_certify`` with ``newton_iterations`` 0; an input
+whose certificate does not close within ``tol`` runs the loop instead.
 """
 
 from __future__ import annotations
@@ -77,7 +99,7 @@ import numpy as np
 
 from .freesets import STABILIZER_MAX_QUBITS, FreeSet, finite_hull, stabilizer_set
 from .linalg import (
-    assert_density,
+    _density_spectrum,
     assert_pure,
     dagger,
     projector,
@@ -116,6 +138,14 @@ DEFAULT_MAX_NEWTON = 200
 
 _STEP_FRACTION = 0.99
 _MAX_BACKTRACK = 30
+# rounding bound on Tr[rho sigma_k] = lambda_max(rho) when rho's top eigenvector is the pure
+# extreme point sigma_k (module docstring); theorem 3's free-input test uses it at level 1
+_PURE_FREE_SLACK = 1e-13
+
+
+def _round_off(d: int) -> float:
+    """Rounding bound on the eigenvalues and the trace of a d x d operator of unit trace."""
+    return 8.0 * d * np.finfo(float).eps
 
 
 class InfeasibleHullError(RuntimeError):
@@ -179,6 +209,7 @@ class _Program:
             self.basis = None
             self.leak = 0.0
 
+        self.feasible = self.leak <= _round_off(d)  # rho's weight outside the hull's support
         self.rho = rho
         self.vecs = vecs
         self.mats = mats
@@ -186,20 +217,11 @@ class _Program:
 
     @classmethod
     def from_spec(cls, rho: np.ndarray, spec: FreeSet) -> "_Program":
-        if spec.dim != rho.shape[0]:
-            raise ValueError(
-                f"state dimension {rho.shape[0]} does not match free set {spec.label()}"
-            )
         points = spec.vector_array if spec.all_pure else np.stack(spec.density_matrices())
         if not (rho.imag.any() or points.imag.any()):
             # real data: solve over real symmetric witnesses (module docstring)
             rho, points = rho.real.copy(), points.real.copy()
         return cls(rho, points, None) if spec.all_pure else cls(rho, None, points)
-
-    @property
-    def feasible(self) -> bool:
-        # support of rho must sit inside the hull's support
-        return self.leak <= 1e-9
 
     def expand(self, Y: np.ndarray) -> np.ndarray:
         """Lift an operator from the compressed subspace back to this
@@ -446,7 +468,12 @@ def robustness_dual(rho, spec: FreeSet, tol: float = DEFAULT_TOL,
     if isinstance(max_newton, bool) or not (isinstance(max_newton, numbers.Integral)
                                             and max_newton >= 0):
         raise ValueError(f"max_newton must be an integer >= 0, got {max_newton!r}")
-    rho = assert_density(rho)
+    rho, spectrum = _density_spectrum(rho, "state")
+    if spec.dim != rho.shape[0]:
+        raise ValueError(f"state dimension {rho.shape[0]} does not match free set {spec.label()}")
+    free = _free_mixture(rho, spec, spectrum[-1], tol)
+    if free is not None:
+        return free
     prog, it, used, status = _solve(rho, spec, tol, max_newton)
     if it is None:
         return RobustnessResult(
@@ -483,6 +510,38 @@ def _certify(rho, spec: FreeSet, witness, weights, status: str, used: int) -> Ro
     )
 
 
+def _exact(rho, spec: FreeSet, witness, weights, tol: float) -> RobustnessResult | None:
+    """``_certify`` of a certificate found without iterating, or None unless its gap
+    closes within ``tol``."""
+    res = _certify(rho, spec, witness, weights, CONVERGED, 0)
+    return res if res.gap <= tol * max(1.0, res.upper_bound) else None
+
+
+def _reaches_extreme_point(rho, spec: FreeSet, level: float = 1.0) -> bool:
+    """Whether max_k Tr[rho sigma_k] >= level - _PURE_FREE_SLACK: at level lambda_max(rho),
+    the pre-test of a free mixture; at level 1, whether rho is a pure extreme point, as
+    Tr[rho sigma] <= lambda_max(rho) <= 1 (module docstring)."""
+    return bool(witness_constraints(rho, spec).max() >= level - _PURE_FREE_SLACK)
+
+
+def _free_mixture(rho, spec: FreeSet, lam_max: float, tol: float) -> RobustnessResult | None:
+    """R = 0 certified by the witness I and rho's eigenvalues as weights, when rho mixes
+    orthonormal pure extreme points (module docstring); None for any other rho."""
+    if not _reaches_extreme_point(rho, spec, lam_max):
+        return None
+    w, E = np.linalg.eigh(rho)
+    keep = w > _round_off(len(w))
+    overlaps = np.array([witness_constraints(np.outer(e, e.conj()), spec) for e in E[:, keep].T])
+    match = overlaps.argmax(axis=1)
+    if not overlaps[np.arange(len(match)), match].min() >= 1.0 - _PURE_FREE_SLACK:
+        return None
+    q = np.zeros(spec.n_points)
+    q[match] = w[keep]  # orthogonal e_i cannot share a point they each overlap by > 1/2
+    if not np.linalg.eigvalsh(primal_slack(q, rho, spec))[0] >= -_round_off(len(w)):
+        return None
+    return _exact(rho, spec, np.eye(len(w)), q, tol)
+
+
 @lru_cache(maxsize=STABILIZER_MAX_QUBITS)
 def _tstate_profiles(n: int):
     """Twirl table around |T>^n (module docstring): basis V = [|T>, |T^perp>]^n,
@@ -497,9 +556,15 @@ def _tstate_profiles(n: int):
 
 
 def _twirled_dual(rho, y, spec: FreeSet, tol: float, max_newton: int) -> RobustnessResult | None:
-    """robustness_dual(rho, spec) for rho in span{P_j} (module docstring) when y is
-    |T>^n up to a phase and spec is stabilizer_set(n); None for any other pair."""
-    n = spec.dim.bit_length() - 1
+    """robustness_dual(rho, spec) for theorem 2's residual rho = (I - a|y><y|)/(d - a) by its
+    twirl (module docstring): in closed form when y is flat and spec is an incoherent set,
+    over the profiles when y is |T>^n up to a phase and spec is stabilizer_set(n); None for
+    any other pair."""
+    d = spec.dim
+    if spec.kind == "incoherent" and np.abs(d * np.abs(y) ** 2 - 1.0).max() <= _round_off(d):
+        Y = d / (d - 1) * (np.eye(d) - np.outer(y, y.conj()))
+        return _exact(rho, spec, Y, np.full(d, np.linalg.eigvalsh(rho)[-1]), tol)
+    n = d.bit_length() - 1
     if not (spec.kind == "stabilizer" and n <= STABILIZER_MAX_QUBITS and spec is stabilizer_set(n)
             and abs(np.vdot(t_state(n), y)) >= 1.0 - 1e-14):
         return None

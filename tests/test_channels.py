@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from robustwork.channels import (
-    _PURE_FREE_SLACK,
     QuantumChannel,
     apply_channel,
     apply_via_choi,
@@ -21,7 +20,7 @@ from robustwork.channels import (
 )
 from robustwork.freesets import finite_hull, incoherent_set, membership, stabilizer_set
 from robustwork.linalg import INF_BETA, maximally_mixed, projector, von_neumann_entropy
-from robustwork.solver import robustness_dual, tstate_magic_robustness
+from robustwork.solver import _PURE_FREE_SLACK, robustness_dual, tstate_magic_robustness
 from robustwork.states import (
     HADAMARD,
     T_GATE,

@@ -100,23 +100,24 @@ def as_entry_report(rep) -> dict:
 
 class TestSolveCounts:
     def test_golden_grid_solves_each_program_once(self, solves):
-        # closed-form witnesses; theorem2 needs one membership check and one
-        # residual solve per dimension (a = 1.0 at every point)
+        # closed-form witnesses; theorem2 needs one membership check per dimension,
+        # and its flat-phase residual (a = 1.0 at every point) is certified without a solve
         report = run_scenario(scenario(
             state={"named": "golden", "d": [2, 4]}, free_set={"kind": "incoherent"},
             checks=["theorem1", "eq10", "theorem2", "corollary1"]))
         assert len(report["entries"]) == 2 * 9 * 4
-        assert len(solves) == 4, solves
+        assert len(solves) == 2, solves
 
     def test_second_run_reuses_the_maximally_mixed_proof(self, solves):
-        # I/d membership is a fact of the cached free set: a rerun solves only the residuals
+        # I/d membership is a fact of the cached free set, and the flat-phase residuals
+        # need no solve: a rerun solves nothing
         sc = scenario(state={"named": "golden", "d": [2, 4]}, free_set={"kind": "incoherent"},
                       checks=["theorem2"])
         run_scenario(sc)
-        assert len(solves) == 4, solves
+        assert len(solves) == 2, solves
         solves.clear()
         run_scenario(sc)
-        assert len(solves) == 2, solves
+        assert len(solves) == 0, solves
 
     def test_channel_grid_solves_each_program_once(self, solves):
         # Choi program and theorem3 output program; the free pure input is an overlap test
@@ -134,12 +135,13 @@ class TestSolveCounts:
         assert len(solves) == 3, solves
 
     def test_residual_solved_once_per_distinct_weight(self, solves):
-        # small lambda*beta*c: every lambda gives its own residual weight
+        # small lambda*beta*c: every lambda gives its own residual weight, and each
+        # flat-phase residual is certified without a solve; only I/2 membership solves
         run_scenario(load_scenario({
             "schema_version": 1, "name": "warm", "state": {"named": "golden", "d": 2},
             "free_set": {"kind": "incoherent"}, "lambda_grid": [0.1, 0.2],
             "beta_grid": [0.5], "checks": ["theorem2"]}))
-        assert len(solves) == 1 + 2, solves
+        assert len(solves) == 1, solves
 
     def test_cli_channel_verb(self, solves, tmp_path, capsys):
         path = tmp_path / "ch.json"

@@ -292,6 +292,14 @@ class TestInvariants:
         assert res.status == INFEASIBLE
         assert res.value == math.inf
 
+    def test_support_leak_above_rounding_is_infeasible(self):
+        # 1e-10 of rho's weight on |2>, outside the hull's support: R is infinite,
+        # however small the leak is next to the old 1e-9 allowance
+        rho = np.diag([0.5 - 1e-10, 0.5, 1e-10])
+        res = robustness_dual(rho, finite_hull([basis_state(3, 0), basis_state(3, 1)]))
+        assert res.status == INFEASIBLE
+        assert res.value == res.upper_bound == math.inf
+
     def test_converged_gap_within_tolerance(self):
         spec = incoherent_set(4)
         rho = random_density_matrix(4, rng)
@@ -402,12 +410,77 @@ class TestIterationCounts:
         (random_density_matrix(32, np.random.default_rng(0)), incoherent_set(32), 14),
         (projector(random_pure_state(8, np.random.default_rng(0))), stabilizer_set(3), 15),
         (choi_state(unitary_channel(T_GATE)).matrix, stabilizer_set(2), 7),
-        (choi_state(unitary_channel(HADAMARD)).matrix, stabilizer_set(2), 7),
+        # a stabilizer state: a free mixture, certified without iterating
+        (choi_state(unitary_channel(HADAMARD)).matrix, stabilizer_set(2), 0),
     ], ids=["golden-2", "golden-32", "golden-64", "tstate-1", "tstate-2", "tstate-3",
             "ginibre-32", "haar-stab3", "choi-t_gate", "choi-hadamard"])
     def test_converges_in(self, rho, spec, iterations):
         res = robustness_dual(rho, spec)
         assert (res.status, res.newton_iterations) == (CONVERGED, iterations)
+
+
+def _pauli_eigenbasis_mixture(n: int, weights) -> tuple[np.ndarray, np.ndarray]:
+    """An orthonormal basis of n-qubit stabilizer states (the X eigenbasis on the first
+    qubit, Y on the second, Z on the third), as columns, and its mixture with ``weights``."""
+    x = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+    y = np.array([[1, 1], [1j, -1j]], dtype=complex) / math.sqrt(2)
+    B = np.eye(1, dtype=complex)
+    for U in (x, y, np.eye(2, dtype=complex))[:n]:
+        B = np.kron(B, U)
+    return B, (B * np.asarray(weights)) @ B.conj().T
+
+
+class TestExactCertificates:
+    """A free state that mixes orthonormal pure extreme points is certified without
+    iterating (solver docstring); every other free state still runs the loop."""
+
+    @pytest.mark.parametrize("spec", [*map(incoherent_set, range(2, 6)),
+                                      *map(stabilizer_set, (1, 2, 3))],
+                             ids=lambda spec: spec.label())
+    def test_maximally_mixed_state(self, spec):
+        rho = maximally_mixed(spec.dim)
+        res = robustness_dual(rho, spec)
+        assert (res.status, res.newton_iterations) == (CONVERGED, 0)
+        assert res.lower_bound == res.value == 0.0 and res.gap <= 1e-15
+        assert_certified(res, rho, spec)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_pauli_eigenbasis_with_distinct_weights(self, n):
+        weights = np.arange(1.0, 2**n + 1.0)
+        B, rho = _pauli_eigenbasis_mixture(n, weights / weights.sum())
+        spec = stabilizer_set(n)
+        res = robustness_dual(rho, spec)
+        assert (res.status, res.newton_iterations) == (CONVERGED, 0)
+        assert np.count_nonzero(res.primal_weights) == 2**n
+        assert res.gap <= 1e-15
+        assert_certified(res, rho, spec)
+
+    def test_mixture_with_a_non_extreme_eigenbasis_runs_the_loop(self):
+        # (|0><0| + |+><+|)/2 is free, but its eigenvectors are not stabilizer states
+        plus = np.array([1.0, 1.0]) / math.sqrt(2)
+        rho = 0.5 * (projector(basis_state(2, 0)) + projector(plus))
+        spec = stabilizer_set(1)
+        res = robustness_dual(rho, spec)
+        assert res.status == CONVERGED and res.newton_iterations > 0
+        assert res.lower_bound <= 0.0 <= res.upper_bound
+        assert_certified(res, rho, spec)
+
+    def test_pure_matrix_generator_matches(self):
+        spec = finite_hull([maximally_mixed(2), projector(t_state(1))])
+        rho = projector(t_state(1))
+        res = robustness_dual(rho, spec)
+        assert (res.status, res.newton_iterations) == (CONVERGED, 0)
+        assert res.primal_weights.tolist() == pytest.approx([0.0, 1.0], abs=1e-15)
+        assert_certified(res, rho, spec)
+
+    def test_overlap_just_below_one_fails_the_recheck(self):
+        # |<0|psi>|^2 = 1 - 1e-14 passes the overlap test, but |0><0| - rho has the
+        # eigenvalue -1e-7: a rounding-sized recheck sends it to the loop
+        psi = np.array([math.sqrt(1.0 - 1e-14), 1e-7])
+        rho, spec = projector(psi), incoherent_set(2)
+        res = robustness_dual(rho, spec)
+        assert res.status == CONVERGED and res.newton_iterations > 0
+        assert_certified(res, rho, spec)
 
 
 class TestNewtonSolve:

@@ -62,6 +62,7 @@ from robustwork.thermo import (
 )
 
 from conftest import SEEDS
+from test_solver import assert_certified
 
 rng = np.random.default_rng(SEEDS["thermo"])
 
@@ -414,7 +415,9 @@ class TestTheorem2:
                                 lower_bound=1.0 / 3.0 - 1e-3, upper_bound=1.0 / 3.0 + 1e-3,
                                 newton_iterations=0)
         monkeypatch.setattr(thermo, "robustness_dual", lambda *args, **kwargs: fake)
-        rep = theorem2_at_weight(golden_state(d), 1.0, d, incoherent_set(d))
+        # a y without a flat phase profile, whose residual the solver must solve
+        y = np.arange(1.0, d + 1.0) / np.linalg.norm(np.arange(1.0, d + 1.0))
+        rep = theorem2_at_weight(y, 1.0, d, incoherent_set(d))
         assert rep.lhs == fake.upper_bound
         assert rep.satisfied is False
 
@@ -484,6 +487,46 @@ class TestTwirlReduction:
     def test_twirl_declines_other_pairs(self, n):
         for y, free in self.other_pairs(n):
             rho = thermo._residual_state(y, 1.0, 2**n)
+            assert _twirled_dual(rho, y, free, DEFAULT_TOL, DEFAULT_MAX_NEWTON) is None
+
+
+class TestFlatResidual:
+    """Theorem 2's residual of a flat-phase y against an incoherent set is certified in
+    closed form (solver docstring), without an interior-point iteration."""
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    @pytest.mark.parametrize("a", [0.3, 0.7, 1.0])
+    def test_flat_route_matches_full_solve(self, d, a):
+        gen = np.random.default_rng([SEEDS["thermo"], d])
+        y = np.exp(2j * np.pi * gen.uniform(size=d)) / math.sqrt(d)
+        rho, spec = thermo._residual_state(y, a, d), incoherent_set(d)
+        flat = _twirled_dual(rho, y, spec, DEFAULT_TOL, DEFAULT_MAX_NEWTON)
+        full = robustness_dual(rho, spec)
+        assert (flat.status, flat.newton_iterations) == ("converged", 0)
+        assert full.status == "converged"
+        assert max(flat.lower_bound, full.lower_bound) <= min(flat.upper_bound, full.upper_bound)
+        assert flat.gap <= 1e-14
+        assert flat.value == pytest.approx(a / (d - a), abs=1e-14)
+        assert_certified(flat, rho, spec)
+        assert_certified(full, rho, spec)
+
+    @pytest.mark.parametrize("psi", [golden_state(4), basis_state(4, 2),
+                                     random_pure_state(4, np.random.default_rng(SEEDS["thermo"]))],
+                             ids=["golden", "basis", "random"])
+    def test_every_pure_coherence_witness_takes_the_route(self, psi):
+        _, y = pure_coherence_witness(psi)
+        rho = thermo._residual_state(y, 1.0, 4)
+        res = _twirled_dual(rho, y, incoherent_set(4), DEFAULT_TOL, DEFAULT_MAX_NEWTON)
+        assert res.newton_iterations == 0
+        assert_certified(res, rho, incoherent_set(4))
+
+    def test_route_declines_other_pairs(self):
+        d = 4
+        ramp = np.arange(1.0, d + 1.0) / np.linalg.norm(np.arange(1.0, d + 1.0))
+        for y, free in [(ramp, incoherent_set(d)),  # not flat
+                        (golden_state(d), finite_hull(incoherent_set(d).vectors)),
+                        (golden_state(d), stabilizer_set(2))]:
+            rho = thermo._residual_state(y, 1.0, d)
             assert _twirled_dual(rho, y, free, DEFAULT_TOL, DEFAULT_MAX_NEWTON) is None
 
 
