@@ -18,7 +18,8 @@ import numpy as np
 
 from .freesets import FreeSet
 from .linalg import assert_density, dagger, partial_trace, projector, trace_inner
-from .solver import DEFAULT_TOL, RobustnessResult, _reaches_extreme_point, robustness_dual
+from .solver import (DEFAULT_TOL, RobustnessResult, _feasible, _reaches_extreme_point,
+                     robustness_dual)
 from .states import maximally_entangled_state
 from .thermo import (
     _DEGENERATE_R,
@@ -179,7 +180,8 @@ def theorem3_output_witness(E: QuantumChannel, sigma_in, spec: FreeSet,
     """Validate the free pure input and solve the output state's program.
 
     Pure states are extreme among states, so sigma_in is a free pure state iff it is one
-    of the extreme points, which the solver's overlap test decides at level 1."""
+    of the extreme points, which the solver's overlap test decides at level 1.  Raises
+    InfeasibleHullError when the hull cannot dominate the output."""
     sigma_in = assert_density(sigma_in)
     if not sigma_in.shape[0] == E.dim == spec.dim:
         raise ValueError(f"sigma_in has dimension {sigma_in.shape[0]} and the free set "
@@ -187,7 +189,7 @@ def theorem3_output_witness(E: QuantumChannel, sigma_in, spec: FreeSet,
     if not _reaches_extreme_point(sigma_in, spec):
         raise ValueError("sigma_in must be a pure state of the free set")
     out = apply_channel(E, sigma_in)
-    result = robustness_dual(out, spec, tol=tol)
+    result = _feasible(robustness_dual(out, spec, tol=tol), spec)
     return OutputWitness(witness_summary(result.witness, out, spec),
                          trace_inner(result.witness, sigma_in), result)
 
@@ -255,4 +257,5 @@ def theorem4_bound(E: QuantumChannel, bipartite_spec: FreeSet, ctx: ThermoContex
     bound: (1 + S(tau)/(lam beta)) / (1 + R + (S(tau) - S(J))/(lam beta)).
     """
     J, result = _choi_program(E, bipartite_spec, tol)
+    result = _feasible(result, bipartite_spec)
     return theorem4_report(witness_summary(result.witness, J.matrix, bipartite_spec), result, ctx)

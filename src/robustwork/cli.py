@@ -4,8 +4,8 @@ Verbs: robustness, witness, protocol, verify, channel, sweep, freeset dump.
 Inputs are JSON files (``--input``), checked by the scenario parsers, which
 reject unknown fields; results go to stdout or, with ``--out DIR``, to files
 in that directory.  Exit codes: 0 all checks pass, 2 a precondition-met check
-failed, 3 solver non-convergence, 4 input or usage error, 1 stdout closed by
-its reader.
+failed, 3 solver non-convergence, 4 input or usage error (a free set that
+cannot dominate the state included), 1 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from .scenarios import (
     sweep,
     sweep_to_csv,
 )
-from .solver import (INFEASIBLE, MAX_ITERATIONS, Rank1NotTightError, rank1_truncation,
-                     robustness_dual)
+from .solver import (INFEASIBLE, MAX_ITERATIONS, InfeasibleHullError, Rank1NotTightError,
+                     _feasible, rank1_truncation, robustness_dual)
 from .thermo import ThermoContext, eq10_report, simulate_protocol, theorem1_report, witness_summary
 
 EXIT_OK = 0
@@ -129,7 +129,7 @@ def _cmd_protocol(args) -> int:
         witness = assert_hermitian(json_to_matrix(obj["witness"], "input.witness"))
     else:
         spec = build_free_set(obj["free_set"], variant.d)
-        witness = robustness_dual(variant.rho, spec, tol=obj["tol"]).witness
+        witness = _feasible(robustness_dual(variant.rho, spec, tol=obj["tol"]), spec).witness
 
     trace = simulate_protocol(variant.rho, witness, ctx)
     payload = {
@@ -257,7 +257,7 @@ def main(argv=None) -> int:
         code = args.fn(args)
         sys.stdout.flush()
         return code
-    except (ScenarioError, ValueError) as exc:
+    except (ScenarioError, ValueError, InfeasibleHullError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except BrokenPipeError:

@@ -43,13 +43,9 @@ __all__ = [
 INF_BETA = math.inf
 
 
-@dataclass
+@dataclass(frozen=True)
 class NumericPolicy:
-    """Global numeric tolerances.
-
-    These are fixed for the whole library; mutate the single ``policy``
-    instance if a different regime is ever needed.
-    """
+    """Global numeric tolerances, fixed for the whole library."""
 
     herm_tol: float = 1e-10       # max-entry deviation from A^dagger
     psd_tol: float = 1e-9         # eigenvalues may dip this far below 0

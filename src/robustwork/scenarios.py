@@ -51,8 +51,9 @@ from .iojson import (
 from .linalg import assert_density, assert_pure, projector
 from .solver import (
     DEFAULT_TOL,
-    INFEASIBLE,
     MAX_ITERATIONS,
+    InfeasibleHullError,
+    _feasible,
     pure_coherence_witness,
     rank1_truncation,
     Rank1NotTightError,
@@ -67,7 +68,6 @@ from .thermo import (
     corollary1_report,
     eq10_report,
     rank1_summary,
-    require_maximally_mixed,
     residual_weight,
     theorem1_report,
     theorem2_at_weight,
@@ -94,7 +94,6 @@ ALL_CHECKS = STATE_CHECKS + CHANNEL_CHECKS
 SWEEP_COLUMNS = ("scenario", "check", "d", "n", "lambda", "beta",
                  "R", "bound", "achieved", "satisfied")
 
-_THEOREM2_DIM_CAP = 16
 _SDP_DIM_CAP = 64  # no robustness program is solved above this; larger states need a closed form
 # named families and free sets, whose d x d arrays are built in full; the largest in
 # use is tstate(10) against incoherent(1024)
@@ -320,7 +319,7 @@ class Scenario:
     state: tuple | None             # the state variants, parsed once
     channel: tuple | None           # (QuantumChannel, label)
     input_state: np.ndarray | None  # theorem 3's input: the given state, else |0><0|
-    free_set: dict                  # parsed per variant, against its dimension
+    free_set: dict                  # (kind, builder) per state or channel dimension
     lambda_grid: tuple
     beta_grid: tuple
     checks: tuple
@@ -372,8 +371,10 @@ def load_scenario(obj) -> Scenario:
     state = channel = input_state = None
     if has_state:
         state = tuple(parse_state_spec(obj["state"]))
+        dims = dict.fromkeys(v.d for v in state)
     else:
         channel = parse_channel_spec(obj["channel"])
+        dims = (channel[0].dim,)
         input_state = (_single_state(obj["input_state"], "input_state").rho
                        if "input_state" in obj else projector(basis_state(channel[0].dim, 0)))
         if len(input_state) != channel[0].dim:
@@ -386,7 +387,7 @@ def load_scenario(obj) -> Scenario:
         state=state,
         channel=channel,
         input_state=input_state,
-        free_set=obj["free_set"],
+        free_set={d: _parse_free_set(obj["free_set"], d) for d in dims},
         lambda_grid=_as_grid(obj["lambda_grid"], "scenario.lambda_grid", _parse_positive),
         beta_grid=_as_grid(obj["beta_grid"], "scenario.beta_grid", _parse_beta_item),
         checks=tuple(checks),
@@ -462,7 +463,7 @@ def _grid(scenario: Scenario, label: str, d: int, n: int | None, robustness: dic
 def _state_family(scenario: Scenario, variant: _StateVariant):
     """The robustness block and the grid evaluator of one state variant: one
     witness, from a closed form or one solve, shared across the grid."""
-    kind, build = _parse_free_set(scenario.free_set, variant.d)
+    kind, build = scenario.free_set[variant.d]
     enumerable = kind != "stabilizer" or variant.d <= 2**STABILIZER_MAX_QUBITS
     free_set = build() if enumerable else None
     c = y = None
@@ -478,10 +479,7 @@ def _state_family(scenario: Scenario, variant: _StateVariant):
         summary = rank1_summary(c, y, variant.psi, free_set)
         robustness = {"value": R, "gap": 0.0, "status": "closed_form"}
     else:
-        result = robustness_dual(variant.rho, free_set, tol=scenario.tol)
-        if result.status == INFEASIBLE:
-            raise ScenarioError(f"free set {free_set.label()} cannot dominate the state "
-                                f"{variant.label}")
+        result = _feasible(robustness_dual(variant.rho, free_set, tol=scenario.tol), free_set)
         if variant.psi is not None and result.value > 10 * scenario.tol:
             try:
                 c, y = rank1_truncation(variant.psi, free_set, result, scenario.tol)
@@ -491,14 +489,14 @@ def _state_family(scenario: Scenario, variant: _StateVariant):
         robustness = {"value": result.value, "gap": result.gap, "status": result.status}
     theorem2_skip = None
     if "theorem2" in scenario.checks:
-        if variant.d > _THEOREM2_DIM_CAP:
-            theorem2_skip = f"dimension {variant.d} above the theorem2 solver cap"
+        if variant.d > _SDP_DIM_CAP:
+            theorem2_skip = f"dimension {variant.d} above the SDP cap of {_SDP_DIM_CAP}"
         elif free_set is None:
             theorem2_skip = "theorem2 needs an enumerable free set"
-        elif c is None or y is None:
+        elif c is None:
             theorem2_skip = "theorem2 needs a resourceful pure state with a rank-1 witness"
-        else:
-            require_maximally_mixed(free_set, variant.d)
+        elif not free_set.contains_maximally_mixed:
+            theorem2_skip = "theorem2 needs the maximally mixed state in the free set"
     # the residual state depends on (lambda, beta) only through its weight a,
     # which is exactly 1.0 wherever beta*lambda*c exceeds ~37
     theorem2_by_weight: dict[float, BoundReport] = {}
@@ -538,7 +536,7 @@ def _lift_bipartite(kind: str, d: int) -> FreeSet | str:
 def _channel_family(scenario: Scenario, channel: QuantumChannel):
     """The robustness block and the grid evaluator of a channel."""
     d = channel.dim
-    kind, build = _parse_free_set(scenario.free_set, d)
+    kind, build = scenario.free_set[d]
     theorem4_skip = choi = choi_summary = robustness = None
     if isinstance(bipartite := _lift_bipartite(kind, d), str):
         theorem4_skip = bipartite
@@ -561,12 +559,16 @@ def _channel_family(scenario: Scenario, channel: QuantumChannel):
 
 
 def _grid_entries(scenario: Scenario) -> list[dict]:
-    if scenario.state is not None:
-        entries = [e for v in scenario.state
-                   for e in _grid(scenario, v.label, v.d, v.n, *_state_family(scenario, v))]
-    else:
-        channel, label = scenario.channel
-        entries = _grid(scenario, label, channel.dim, None, *_channel_family(scenario, channel))
+    try:
+        if scenario.state is not None:
+            entries = [e for v in scenario.state
+                       for e in _grid(scenario, v.label, v.d, v.n, *_state_family(scenario, v))]
+        else:
+            channel, label = scenario.channel
+            entries = _grid(scenario, label, channel.dim, None,
+                            *_channel_family(scenario, channel))
+    except InfeasibleHullError as exc:  # a document whose free set cannot serve its state
+        raise ScenarioError(f"free_set: {exc}") from None
     entries.sort(key=lambda e: (e["d"], e["n"] if e["n"] is not None else -1,
                                 e["lambda"], math.inf if e["beta"] == "inf" else e["beta"],
                                 e["check"]))

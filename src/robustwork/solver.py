@@ -177,6 +177,14 @@ class RobustnessResult:
     newton_iterations: int
 
 
+def _feasible(result: RobustnessResult, spec: FreeSet) -> RobustnessResult:
+    """``result`` for a caller that reads its witness or weights, which an infeasible
+    result lacks: InfeasibleHullError when the hull cannot dominate the state."""
+    if result.status == INFEASIBLE:
+        raise InfeasibleHullError(f"the hull {spec.label()} cannot dominate the state")
+    return result
+
+
 # ---------------------------------------------------------------------------
 # problem setup: compression onto the hull's support subspace
 # ---------------------------------------------------------------------------
@@ -583,9 +591,7 @@ def robustness_primal(rho, spec: FreeSet, tol: float = DEFAULT_TOL,
     Raises :class:`InfeasibleHullError` when the hull cannot dominate the
     state (impossible when the maximally mixed state is in the hull).
     """
-    result = robustness_dual(rho, spec, tol=tol, max_newton=max_newton)
-    if result.status == INFEASIBLE:
-        raise InfeasibleHullError(f"the hull {spec.label()} cannot dominate the state")
+    result = _feasible(robustness_dual(rho, spec, tol=tol, max_newton=max_newton), spec)
     return result.upper_bound, result.primal_weights
 
 
@@ -692,7 +698,8 @@ def rank1_witness_from_pure(psi, spec: FreeSet, tol: float = DEFAULT_TOL) -> tup
     Projects the solved dual witness onto its top eigenpair and rescales the
     coefficient to restore feasibility (c = 1 / max_k <y|sigma_k|y>).  Raises
     :class:`Rank1NotTightError` when the truncation loses more than 10*tol
-    of the certified objective.
+    of the certified objective, and :class:`InfeasibleHullError` when the
+    hull cannot dominate the state.
     """
     psi = assert_pure(psi)
     return rank1_truncation(psi, spec, robustness_dual(projector(psi), spec, tol=tol), tol)
@@ -701,7 +708,7 @@ def rank1_witness_from_pure(psi, spec: FreeSet, tol: float = DEFAULT_TOL) -> tup
 def rank1_truncation(psi: np.ndarray, spec: FreeSet, result: RobustnessResult,
                       tol: float) -> tuple[float, np.ndarray]:
     """Rank-1 witness from an already solved program for |psi><psi|."""
-    if result.value <= tol:
+    if _feasible(result, spec).value <= tol:
         raise ValueError("state is free; a rank-1 witness requires robustness > tol")
     _, V = np.linalg.eigh(result.witness)
     y = V[:, -1]

@@ -42,8 +42,8 @@ from .linalg import (
     trace_inner,
     von_neumann_entropy,
 )
-from .solver import (DEFAULT_MAX_NEWTON, DEFAULT_TOL, _twirled_dual, robustness_dual,
-                     witness_constraints)
+from .solver import (DEFAULT_MAX_NEWTON, DEFAULT_TOL, _feasible, _twirled_dual,
+                     robustness_dual, witness_constraints)
 
 __all__ = [
     "ThermoContext",
@@ -404,7 +404,7 @@ def corollary1_report(s: WitnessSummary, ctx: ThermoContext) -> BoundReport:
 
 def _state_summary(rho, spec: FreeSet, witness, tol: float) -> WitnessSummary:
     if witness is None:
-        witness = robustness_dual(rho, spec, tol=tol).witness
+        witness = _feasible(robustness_dual(rho, spec, tol=tol), spec).witness
     return witness_summary(witness, rho, spec)
 
 

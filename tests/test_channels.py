@@ -20,7 +20,8 @@ from robustwork.channels import (
 )
 from robustwork.freesets import finite_hull, incoherent_set, membership, stabilizer_set
 from robustwork.linalg import INF_BETA, maximally_mixed, projector, von_neumann_entropy
-from robustwork.solver import _PURE_FREE_SLACK, robustness_dual, tstate_magic_robustness
+from robustwork.solver import (_PURE_FREE_SLACK, InfeasibleHullError, robustness_dual,
+                               tstate_magic_robustness)
 from robustwork.states import (
     HADAMARD,
     T_GATE,
@@ -157,6 +158,12 @@ class TestCostProxy:
 
 
 class TestTheorem3:
+    def test_infeasible_hull_raises(self):
+        # the Hadamard output |+> of the free input |0> is not dominated by |0><0|
+        with pytest.raises(InfeasibleHullError, match="cannot dominate"):
+            theorem3_bound(unitary_channel(HADAMARD), projector(basis_state(2, 0)),
+                           finite_hull([basis_state(2, 0)]), ThermoContext(beta=1.0, lam=1.0))
+
     def test_t_circuit_bound(self):
         E = make_channel([T_GATE @ HADAMARD])
         ctx = ThermoContext(beta=INF_BETA, lam=50.0)
@@ -251,6 +258,12 @@ class TestFreePureInput:
 
 
 class TestTheorem4:
+    def test_infeasible_hull_raises(self):
+        # the Hadamard Choi state is not dominated by |00><00|
+        with pytest.raises(InfeasibleHullError, match="cannot dominate"):
+            theorem4_bound(unitary_channel(HADAMARD), finite_hull([basis_state(4, 0)]),
+                           ThermoContext(beta=1.0, lam=1.0))
+
     def test_zero_temperature_value(self):
         ctx = ThermoContext(beta=INF_BETA, lam=5.0)
         rep = theorem4_bound(unitary_channel(T_GATE), stabilizer_set(2), ctx)

@@ -5,6 +5,7 @@ import pytest
 
 from robustwork.linalg import (
     INF_BETA,
+    NumericPolicy,
     assert_density,
     assert_hermitian,
     assert_pure,
@@ -12,6 +13,7 @@ from robustwork.linalg import (
     hermitian_eig,
     maximally_mixed,
     partial_trace,
+    policy,
     projector,
     tensor,
     trace_inner,
@@ -31,6 +33,12 @@ from conftest import SEEDS
 from oracles import shannon_entropy, two_level_gibbs_probs
 
 rng = np.random.default_rng(SEEDS["linalg"])
+
+
+def test_policy_is_immutable():
+    with pytest.raises(AttributeError):
+        policy.psd_tol = 1.0
+    assert policy == NumericPolicy()
 
 
 class TestHermitianEig:

@@ -8,7 +8,7 @@ import pytest
 from robustwork.solver import _PURE_FREE_SLACK
 from robustwork.freesets import STABILIZER_MAX_QUBITS, stabilizer_state_count
 from robustwork.linalg import NumericPolicy
-from robustwork.scenarios import _FAMILY_DIM_CAP, _SDP_DIM_CAP, _THEOREM2_DIM_CAP
+from robustwork.scenarios import _FAMILY_DIM_CAP, _SDP_DIM_CAP
 from robustwork.solver import DEFAULT_MAX_NEWTON, DEFAULT_TOL
 
 # phrases may wrap anywhere, so whitespace runs compare as one space
@@ -47,9 +47,9 @@ COUNTS = " / ".join(str(stabilizer_state_count(n)) for n in range(1, STABILIZER_
                  id="depolarizing"),
     pytest.param(f"`stabilizer(2n)` above the {STABILIZER_MAX_QUBITS}-qubit enumeration cap",
                  id="theorem4-lift"),
-    pytest.param(f"SDPs are capped at dimension {_SDP_DIM_CAP}, and `theorem2` at "
-                 f"{_THEOREM2_DIM_CAP}; named families and free sets at {_FAMILY_DIM_CAP}.",
-                 id="scope"),
+    pytest.param(f"SDPs are capped at dimension {_SDP_DIM_CAP}; named families and free sets "
+                 f"at {_FAMILY_DIM_CAP}.", id="scope"),
+    pytest.param(f"`dimension d above the SDP cap of {_SDP_DIM_CAP}`", id="theorem2-skip"),
 ])
 def test_readme_states_the_code_value(phrase):
     assert phrase in README

@@ -54,6 +54,7 @@ def strict_json(text: str):
 
 
 GOLDEN2 = {"state": {"named": "golden", "d": 2}, "free_set": {"kind": "incoherent"}}
+HULL0 = {"kind": "finite_hull", "states": [[[1.0, 0.0], [0.0, 0.0]]]}  # |0> alone
 
 
 def scenario_dict(**overrides):
@@ -133,9 +134,20 @@ class TestParsing:
                            "input_state": {"named": "basis", "d": 4, "j": 0}})
 
     def test_free_set_dimension_mismatch(self):
-        sc = load_scenario(scenario_dict(free_set={"kind": "incoherent", "dim": 3}))
-        with pytest.raises(ScenarioError, match="free_set.dim"):
-            run_scenario(sc)
+        # checked against every variant of the family golden(2), golden(4)
+        with pytest.raises(ScenarioError, match="free_set.dim: 2 does not match dimension 4"):
+            load_scenario(scenario_dict(free_set={"kind": "incoherent", "dim": 2}))
+
+    @pytest.mark.parametrize("free_set, field", [
+        pytest.param({"kind": "bogus"}, "free_set.kind", id="unknown-kind"),
+        pytest.param({"kind": "incoherent", "extra": 1}, "free_set.extra: unknown field",
+                     id="unknown-field"),
+        pytest.param({"kind": "incoherent", "dim": 5}, "free_set.dim: 5 does not match "
+                     "dimension 4", id="dimension"),
+    ])
+    def test_malformed_free_set_fails_at_load(self, free_set, field):
+        with pytest.raises(ScenarioError, match=field):
+            load_scenario(scenario_dict(state={"named": "golden", "d": 4}, free_set=free_set))
 
     def test_unknown_state_field(self):
         with pytest.raises(ScenarioError, match="state"):
@@ -185,13 +197,11 @@ class TestDimensionCaps:
         ({"named": "tstate", "n": 1}, {"kind": "stabilizer", "n": 10**12}, "free_set.n"),
     ], ids=["incoherent", "stabilizer"])
     def test_free_set_rejected_before_building(self, state, free_set, field):
-        sc = load_scenario(scenario_dict(state=state, free_set=free_set))
-
-        def run():
+        def load():
             with pytest.raises(ScenarioError, match=field):
-                run_scenario(sc)
+                load_scenario(scenario_dict(state=state, free_set=free_set))
 
-        assert peak_traced_bytes(run) < 2**20
+        assert peak_traced_bytes(load) < 2**20
 
     def test_largest_family_in_use_is_accepted(self):
         sc = load_scenario(scenario_dict(state={"named": "tstate", "n": 10}))
@@ -385,14 +395,39 @@ class TestRunScenario:
 
     def test_theorem2_skipped_above_dimension_cap(self):
         sc = load_scenario(scenario_dict(
-            state={"named": "golden", "d": 32},
+            state={"named": "golden", "d": 128},
             checks=["theorem2"],
             beta_grid=[1.0],
         ))
         report = run_scenario(sc)
         entry = report["entries"][0]
         assert entry["skipped"]
-        assert "cap" in entry["reason"]
+        assert entry["reason"] == f"dimension 128 above the SDP cap of {scenarios._SDP_DIM_CAP}"
+        assert report["exit_code"] == 0
+
+    def test_theorem2_runs_up_to_the_sdp_cap(self):
+        report = run_scenario(load_scenario(scenario_dict(
+            state={"named": "golden", "d": [32, 64]}, checks=["theorem2"])))
+        assert [e["d"] for e in report["entries"]] == [32, 32, 64, 64]
+        for e in report["entries"]:
+            assert not e["skipped"] and e["report"]["satisfied"]
+            assert e["report"]["detail"]["status"] == "converged"
+            assert e["report"]["lhs"] <= 1.0 / (e["d"] - 1) + 1e-12
+        assert report["exit_code"] == 0
+
+    def test_theorem2_skipped_without_the_maximally_mixed_state(self):
+        # I/2 is outside the hull of |0> and |+>; theorem 1 is still reported
+        plus = [[2**-0.5, 0.0], [2**-0.5, 0.0]]
+        report = run_scenario(load_scenario(scenario_dict(
+            state={"vector": [[0.6, 0.0], [0.8, 0.0]]},
+            free_set={"kind": "finite_hull", "states": [[[1.0, 0.0], [0.0, 0.0]], plus]},
+            lambda_grid=[100.0], beta_grid=[1.0], checks=["theorem1", "theorem2"])))
+        by_check = {e["check"]: e for e in report["entries"]}
+        assert by_check["theorem2"]["skipped"]
+        assert by_check["theorem2"]["reason"] == \
+            "theorem2 needs the maximally mixed state in the free set"
+        assert not by_check["theorem1"]["skipped"]
+        assert by_check["theorem1"]["report"]["satisfied"]
         assert report["exit_code"] == 0
 
     def test_tstate_beyond_stabilizer_enumeration(self):
@@ -669,6 +704,18 @@ class TestCli:
         out = strict_json(proc.stdout)
         assert out["status"] == "infeasible"
         assert out["witness"] is None and out["rank1"] is None
+
+    @pytest.mark.parametrize("verb, doc", [
+        pytest.param("protocol", {**GOLDEN2, "free_set": HULL0, "lambda": 1.0, "beta": 1.0},
+                     id="protocol"),
+        pytest.param("channel", {"channel": {"named": "hadamard"}, "free_set": HULL0,
+                                 "lambda": 1.0, "beta": 1.0}, id="channel-theorem3"),
+    ])
+    def test_infeasible_hull_is_an_input_error(self, tmp_path, verb, doc):
+        proc = self.run_cli(verb, "--input", self.write(tmp_path, "in.json", doc))
+        assert proc.returncode == 4
+        assert "Traceback" not in proc.stderr
+        assert "cannot dominate" in proc.stderr
 
     def test_verify_verb_infeasible_hull_says_so(self, tmp_path):
         path = self.write(tmp_path, "sc.json", scenario_dict(

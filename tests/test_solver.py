@@ -235,6 +235,10 @@ class TestWitnesses:
         achieved = c * abs(np.vdot(y, t_state(1))) ** 2 - 1.0
         assert achieved == pytest.approx(tstate_magic_robustness(1), abs=1e-6)
 
+    def test_rank1_rejects_infeasible_hull(self):
+        with pytest.raises(InfeasibleHullError, match="cannot dominate"):
+            rank1_witness_from_pure(golden_state(2), finite_hull([basis_state(2, 0)]))
+
     def test_rank1_rejects_free_state(self):
         with pytest.raises(ValueError):
             rank1_witness_from_pure(basis_state(2, 0), incoherent_set(2))

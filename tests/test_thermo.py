@@ -19,6 +19,7 @@ from robustwork import thermo
 from robustwork.solver import (
     DEFAULT_MAX_NEWTON,
     DEFAULT_TOL,
+    InfeasibleHullError,
     RobustnessResult,
     _tstate_profiles,
     _twirled_dual,
@@ -249,6 +250,13 @@ class TestProtocol:
 
 
 class TestAdvantageChecks:
+    @pytest.mark.parametrize("verify", [verify_theorem1, verify_eq10_ratio, verify_xi_cost])
+    def test_infeasible_hull_raises(self, verify):
+        # no mixture of |0><0| dominates |+><+|: there is no witness to summarize
+        with pytest.raises(InfeasibleHullError, match="cannot dominate"):
+            verify(projector(golden_state(2)), finite_hull([basis_state(2, 0)]),
+                   ThermoContext(beta=1.0, lam=100.0))
+
     def test_eq10_golden_d8(self):
         d = 8
         ctx = ThermoContext(beta=1.0, lam=1e4)
@@ -494,7 +502,7 @@ class TestFlatResidual:
     """Theorem 2's residual of a flat-phase y against an incoherent set is certified in
     closed form (solver docstring), without an interior-point iteration."""
 
-    @pytest.mark.parametrize("d", range(2, 17))
+    @pytest.mark.parametrize("d", [*range(2, 17), 32, 64])
     @pytest.mark.parametrize("a", [0.3, 0.7, 1.0])
     def test_flat_route_matches_full_solve(self, d, a):
         gen = np.random.default_rng([SEEDS["thermo"], d])
