@@ -83,9 +83,23 @@ eigenvalue above rounding must overlap some extreme point to 1 - _PURE_FREE_SLAC
 slack of the matched weights is rechecked down to rounding; a spectrum whose eigenbasis
 is not made of extreme points (say, a degenerate one) is left to the interior-point loop.
 
-Both certificates sit on the boundary, with the slack's least eigenvalue at rounding
-(about -1e-16), and both go through ``_certify`` with ``newton_iterations`` 0; an input
-whose certificate does not close within ``tol`` runs the loop instead.
+A pure rho = |psi><psi| (lambda_max(rho) >= 1 - rounding; psi is read off a column of rho)
+has a closed-form pair in two cases, tried next.  Against an incoherent set, R is the l1
+coherence (sum_j |c_j|)^2 - 1 (Napoli et al., PRL 116, 150502, 2016): the witness
+d|y><y| with y_j = phase(c_j)/sqrt(d) meets Tr[Y |k><k|] = 1 and reaches it, and the
+weights q_k = |c_k| sum_j |c_j| sum to it; their slack D - |psi><psi|, D = diag(q), is PSD
+because psi^dag D^-1 psi = sum_k |c_k| / sum_j |c_j| = 1.  When |<T^n|psi>| >= 1 - 1e-14,
+against any hull holding the 2^n products of |+> and |+i> (found by overlap, like the
+eigenvectors above), R = (4 - 2 sqrt 2)^n - 1 = 1/F - 1 with F = cos^{2n}(pi/8) the largest
+stabilizer fidelity (Heinrich & Gross, Quantum 3, 132, 2019): the witness (1 + R)|T><T|^n
+is rechecked against every extreme point, and the weights (2 - sqrt 2)^n on the products
+sum to R + 1 with slack A^n - |T><T|^n, where A = (2 - sqrt 2)(|+><+| + |+i><+i|) =
+|T><T| + (3 - 2 sqrt 2)|T^perp><T^perp| >= |T><T| >= 0, and A >= B >= 0 gives A^n >= B^n.
+
+These certificates sit on the boundary, with the slack's least eigenvalue at rounding
+(about -1e-15).  The free mixture's and the pure pairs' slacks are rechecked down to
+rounding, every one goes through ``_certify`` with ``newton_iterations`` 0, and an input
+whose certificate fails a recheck or does not close within ``tol`` runs the loop instead.
 """
 
 from __future__ import annotations
@@ -479,9 +493,11 @@ def robustness_dual(rho, spec: FreeSet, tol: float = DEFAULT_TOL,
     rho, spectrum = _density_spectrum(rho, "state")
     if spec.dim != rho.shape[0]:
         raise ValueError(f"state dimension {rho.shape[0]} does not match free set {spec.label()}")
-    free = _free_mixture(rho, spec, spectrum[-1], tol)
-    if free is not None:
-        return free
+    exact = _free_mixture(rho, spec, spectrum[-1], tol)
+    if exact is None and spectrum[-1] >= 1.0 - _round_off(len(spectrum)):
+        exact = _pure_pair(rho, spec, tol)
+    if exact is not None:
+        return exact
     prog, it, used, status = _solve(rho, spec, tol, max_newton)
     if it is None:
         return RobustnessResult(
@@ -539,15 +555,45 @@ def _free_mixture(rho, spec: FreeSet, lam_max: float, tol: float) -> RobustnessR
         return None
     w, E = np.linalg.eigh(rho)
     keep = w > _round_off(len(w))
-    overlaps = np.array([witness_constraints(np.outer(e, e.conj()), spec) for e in E[:, keep].T])
+    return _located(rho, spec, np.eye(len(w)), E[:, keep], w[keep], tol)
+
+
+def _pure_pair(rho, spec: FreeSet, tol: float) -> RobustnessResult | None:
+    """The closed-form pair of a pure rho (module docstring): the l1 pair against an
+    incoherent set, the product pair when rho is |T>^n to 1e-14; None otherwise."""
+    d = spec.dim
+    k = int(rho.diagonal().real.argmax())
+    psi = rho[:, k] / math.sqrt(rho[k, k].real)  # psi up to a phase, as rho = |psi><psi|
+    n = d.bit_length() - 1
+    if spec.kind == "incoherent":
+        c, y = pure_coherence_witness(psi)
+        mags = np.abs(psi)
+        Y, points, w = c * np.outer(y, y.conj()), np.eye(d), mags * mags.sum()
+    elif 1 < d == 2**n and abs(np.vdot(t_state(n), psi)) >= 1.0 - 1e-14:
+        Y = (1.0 + tstate_magic_robustness(n)) * projector(t_state(n))
+        points = tensor_power(np.array([[1.0, 1.0], [1.0, 1j]]) / math.sqrt(2.0), n)
+        w = np.full(d, (2.0 - math.sqrt(2.0)) ** n)  # on the products of |+> and |+i>
+    else:
+        return None
+    return _located(rho, spec, Y, points, w, tol)
+
+
+def _located(rho, spec: FreeSet, witness, E, w, tol: float) -> RobustnessResult | None:
+    """``_exact`` of the witness and the weights w on the extreme points that the columns of
+    E overlap to 1 - _PURE_FREE_SLACK, once their slack is rechecked down to rounding; None
+    when a column matches no point or the slack fails the recheck."""
+    parts = [np.abs(dagger(E) @ spec.vector_array) ** 2] if spec.vectors else []
+    if spec.matrices:
+        parts.append(np.einsum("ai,kab,bi->ik", E.conj(), np.stack(spec.matrices), E).real)
+    overlaps = np.concatenate(parts, axis=1)
     match = overlaps.argmax(axis=1)
     if not overlaps[np.arange(len(match)), match].min() >= 1.0 - _PURE_FREE_SLACK:
         return None
     q = np.zeros(spec.n_points)
-    q[match] = w[keep]  # orthogonal e_i cannot share a point they each overlap by > 1/2
-    if not np.linalg.eigvalsh(primal_slack(q, rho, spec))[0] >= -_round_off(len(w)):
+    q[match] = w  # columns that overlap by <= 1/2 cannot share a point they each overlap by ~1
+    if not np.linalg.eigvalsh(primal_slack(q, rho, spec))[0] >= -_round_off(len(rho)):
         return None
-    return _exact(rho, spec, np.eye(len(w)), q, tol)
+    return _exact(rho, spec, witness, q, tol)
 
 
 @lru_cache(maxsize=STABILIZER_MAX_QUBITS)

@@ -12,6 +12,8 @@ from robustwork.channels import choi_state, unitary_channel
 from robustwork.linalg import maximally_mixed, projector, trace_inner
 from robustwork.solver import (
     CONVERGED,
+    DEFAULT_MAX_NEWTON,
+    DEFAULT_TOL,
     INFEASIBLE,
     MAX_ITERATIONS,
     InfeasibleHullError,
@@ -401,26 +403,46 @@ class TestRoadmapInstances:
         assert_certified(res, rho, spec)
 
 
-class TestIterationCounts:
-    """Status and interior-point iterations of the certify_mix benchmark instances."""
+def _loop(rho, spec):
+    """(status, iterations) of the interior-point loop alone, without the exact routes."""
+    _, _, used, status = solver_module._solve(rho, spec, DEFAULT_TOL, DEFAULT_MAX_NEWTON)
+    return status, used
 
-    @pytest.mark.parametrize("rho, spec, iterations", [
-        (projector(golden_state(2)), incoherent_set(2), 6),
-        (projector(golden_state(32)), incoherent_set(32), 6),
-        (projector(golden_state(64)), incoherent_set(64), 6),
-        (projector(t_state(1)), stabilizer_set(1), 6),
-        (projector(t_state(2)), stabilizer_set(2), 7),
-        (projector(t_state(3)), stabilizer_set(3), 8),
-        (random_density_matrix(32, np.random.default_rng(0)), incoherent_set(32), 14),
-        (projector(random_pure_state(8, np.random.default_rng(0))), stabilizer_set(3), 15),
-        (choi_state(unitary_channel(T_GATE)).matrix, stabilizer_set(2), 7),
+
+def _dual(rho, spec):
+    res = robustness_dual(rho, spec)
+    return res.status, res.newton_iterations
+
+
+class TestIterationCounts:
+    """Status and interior-point iterations of the certify_mix benchmark instances.  The
+    pure golden and T states are certified by ``robustness_dual`` without iterating, so
+    the loop is pinned on them through ``_solve``."""
+
+    @pytest.mark.parametrize("rho, spec, run, iterations", [
+        (projector(golden_state(2)), incoherent_set(2), _loop, 6),
+        (projector(golden_state(32)), incoherent_set(32), _loop, 6),
+        (projector(golden_state(64)), incoherent_set(64), _loop, 6),
+        (projector(t_state(1)), stabilizer_set(1), _loop, 6),
+        (projector(t_state(2)), stabilizer_set(2), _loop, 7),
+        (projector(t_state(3)), stabilizer_set(3), _loop, 8),
+        (projector(golden_state(2)), incoherent_set(2), _dual, 0),
+        (projector(golden_state(32)), incoherent_set(32), _dual, 0),
+        (projector(golden_state(64)), incoherent_set(64), _dual, 0),
+        (projector(t_state(1)), stabilizer_set(1), _dual, 0),
+        (projector(t_state(2)), stabilizer_set(2), _dual, 0),
+        (projector(t_state(3)), stabilizer_set(3), _dual, 0),
+        (random_density_matrix(32, np.random.default_rng(0)), incoherent_set(32), _dual, 14),
+        (projector(random_pure_state(8, np.random.default_rng(0))), stabilizer_set(3), _dual, 15),
+        (choi_state(unitary_channel(T_GATE)).matrix, stabilizer_set(2), _dual, 7),
         # a stabilizer state: a free mixture, certified without iterating
-        (choi_state(unitary_channel(HADAMARD)).matrix, stabilizer_set(2), 0),
+        (choi_state(unitary_channel(HADAMARD)).matrix, stabilizer_set(2), _dual, 0),
     ], ids=["golden-2", "golden-32", "golden-64", "tstate-1", "tstate-2", "tstate-3",
+            "golden-2-exact", "golden-32-exact", "golden-64-exact",
+            "tstate-1-exact", "tstate-2-exact", "tstate-3-exact",
             "ginibre-32", "haar-stab3", "choi-t_gate", "choi-hadamard"])
-    def test_converges_in(self, rho, spec, iterations):
-        res = robustness_dual(rho, spec)
-        assert (res.status, res.newton_iterations) == (CONVERGED, iterations)
+    def test_converges_in(self, rho, spec, run, iterations):
+        assert run(rho, spec) == (CONVERGED, iterations)
 
 
 def _pauli_eigenbasis_mixture(n: int, weights) -> tuple[np.ndarray, np.ndarray]:
@@ -479,9 +501,98 @@ class TestExactCertificates:
 
     def test_overlap_just_below_one_fails_the_recheck(self):
         # |<0|psi>|^2 = 1 - 1e-14 passes the overlap test, but |0><0| - rho has the
-        # eigenvalue -1e-7: a rounding-sized recheck sends it to the loop
+        # eigenvalue -1e-7: a rounding-sized recheck declines the free mixture; rho is
+        # pure, so the l1 pair certifies it instead, and the loop agrees
         psi = np.array([math.sqrt(1.0 - 1e-14), 1e-7])
         rho, spec = projector(psi), incoherent_set(2)
+        assert solver_module._free_mixture(rho, spec, 1.0, DEFAULT_TOL) is None
+        assert _loop(rho, spec)[0] == CONVERGED
+        res = robustness_dual(rho, spec)
+        assert (res.status, res.newton_iterations) == (CONVERGED, 0)
+        assert res.value == pytest.approx(robustness_pure_coherence(psi), abs=1e-12)
+        assert_certified(res, rho, spec)
+
+
+def _amplitudes(d: int, seed: int, zeros: int) -> np.ndarray:
+    """A complex unit vector of length d with ``zeros`` of its amplitudes set to 0 (at most
+    d - 1 of them)."""
+    gen = np.random.default_rng(seed)
+    psi = gen.normal(size=d) + 1j * gen.normal(size=d)
+    psi[gen.permutation(d)[:min(zeros, d - 1)]] = 0.0
+    return psi / np.linalg.norm(psi)
+
+
+def _loop_interval(rho, spec) -> tuple[float, float]:
+    """Certified [lower, upper] of the interior-point loop alone."""
+    prog, it, used, status = solver_module._solve(rho, spec, DEFAULT_TOL, DEFAULT_MAX_NEWTON)
+    assert status == CONVERGED
+    res = solver_module._certify(rho, spec, prog.expand(it.Y), it.q, status, used)
+    return res.lower_bound, res.upper_bound
+
+
+class TestPurePairs:
+    """A pure state against an incoherent set, and |T>^n against a hull holding the
+    products of |+> and |+i>, are certified by closed-form pairs without iterating
+    (solver docstring); the extreme points are found by content, not by identity."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tstate_against_a_stabilizer_set_built_before_a_cache_clear(self, n):
+        spec = stabilizer_set(n)
+        stabilizer_set.cache_clear()
+        assert stabilizer_set(n) is not spec
+        rho = projector(t_state(n))
+        res = robustness_dual(rho, spec)
+        assert (res.status, res.newton_iterations) == (CONVERGED, 0)
+        assert res.value == pytest.approx(tstate_magic_robustness(n), abs=1e-12)
+        assert_certified(res, rho, spec)
+
+    @pytest.mark.parametrize("n, as_matrices", [(1, True), (2, False), (3, False)])
+    def test_tstate_against_a_finite_hull_copy(self, n, as_matrices):
+        # reversed, so the products sit at other indices than in stabilizer_set(n)
+        points = stabilizer_set(n).density_matrices() if as_matrices else stabilizer_set(n).vectors
+        spec = finite_hull(points[::-1])
+        rho = projector(np.exp(0.7j) * t_state(n))
+        res = robustness_dual(rho, spec)
+        assert (res.status, res.newton_iterations) == (CONVERGED, 0)
+        assert res.value == pytest.approx(tstate_magic_robustness(n), abs=1e-12)
+        assert_certified(res, rho, spec)
+
+    def test_tstate_against_a_hull_without_the_products_runs_the_loop(self):
+        # without |+i> the product weights match no point, so the pair is declined
+        spec = finite_hull([basis_state(2, 0), basis_state(2, 1), np.array([1.0, 1.0]) / math.sqrt(2)])
+        rho = projector(t_state(1))
+        res = robustness_dual(rho, spec)
+        assert res.status == CONVERGED and res.newton_iterations > 0
+        assert_certified(res, rho, spec)
+
+    @settings(max_examples=25, deadline=None)
+    @given(d=st.integers(2, 64), seed=st.integers(0, 2**32 - 1), zeros=st.integers(0, 63))
+    def test_pure_state_against_incoherent_set(self, d, seed, zeros):
+        psi = _amplitudes(d, seed, zeros)
+        rho, spec = projector(psi), incoherent_set(d)
+        res = robustness_dual(rho, spec)
+        assert (res.status, res.newton_iterations) == (CONVERGED, 0)
+        assert_certified(res, rho, spec)
+        value = robustness_pure_coherence(psi)
+        assert res.lower_bound - 1e-12 <= value <= res.upper_bound + 1e-12
+        lower, upper = _loop_interval(rho, spec)
+        assert max(lower, res.lower_bound) <= min(upper, res.upper_bound) + 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(d=st.integers(2, 64), seed=st.integers(0, 2**32 - 1), zeros=st.integers(0, 63))
+    def test_phased_permutation_keeps_the_pair_value(self, d, seed, zeros):
+        gen = np.random.default_rng(seed)
+        psi = _amplitudes(d, seed, zeros)
+        image = TestMetamorphic._phased_permutation(d, gen) @ psi
+        values = [robustness_dual(projector(v), incoherent_set(d)) for v in (psi, image)]
+        assert [res.newton_iterations for res in values] == [0, 0]
+        assert values[0].value == pytest.approx(values[1].value, abs=1e-12)
+
+    @settings(max_examples=10, deadline=None)
+    @given(d=st.integers(2, 32), seed=st.integers(0, 2**32 - 1))
+    def test_near_pure_state_runs_the_loop(self, d, seed):
+        rho = (1.0 - 1e-9) * projector(_amplitudes(d, seed, 0)) + 1e-9 * maximally_mixed(d)
+        spec = incoherent_set(d)
         res = robustness_dual(rho, spec)
         assert res.status == CONVERGED and res.newton_iterations > 0
         assert_certified(res, rho, spec)
@@ -550,9 +661,9 @@ class TestNewtonSolve:
             return solve
 
         monkeypatch.setattr(solver_module, route, checking)
-        res = robustness_dual(rho, spec)
-        assert res.status == CONVERGED
-        assert len(errors) == 2 * res.newton_iterations
+        status, used = _loop(rho, spec)  # golden8 and tstate2 skip the loop in robustness_dual
+        assert status == CONVERGED and used > 0
+        assert len(errors) == 2 * used
         assert max(errors) <= 1e-12
 
     @pytest.mark.parametrize("spec, rho", [
@@ -576,13 +687,13 @@ class TestNewtonSolve:
                                 counted("build", getattr(solver_module, route)))
         monkeypatch.setattr(_Iterate, "coords", counted("coords", _Iterate.coords))
         monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
-        res = robustness_dual(rho, spec)
-        assert res.status == CONVERGED
-        assert counts["build"] == res.newton_iterations
-        assert counts["solve"] == 2 * res.newton_iterations
+        status, used = _loop(rho, spec)  # |T>^3 skips the loop in robustness_dual
+        assert status == CONVERGED and used > 0
+        assert counts["build"] == used
+        assert counts["solve"] == 2 * used
         # pure hulls build F only on the witness route, where m > r^2
         witness_route = spec.n_points > spec.dim**2
-        assert counts["coords"] == (res.newton_iterations if witness_route else 0)
+        assert counts["coords"] == (used if witness_route else 0)
 
 
 class TestPredictorStep:
