@@ -70,7 +70,8 @@ q_k = lambda_max(rho) = 1/(d - a) dominate rho, as q I - rho = a|y><y|/(d - a) >
 sum(q) - 1 = a/(d - a) is an upper bound: the interval closes at once.  This module owns
 the profile table (``_tstate_profiles``) and the test for which route applies
 (``_twirled_dual``: a flat y against an incoherent set, or y = |T>^n up to a phase against
-stabilizer_set(n)).
+stabilizer(n)'s points in any order; a copy of the cached set is matched by overlap and its
+lifted weights' slack rechecked).
 
 A free state needs no iteration either when it mixes orthonormal pure extreme points,
 rho = sum_i w_i sigma_k(i) (Regula, J. Phys. A 51, 045303, 2018): the witness I is
@@ -83,21 +84,23 @@ eigenvalue above rounding must overlap some extreme point to 1 - _PURE_FREE_SLAC
 slack of the matched weights is rechecked down to rounding; a spectrum whose eigenbasis
 is not made of extreme points (say, a degenerate one) is left to the interior-point loop.
 
-A pure rho = |psi><psi| (lambda_max(rho) >= 1 - rounding; psi is read off a column of rho)
-has a closed-form pair in two cases, tried next.  Against an incoherent set, R is the l1
-coherence (sum_j |c_j|)^2 - 1 (Napoli et al., PRL 116, 150502, 2016): the witness
-d|y><y| with y_j = phase(c_j)/sqrt(d) meets Tr[Y |k><k|] = 1 and reaches it, and the
-weights q_k = |c_k| sum_j |c_j| sum to it; their slack D - |psi><psi|, D = diag(q), is PSD
-because psi^dag D^-1 psi = sum_k |c_k| / sum_j |c_j| = 1.  When |<T^n|psi>| >= 1 - 1e-14,
-against any hull holding the 2^n products of |+> and |+i> (found by overlap, like the
-eigenvectors above), R = (4 - 2 sqrt 2)^n - 1 = 1/F - 1 with F = cos^{2n}(pi/8) the largest
-stabilizer fidelity (Heinrich & Gross, Quantum 3, 132, 2019): the witness (1 + R)|T><T|^n
-is rechecked against every extreme point, and the weights (2 - sqrt 2)^n on the products
-sum to R + 1 with slack A^n - |T><T|^n, where A = (2 - sqrt 2)(|+><+| + |+i><+i|) =
-|T><T| + (3 - 2 sqrt 2)|T^perp><T^perp| >= |T><T| >= 0, and A >= B >= 0 gives A^n >= B^n.
+Against an incoherent set, rho is tried next with the l1 pair (Napoli et al., PRL 116,
+150502, 2016; Piani et al., PRA 93, 042107, 2016).  Let r be the column of rho with the most
+coherence, B the rows j with |rho_jr| above rounding and y_j = phase(rho_jr) on B.  The
+witness Y = y y^H on B plus I off B is PSD by construction, with a unit diagonal; the weights
+q_j = sum_k |rho_jk| leave diag(q) - rho diagonally dominant, hence PSD.  So Tr[Y rho] - 1 <=
+R <= sum_jk |rho_jk| - 1, and the ends meet when rho's coherences lie in B x B with the phases
+rho_jk = |rho_jk| y_j conj(y_k), as in a pure state or a depolarizing channel's Choi state;
+any other rho fails this O(d^2) comparison and runs the loop.  A pure rho with
+<T^n|rho|T^n> >= (1 - 1e-14)^2 has the product pair against any hull holding the 2^n products
+of |+> and |+i> (found by overlap): R = 1/F - 1 = (4 - 2 sqrt 2)^n - 1, F = cos^{2n}(pi/8)
+(Heinrich & Gross, Quantum 3, 132, 2019).  The witness (1 + R)|T><T|^n is rechecked against
+every extreme point, and the weights (2 - sqrt 2)^n on the products leave the slack
+A^n - |T><T|^n >= 0: A = (2 - sqrt 2)(|+><+| + |+i><+i|) = |T><T| + (3 - 2 sqrt 2)|T^perp><T^perp|
+>= |T><T| >= 0, and A >= B >= 0 gives A^n >= B^n.
 
 These certificates sit on the boundary, with the slack's least eigenvalue at rounding
-(about -1e-15).  The free mixture's and the pure pairs' slacks are rechecked down to
+(about -1e-15).  The free mixture's and the two pairs' slacks are rechecked down to
 rounding, every one goes through ``_certify`` with ``newton_iterations`` 0, and an input
 whose certificate fails a recheck or does not close within ``tol`` runs the loop instead.
 """
@@ -494,8 +497,8 @@ def robustness_dual(rho, spec: FreeSet, tol: float = DEFAULT_TOL,
     if spec.dim != rho.shape[0]:
         raise ValueError(f"state dimension {rho.shape[0]} does not match free set {spec.label()}")
     exact = _free_mixture(rho, spec, spectrum[-1], tol)
-    if exact is None and spectrum[-1] >= 1.0 - _round_off(len(spectrum)):
-        exact = _pure_pair(rho, spec, tol)
+    if exact is None:
+        exact = _closed_pair(rho, spec, spectrum[-1] >= 1.0 - _round_off(len(spectrum)), tol)
     if exact is not None:
         return exact
     prog, it, used, status = _solve(rho, spec, tol, max_newton)
@@ -535,10 +538,10 @@ def _certify(rho, spec: FreeSet, witness, weights, status: str, used: int) -> Ro
 
 
 def _exact(rho, spec: FreeSet, witness, weights, tol: float) -> RobustnessResult | None:
-    """``_certify`` of a certificate found without iterating, or None unless its gap
-    closes within ``tol``."""
-    res = _certify(rho, spec, witness, weights, CONVERGED, 0)
-    return res if res.gap <= tol * max(1.0, res.upper_bound) else None
+    """``_certify`` of a certificate found without iterating, or None when there are no
+    weights or its gap does not close within ``tol``."""
+    res = None if weights is None else _certify(rho, spec, witness, weights, CONVERGED, 0)
+    return res if res is not None and res.gap <= tol * max(1.0, res.upper_bound) else None
 
 
 def _reaches_extreme_point(rho, spec: FreeSet, level: float = 1.0) -> bool:
@@ -555,33 +558,36 @@ def _free_mixture(rho, spec: FreeSet, lam_max: float, tol: float) -> RobustnessR
         return None
     w, E = np.linalg.eigh(rho)
     keep = w > _round_off(len(w))
-    return _located(rho, spec, np.eye(len(w)), E[:, keep], w[keep], tol)
+    return _exact(rho, spec, np.eye(len(w)), _placed(rho, spec, E[:, keep], w[keep]), tol)
 
 
-def _pure_pair(rho, spec: FreeSet, tol: float) -> RobustnessResult | None:
-    """The closed-form pair of a pure rho (module docstring): the l1 pair against an
-    incoherent set, the product pair when rho is |T>^n to 1e-14; None otherwise."""
+def _closed_pair(rho, spec: FreeSet, pure: bool, tol: float) -> RobustnessResult | None:
+    """The l1 pair against an incoherent set, or the product pair of a pure rho that is |T>^n
+    to 1e-14 (module docstring); None, after O(d^2) work, for any other rho."""
     d = spec.dim
-    k = int(rho.diagonal().real.argmax())
-    psi = rho[:, k] / math.sqrt(rho[k, k].real)  # psi up to a phase, as rho = |psi><psi|
     n = d.bit_length() - 1
     if spec.kind == "incoherent":
-        c, y = pure_coherence_witness(psi)
-        mags = np.abs(psi)
-        Y, points, w = c * np.outer(y, y.conj()), np.eye(d), mags * mags.sum()
-    elif 1 < d == 2**n and abs(np.vdot(t_state(n), psi)) >= 1.0 - 1e-14:
+        mags = np.abs(rho)
+        w = mags.sum(axis=1)  # q_j = sum_k |rho_jk|: diag(q) - rho is diagonally dominant
+        r = int((w - mags.diagonal()).argmax())  # the column with the most coherence
+        block = mags[:, r] > _round_off(d)
+        y = np.where(block, rho[:, r] / np.where(block, mags[:, r], 1.0), 0.0)  # phase(rho_jr)
+        Y, points = np.outer(y, y.conj()) + np.diag(~block), np.eye(d)  # y y^H on B, I off B
+        if w.sum() - np.vdot(Y, rho).real > tol * max(1.0, w.sum() - 1.0):
+            return None
+    elif pure and 1 < d == 2**n and np.vdot(t_state(n), rho @ t_state(n)).real >= (1 - 1e-14)**2:
         Y = (1.0 + tstate_magic_robustness(n)) * projector(t_state(n))
         points = tensor_power(np.array([[1.0, 1.0], [1.0, 1j]]) / math.sqrt(2.0), n)
         w = np.full(d, (2.0 - math.sqrt(2.0)) ** n)  # on the products of |+> and |+i>
     else:
         return None
-    return _located(rho, spec, Y, points, w, tol)
+    return _exact(rho, spec, Y, _placed(rho, spec, points, w), tol)
 
 
-def _located(rho, spec: FreeSet, witness, E, w, tol: float) -> RobustnessResult | None:
-    """``_exact`` of the witness and the weights w on the extreme points that the columns of
-    E overlap to 1 - _PURE_FREE_SLACK, once their slack is rechecked down to rounding; None
-    when a column matches no point or the slack fails the recheck."""
+def _placed(rho, spec: FreeSet, E, w) -> np.ndarray | None:
+    """The weights w on the extreme points that the columns of E overlap to
+    1 - _PURE_FREE_SLACK, once their slack is rechecked down to rounding; None when a column
+    matches no point or the slack fails the recheck."""
     parts = [np.abs(dagger(E) @ spec.vector_array) ** 2] if spec.vectors else []
     if spec.matrices:
         parts.append(np.einsum("ai,kab,bi->ik", E.conj(), np.stack(spec.matrices), E).real)
@@ -593,7 +599,7 @@ def _located(rho, spec: FreeSet, witness, E, w, tol: float) -> RobustnessResult 
     q[match] = w  # columns that overlap by <= 1/2 cannot share a point they each overlap by ~1
     if not np.linalg.eigvalsh(primal_slack(q, rho, spec))[0] >= -_round_off(len(rho)):
         return None
-    return _exact(rho, spec, witness, q, tol)
+    return q
 
 
 @lru_cache(maxsize=STABILIZER_MAX_QUBITS)
@@ -612,14 +618,16 @@ def _tstate_profiles(n: int):
 def _twirled_dual(rho, y, spec: FreeSet, tol: float, max_newton: int) -> RobustnessResult | None:
     """robustness_dual(rho, spec) for theorem 2's residual rho = (I - a|y><y|)/(d - a) by its
     twirl (module docstring): in closed form when y is flat and spec is an incoherent set,
-    over the profiles when y is |T>^n up to a phase and spec is stabilizer_set(n); None for
-    any other pair."""
+    over the profiles when y is |T>^n up to a phase and spec's points are stabilizer(n)'s in
+    any order (found by overlap, their lifted weights' slack rechecked); None for any other
+    pair."""
     d = spec.dim
     if spec.kind == "incoherent" and np.abs(d * np.abs(y) ** 2 - 1.0).max() <= _round_off(d):
         Y = d / (d - 1) * (np.eye(d) - np.outer(y, y.conj()))
         return _exact(rho, spec, Y, np.full(d, np.linalg.eigvalsh(rho)[-1]), tol)
     n = d.bit_length() - 1
-    if not (spec.kind == "stabilizer" and n <= STABILIZER_MAX_QUBITS and spec is stabilizer_set(n)
+    stab = stabilizer_set(n) if 0 < n <= STABILIZER_MAX_QUBITS and d == 2**n else None
+    if not (stab is not None and spec.n_points == stab.n_points
             and abs(np.vdot(t_state(n), y)) >= 1.0 - 1e-14):
         return None
     V, classes, hull, index, counts = _tstate_profiles(n)
@@ -627,7 +635,10 @@ def _twirled_dual(rho, y, spec: FreeSet, tol: float, max_newton: int) -> Robustn
     res = robustness_dual(np.diag(p), hull, tol=tol, max_newton=max_newton)  # I/d in the hull
     Y = (V * (classes @ res.witness.diagonal().real)) @ dagger(V)
     weights = (res.primal_weights / counts)[index]
-    return _certify(rho, spec, Y, weights, res.status, res.newton_iterations)
+    if spec is not stab:  # a copy, in any order: its points are found by overlap
+        weights = _placed(rho, spec, stab.vector_array, weights)
+    return None if weights is None else _certify(rho, spec, Y, weights, res.status,
+                                                 res.newton_iterations)
 
 
 def robustness_primal(rho, spec: FreeSet, tol: float = DEFAULT_TOL,

@@ -173,6 +173,7 @@ class WitnessSummary:
     S_rho: float             # S(rho)
     constraints: np.ndarray  # Tr[Y sigma_k], in density_matrices() order
     S_free: np.ndarray       # S(sigma_k); zero for pure extreme points
+    _work_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def d(self) -> int:
@@ -252,10 +253,13 @@ def free_energy(rho, H, beta: float) -> float:
 
 
 def _works(s: WitnessSummary, ctx: ThermoContext) -> tuple[float, np.ndarray, float]:
-    """W(rho), W(sigma_k) = F(.) - F(tau) under H = lambda * Y, and S(tau)."""
-    f_tau, S_tau = s.gibbs(ctx)
-    f_rho, f_free = s.free_energies(ctx)
-    return f_rho - f_tau, f_free - f_tau, S_tau
+    """W(rho), W(sigma_k) = F(.) - F(tau) under H = lambda * Y, and S(tau); kept in the
+    summary, so the checks that share a grid point evaluate it once."""
+    if ctx not in s._work_cache:
+        f_tau, S_tau = s.gibbs(ctx)
+        f_rho, f_free = s.free_energies(ctx)
+        s._work_cache[ctx] = (f_rho - f_tau, f_free - f_tau, S_tau)
+    return s._work_cache[ctx]
 
 
 def extractable_work(rho, H, beta: float) -> float:

@@ -217,6 +217,22 @@ class TestBuildCounts:
                           for e in t4)
         assert builds == []
 
+    def test_each_grid_point_evaluates_its_works_once(self, monkeypatch):
+        # theorem1, eq10 and corollary1 share one Gibbs evaluation per (witness, lambda, beta)
+        calls = []
+        original = thermo.WitnessSummary.gibbs
+
+        def counting(self, ctx):
+            calls.append(ctx)
+            return original(self, ctx)
+
+        monkeypatch.setattr(thermo.WitnessSummary, "gibbs", counting)
+        report = run_scenario(scenario(state={"named": "golden", "d": [2, 4]},
+                                       free_set={"kind": "incoherent"},
+                                       checks=["theorem1", "eq10", "corollary1"]))
+        assert len(report["entries"]) == 2 * 9 * 3
+        assert len(calls) == 2 * 9
+
     def test_specs_are_parsed_once(self, monkeypatch):
         states = count_calls(monkeypatch, "parse_state_spec", (scenarios,))
         chans = count_calls(monkeypatch, "parse_channel_spec", (scenarios,))

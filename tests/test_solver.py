@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import robustwork.solver as solver_module
 from robustwork.freesets import finite_hull, incoherent_set, membership, stabilizer_set
-from robustwork.channels import choi_state, unitary_channel
+from robustwork.channels import choi_state, depolarizing_channel, unitary_channel
 from robustwork.linalg import maximally_mixed, projector, trace_inner
 from robustwork.solver import (
     CONVERGED,
@@ -414,10 +414,15 @@ def _dual(rho, spec):
     return res.status, res.newton_iterations
 
 
+def _depolarizing_choi(p: float) -> np.ndarray:
+    return choi_state(depolarizing_channel(2, p)).matrix
+
+
 class TestIterationCounts:
-    """Status and interior-point iterations of the certify_mix benchmark instances.  The
-    pure golden and T states are certified by ``robustness_dual`` without iterating, so
-    the loop is pinned on them through ``_solve``."""
+    """Status and interior-point iterations of the certify_mix benchmark instances and of
+    verify_grid's depolarizing Choi states.  The pure golden and T states and the Choi
+    states are certified by ``robustness_dual`` without iterating, so the loop is pinned on
+    them through ``_solve``."""
 
     @pytest.mark.parametrize("rho, spec, run, iterations", [
         (projector(golden_state(2)), incoherent_set(2), _loop, 6),
@@ -437,10 +442,16 @@ class TestIterationCounts:
         (choi_state(unitary_channel(T_GATE)).matrix, stabilizer_set(2), _dual, 7),
         # a stabilizer state: a free mixture, certified without iterating
         (choi_state(unitary_channel(HADAMARD)).matrix, stabilizer_set(2), _dual, 0),
+        (_depolarizing_choi(0.25), incoherent_set(4), _loop, 6),
+        (_depolarizing_choi(0.75), incoherent_set(4), _loop, 6),
+        (_depolarizing_choi(0.25), incoherent_set(4), _dual, 0),
+        (_depolarizing_choi(0.75), incoherent_set(4), _dual, 0),
     ], ids=["golden-2", "golden-32", "golden-64", "tstate-1", "tstate-2", "tstate-3",
             "golden-2-exact", "golden-32-exact", "golden-64-exact",
             "tstate-1-exact", "tstate-2-exact", "tstate-3-exact",
-            "ginibre-32", "haar-stab3", "choi-t_gate", "choi-hadamard"])
+            "ginibre-32", "haar-stab3", "choi-t_gate", "choi-hadamard",
+            "choi-depolarizing-0.25", "choi-depolarizing-0.75",
+            "choi-depolarizing-0.25-exact", "choi-depolarizing-0.75-exact"])
     def test_converges_in(self, rho, spec, run, iterations):
         assert run(rho, spec) == (CONVERGED, iterations)
 
@@ -531,9 +542,9 @@ def _loop_interval(rho, spec) -> tuple[float, float]:
 
 
 class TestPurePairs:
-    """A pure state against an incoherent set, and |T>^n against a hull holding the
-    products of |+> and |+i>, are certified by closed-form pairs without iterating
-    (solver docstring); the extreme points are found by content, not by identity."""
+    """A pure state against an incoherent set (the l1 pair), and |T>^n against a hull
+    holding the products of |+> and |+i>, are certified by closed-form pairs without
+    iterating (solver docstring); the extreme points are found by content, not by identity."""
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_tstate_against_a_stabilizer_set_built_before_a_cache_clear(self, n):
@@ -588,11 +599,76 @@ class TestPurePairs:
         assert [res.newton_iterations for res in values] == [0, 0]
         assert values[0].value == pytest.approx(values[1].value, abs=1e-12)
 
+    def test_near_pure_state_runs_the_loop(self):
+        # lambda_max = 1 - 1e-9 + 1e-9/d is not pure to rounding, so the product pair is not
+        # tried
+        for n in (1, 2, 3):
+            rho = (1.0 - 1e-9) * projector(t_state(n)) + 1e-9 * maximally_mixed(2**n)
+            spec = stabilizer_set(n)
+            res = robustness_dual(rho, spec)
+            assert res.status == CONVERGED and res.newton_iterations > 0
+            assert_certified(res, rho, spec)
+
     @settings(max_examples=10, deadline=None)
     @given(d=st.integers(2, 32), seed=st.integers(0, 2**32 - 1))
-    def test_near_pure_state_runs_the_loop(self, d, seed):
+    def test_near_pure_state_gets_the_l1_pair(self, d, seed):
+        # a pure state mixed with I/d keeps one coherent block with one phase pattern
         rho = (1.0 - 1e-9) * projector(_amplitudes(d, seed, 0)) + 1e-9 * maximally_mixed(d)
         spec = incoherent_set(d)
+        res = robustness_dual(rho, spec)
+        assert (res.status, res.newton_iterations) == (CONVERGED, 0)
+        assert_certified(res, rho, spec)
+        value = _l1_coherence(rho)
+        assert res.lower_bound - 1e-12 <= value <= res.upper_bound + 1e-12
+
+
+def _l1_coherence(rho: np.ndarray) -> float:
+    return float(np.abs(rho).sum() - np.trace(rho).real)
+
+
+class TestL1Pair:
+    """Every state whose coherences lie in one block with one phase pattern is certified by
+    the l1 pair without iterating (solver docstring): its robustness against an incoherent
+    set is its l1 coherence.  Any other state fails an O(d^2) test and runs the loop."""
+
+    @staticmethod
+    def one_block_state(d: int, seed: int, t: float) -> np.ndarray:
+        """t|psi><psi| + (1 - t) diag(p), psi supported on a random subset of the basis."""
+        gen = np.random.default_rng(seed)
+        psi = _amplitudes(d, seed, int(gen.integers(0, d)))
+        return t * projector(psi) + (1.0 - t) * np.diag(gen.dirichlet(np.ones(d)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(d=st.integers(2, 32), seed=st.integers(0, 2**32 - 1), t=st.floats(0.05, 1.0))
+    def test_one_block_state(self, d, seed, t):
+        rho, spec = self.one_block_state(d, seed, t), incoherent_set(d)
+        res = robustness_dual(rho, spec)
+        assert (res.status, res.newton_iterations) == (CONVERGED, 0)
+        assert_certified(res, rho, spec)
+        value = _l1_coherence(rho)
+        assert res.lower_bound - 1e-12 <= value <= res.upper_bound + 1e-12
+        lower, upper = _loop_interval(rho, spec)
+        assert max(lower, res.lower_bound) <= min(upper, res.upper_bound) + 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(d=st.integers(2, 32), seed=st.integers(0, 2**32 - 1), t=st.floats(0.05, 1.0))
+    def test_phased_permutation_keeps_the_pair_value(self, d, seed, t):
+        rho = self.one_block_state(d, seed, t)
+        U = TestMetamorphic._phased_permutation(d, np.random.default_rng(seed))
+        values = [robustness_dual(x, incoherent_set(d)) for x in (rho, U @ rho @ U.conj().T)]
+        assert [res.newton_iterations for res in values] == [0, 0]
+        assert values[0].value == pytest.approx(values[1].value, abs=1e-12)
+
+    @pytest.mark.parametrize("rho", [
+        # two pure blocks on {0, 1} and {2, 3}: no column sees both
+        np.kron(np.diag([0.5, 0.0]), projector(golden_state(2)))
+        + np.kron(np.diag([0.0, 0.5]), projector(random_pure_state(2, np.random.default_rng(1)))),
+        random_density_matrix(4, np.random.default_rng(SEEDS["solver"])),
+        random_density_matrix(16, np.random.default_rng(SEEDS["solver"])),
+    ], ids=["two-blocks", "ginibre-4", "ginibre-16"])
+    def test_other_states_run_the_loop(self, rho):
+        spec = incoherent_set(len(rho))
+        assert solver_module._closed_pair(rho, spec, False, DEFAULT_TOL) is None
         res = robustness_dual(rho, spec)
         assert res.status == CONVERGED and res.newton_iterations > 0
         assert_certified(res, rho, spec)

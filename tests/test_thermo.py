@@ -470,7 +470,7 @@ class TestTwirlReduction:
         return [
             (tensor_power(PAULI_Z @ t_state(1), n), spec),  # |T^perp>^n
             (random_pure_state(d, np.random.default_rng(SEEDS["thermo"] + n)), spec),
-            (t_state(n), finite_hull(spec.vectors)),
+            (t_state(n), finite_hull(spec.vectors[1:])),  # one stabilizer state short
         ]
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -490,6 +490,23 @@ class TestTwirlReduction:
         for y, free in self.other_pairs(n):
             theorem2_at_weight(y, 1.0, d, free)
         assert reduced == [d]
+
+    @pytest.mark.parametrize("n, as_matrices", [(1, True), (1, False), (2, False)])
+    def test_copies_of_the_stabilizer_set_take_the_twirl(self, n, as_matrices):
+        # the route is decided by the set's points, not by its identity: a set built before
+        # the cache is cleared, and a reversed copy, get the cached set's interval
+        d = 2**n
+        rho = thermo._residual_state(t_state(n), 0.9, d)
+        cached = _twirled_dual(rho, t_state(n), stabilizer_set(n), DEFAULT_TOL, DEFAULT_MAX_NEWTON)
+        before = stabilizer_set(n)
+        stabilizer_set.cache_clear()
+        points = before.density_matrices() if as_matrices else before.vectors
+        for spec in (before, finite_hull(points[::-1])):
+            res = _twirled_dual(rho, t_state(n), spec, DEFAULT_TOL, DEFAULT_MAX_NEWTON)
+            assert res is not None and res.status == "converged"
+            assert_certified(res, rho, spec)
+            assert res.lower_bound == pytest.approx(cached.lower_bound, abs=1e-12)
+            assert res.upper_bound == pytest.approx(cached.upper_bound, abs=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_twirl_declines_other_pairs(self, n):
