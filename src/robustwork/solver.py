@@ -62,21 +62,15 @@ basis, so sigma enters only through its profile p(sigma) = (Tr[P_j sigma])_j (28
 n = 3).  robustness_dual(diag(p(rho)), hull of the diag(p(sigma))) is lifted back: its
 witness's diagonal f to Y = sum_j f_j P_j, a profile's weight w to w / S on each of its
 S states (their average is sum_j p_j P_j / Tr P_j), and the lower bound is re-derived.
-When y is flat (|y_k|^2 = 1/d), the residual and the incoherent set are invariant under
-the phased permutations D P D^dag, D = diag(sqrt(d) y), and the twirled program closes in
-closed form (Napoli et al., PRL 116, 150502, 2016): the witness Y = d/(d-1) (I - |y><y|) is
-PSD with Tr[Y |k><k|] = 1, so Tr[Y rho] - 1 = a/(d - a) is a lower bound, and the weights
-q_k = lambda_max(rho) = 1/(d - a) dominate rho, as q I - rho = a|y><y|/(d - a) >= 0, so
-sum(q) - 1 = a/(d - a) is an upper bound: the interval closes at once.  This module owns
-the profile table (``_tstate_profiles``) and the test for which route applies
-(``_twirled_dual``: a flat y against an incoherent set, or y = |T>^n up to a phase against
-stabilizer(n)'s points in any order; a copy of the cached set is matched by overlap and its
-lifted weights' slack rechecked).
+``robustness_dual`` tries this route (``_twirled_dual``) first, for a free set with
+stabilizer(n)'s point count in any order (a copy of the cached set is matched by overlap) and
+rho = lambda_max I - (lambda_max - lambda_min)|T^n><T^n| to rounding, lambda_max (d-1)-fold and
+above lambda_min in the spectrum that validates rho; no other input builds stabilizer(n).
 
 A free state needs no iteration either when it mixes orthonormal pure extreme points,
 rho = sum_i w_i sigma_k(i) (Regula, J. Phys. A 51, 045303, 2018): the witness I is
 feasible and reaches Tr[rho] - 1 = 0, and the eigenvalues w_i as weights meet
-sum(q) - 1 = 0, so R = 0 is certified exactly.  ``robustness_dual`` tries this first.  As
+sum(q) - 1 = 0, so R = 0 is certified exactly.  ``robustness_dual`` tries this next.  As
 Tr[rho sigma] <= lambda_max(rho), such a rho has max_k Tr[rho sigma_k] = lambda_max(rho), one
 constraint evaluation that every other input fails (``_reaches_extreme_point``; at level 1 it
 is theorem 3's test for a free pure input).  Then each eigenvector of rho with an
@@ -90,8 +84,12 @@ coherence, B the rows j with |rho_jr| above rounding and y_j = phase(rho_jr) on 
 witness Y = y y^H on B plus I off B is PSD by construction, with a unit diagonal; the weights
 q_j = sum_k |rho_jk| leave diag(q) - rho diagonally dominant, hence PSD.  So Tr[Y rho] - 1 <=
 R <= sum_jk |rho_jk| - 1, and the ends meet when rho's coherences lie in B x B with the phases
-rho_jk = |rho_jk| y_j conj(y_k), as in a pure state or a depolarizing channel's Choi state;
-any other rho fails this O(d^2) comparison and runs the loop.  A pure rho with
+rho_jk = |rho_jk| y_j conj(y_k), as in a pure state or a depolarizing channel's Choi state.
+Else the spectral pair: Y = (rho - l I)/max_j (rho_jj - l) is PSD with a diagonal <= 1, l
+lambda_min less _round_off(d) lambda_max for its rounding, and the weights lambda_max on every
+basis state leave lambda_max I - rho >= 0.  A constant diagonal and a (d-1)-fold top eigenvalue
+give Tr[Y rho] = d lambda_max at l = lambda_min, so the ends meet at R = a/(d - a) on theorem
+2's residual of a flat y (|y_k|^2 = 1/d); other states fail this O(d^2) test.  A pure rho with
 <T^n|rho|T^n> >= (1 - 1e-14)^2 has the product pair against any hull holding the 2^n products
 of |+> and |+i> (found by overlap): R = 1/F - 1 = (4 - 2 sqrt 2)^n - 1, F = cos^{2n}(pi/8)
 (Heinrich & Gross, Quantum 3, 132, 2019).  The witness (1 + R)|T><T|^n is rechecked against
@@ -100,9 +98,10 @@ A^n - |T><T|^n >= 0: A = (2 - sqrt 2)(|+><+| + |+i><+i|) = |T><T| + (3 - 2 sqrt 
 >= |T><T| >= 0, and A >= B >= 0 gives A^n >= B^n.
 
 These certificates sit on the boundary, with the slack's least eigenvalue at rounding
-(about -1e-15).  The free mixture's and the two pairs' slacks are rechecked down to
-rounding, every one goes through ``_certify`` with ``newton_iterations`` 0, and an input
-whose certificate fails a recheck or does not close within ``tol`` runs the loop instead.
+(about -1e-15).  The free mixture's and the l1 and product pairs' slacks are rechecked down to
+rounding, and every witness is scaled by 1 - 8 ulps: rounding put Tr[Y rho] up to 2.8 ulps
+of 1 + R above R.  Each goes through ``_certify`` with ``newton_iterations`` 0; an input whose
+certificate fails a recheck or does not close within ``tol`` runs the loop instead.
 """
 
 from __future__ import annotations
@@ -114,7 +113,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .freesets import STABILIZER_MAX_QUBITS, FreeSet, finite_hull, stabilizer_set
+from .freesets import (STABILIZER_MAX_QUBITS, FreeSet, finite_hull, stabilizer_set,
+                       stabilizer_state_count)
 from .linalg import (
     _density_spectrum,
     assert_pure,
@@ -496,9 +496,9 @@ def robustness_dual(rho, spec: FreeSet, tol: float = DEFAULT_TOL,
     rho, spectrum = _density_spectrum(rho, "state")
     if spec.dim != rho.shape[0]:
         raise ValueError(f"state dimension {rho.shape[0]} does not match free set {spec.label()}")
-    exact = _free_mixture(rho, spec, spectrum[-1], tol)
-    if exact is None:
-        exact = _closed_pair(rho, spec, spectrum[-1] >= 1.0 - _round_off(len(spectrum)), tol)
+    exact = (_twirled_dual(rho, spectrum, spec, tol, max_newton)
+             or _free_mixture(rho, spec, spectrum[-1], tol)
+             or _closed_pair(rho, spec, spectrum, tol))
     if exact is not None:
         return exact
     prog, it, used, status = _solve(rho, spec, tol, max_newton)
@@ -538,9 +538,10 @@ def _certify(rho, spec: FreeSet, witness, weights, status: str, used: int) -> Ro
 
 
 def _exact(rho, spec: FreeSet, witness, weights, tol: float) -> RobustnessResult | None:
-    """``_certify`` of a certificate found without iterating, or None when there are no
-    weights or its gap does not close within ``tol``."""
-    res = None if weights is None else _certify(rho, spec, witness, weights, CONVERGED, 0)
+    """``_certify`` of a certificate found without iterating, its witness scaled by
+    1 - 8 ulps; None when there are no weights or its gap does not close within ``tol``."""
+    pad = 1.0 - 8.0 * np.finfo(float).eps  # rounding lifted Tr[Y rho] up to 2.8 ulps of 1 + R
+    res = None if weights is None else _certify(rho, spec, pad * witness, weights, CONVERGED, 0)
     return res if res is not None and res.gap <= tol * max(1.0, res.upper_bound) else None
 
 
@@ -561,10 +562,10 @@ def _free_mixture(rho, spec: FreeSet, lam_max: float, tol: float) -> RobustnessR
     return _exact(rho, spec, np.eye(len(w)), _placed(rho, spec, E[:, keep], w[keep]), tol)
 
 
-def _closed_pair(rho, spec: FreeSet, pure: bool, tol: float) -> RobustnessResult | None:
-    """The l1 pair against an incoherent set, or the product pair of a pure rho that is |T>^n
-    to 1e-14 (module docstring); None, after O(d^2) work, for any other rho."""
-    d = spec.dim
+def _closed_pair(rho, spec: FreeSet, spectrum, tol: float) -> RobustnessResult | None:
+    """The l1 or else the spectral pair against an incoherent set, or the product pair of a pure
+    rho that is |T>^n to 1e-14 (module docstring); None, after O(d^2) work, for any other rho."""
+    d, (lo, hi) = spec.dim, spectrum[[0, -1]]
     n = d.bit_length() - 1
     if spec.kind == "incoherent":
         mags = np.abs(rho)
@@ -574,8 +575,12 @@ def _closed_pair(rho, spec: FreeSet, pure: bool, tol: float) -> RobustnessResult
         y = np.where(block, rho[:, r] / np.where(block, mags[:, r], 1.0), 0.0)  # phase(rho_jr)
         Y, points = np.outer(y, y.conj()) + np.diag(~block), np.eye(d)  # y y^H on B, I off B
         if w.sum() - np.vdot(Y, rho).real > tol * max(1.0, w.sum() - 1.0):
-            return None
-    elif pure and 1 < d == 2**n and np.vdot(t_state(n), rho @ t_state(n)).real >= (1 - 1e-14)**2:
+            Y = rho - (lo - _round_off(d) * hi) * np.eye(d)  # >= 0 despite lambda_min's rounding
+            Y /= Y.diagonal().real.max()  # the spectral pair; lambda_max I - rho >= 0 holds
+            closes = d * hi - np.vdot(Y, rho).real <= tol * max(1.0, d * hi - 1.0)
+            return _exact(rho, spec, Y, np.full(d, hi), tol) if closes else None
+    elif (hi >= 1.0 - _round_off(d) and 1 < d == 2**n
+          and np.vdot(t_state(n), rho @ t_state(n)).real >= (1 - 1e-14)**2):
         Y = (1.0 + tstate_magic_robustness(n)) * projector(t_state(n))
         points = tensor_power(np.array([[1.0, 1.0], [1.0, 1j]]) / math.sqrt(2.0), n)
         w = np.full(d, (2.0 - math.sqrt(2.0)) ** n)  # on the products of |+> and |+i>
@@ -615,21 +620,20 @@ def _tstate_profiles(n: int):
     return V, classes, hull, index.reshape(-1), counts
 
 
-def _twirled_dual(rho, y, spec: FreeSet, tol: float, max_newton: int) -> RobustnessResult | None:
-    """robustness_dual(rho, spec) for theorem 2's residual rho = (I - a|y><y|)/(d - a) by its
-    twirl (module docstring): in closed form when y is flat and spec is an incoherent set,
-    over the profiles when y is |T>^n up to a phase and spec's points are stabilizer(n)'s in
-    any order (found by overlap, their lifted weights' slack rechecked); None for any other
-    pair."""
-    d = spec.dim
-    if spec.kind == "incoherent" and np.abs(d * np.abs(y) ** 2 - 1.0).max() <= _round_off(d):
-        Y = d / (d - 1) * (np.eye(d) - np.outer(y, y.conj()))
-        return _exact(rho, spec, Y, np.full(d, np.linalg.eigvalsh(rho)[-1]), tol)
+def _twirled_dual(rho, spectrum, spec: FreeSet, tol: float,
+                  max_newton: int) -> RobustnessResult | None:
+    """robustness_dual(rho, spec) over the |T>^n profiles (module docstring) when spec has
+    stabilizer(n)'s point count and rho = lambda_max I - (lambda_max - lambda_min)|T^n><T^n|,
+    lambda_max (d-1)-fold above lambda_min, to rounding; spec's points are found by overlap
+    unless it is the cached set.  None for any other pair, before any stabilizer set is built."""
+    d, (lo, hi) = spec.dim, spectrum[[0, -1]]
     n = d.bit_length() - 1
-    stab = stabilizer_set(n) if 0 < n <= STABILIZER_MAX_QUBITS and d == 2**n else None
-    if not (stab is not None and spec.n_points == stab.n_points
-            and abs(np.vdot(t_state(n), y)) >= 1.0 - 1e-14):
+    if not (lo < hi - _round_off(d) <= spectrum[1] and 0 < n <= STABILIZER_MAX_QUBITS
+            and d == 2**n and spec.n_points == stabilizer_state_count(n)
+            and np.abs(rho - hi * np.eye(d) + (hi - lo) * projector(t_state(n))).max()
+            <= _round_off(d)):
         return None
+    stab = stabilizer_set(n)
     V, classes, hull, index, counts = _tstate_profiles(n)
     p = (dagger(V) @ rho @ V).diagonal().real @ classes
     res = robustness_dual(np.diag(p), hull, tol=tol, max_newton=max_newton)  # I/d in the hull

@@ -42,8 +42,8 @@ from .linalg import (
     trace_inner,
     von_neumann_entropy,
 )
-from .solver import (DEFAULT_MAX_NEWTON, DEFAULT_TOL, _feasible, _twirled_dual,
-                     robustness_dual, witness_constraints)
+from .solver import (DEFAULT_MAX_NEWTON, DEFAULT_TOL, _feasible, robustness_dual,
+                     witness_constraints)
 
 __all__ = [
     "ThermoContext",
@@ -489,9 +489,7 @@ def theorem2_at_weight(y, a: float, d: int, spec_prime: FreeSet, tol: float = DE
     Assumes ``require_maximally_mixed(spec_prime, d)`` has passed.  Grid
     points sharing ``a`` share this report.
     """
-    rho = _residual_state(y, a, d)
-    result = (_twirled_dual(rho, y, spec_prime, tol, max_newton)
-              or robustness_dual(rho, spec_prime, tol=tol, max_newton=max_newton))
+    result = robustness_dual(_residual_state(y, a, d), spec_prime, tol=tol, max_newton=max_newton)
     detail = {"upper_bound": result.upper_bound, "gap": result.gap, "status": result.status}
     # an upper bound on R is proved only by the upper end of the certified interval
     return _report("theorem2", result.upper_bound, 1.0 / (d - 1), "upper", True,

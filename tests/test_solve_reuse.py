@@ -1,7 +1,10 @@
 """Each distinct robustness program is solved once per scenario run.
 
 Solves are counted by wrapping ``solver.robustness_dual`` at every module
-binding; the split checks used by the scenario runner must agree exactly
+binding, with the interior-point iterations each call took: a program that
+``robustness_dual`` certifies without iterating (the maximally mixed state,
+theorem 2's flat-phase residuals) still counts as one call, with 0
+iterations.  The split checks used by the scenario runner must agree exactly
 with the public bound functions evaluated at the same (lambda, beta).
 """
 
@@ -36,7 +39,8 @@ def clear_free_set_caches():
 
 @pytest.fixture
 def solves(monkeypatch):
-    """List that grows by one per robustness_dual call, from any module.
+    """List that grows by one (free set label, iterations) per robustness_dual call, from
+    any module; a nested call is listed before the call that made it.
 
     The free-set caches are cleared before and after the test, so each run
     counts the one I/d membership solve per free set its theorem 2 needs."""
@@ -44,8 +48,9 @@ def solves(monkeypatch):
     original = solver.robustness_dual
 
     def counting(*args, **kwargs):
-        calls.append(args[1].label())
-        return original(*args, **kwargs)
+        result = original(*args, **kwargs)
+        calls.append((args[1].label(), result.newton_iterations))
+        return result
 
     for mod in (solver, thermo, channels, scenarios, cli):
         if getattr(mod, "robustness_dual", None) is original:
@@ -100,24 +105,25 @@ def as_entry_report(rep) -> dict:
 
 class TestSolveCounts:
     def test_golden_grid_solves_each_program_once(self, solves):
-        # closed-form witnesses; theorem2 needs one membership check per dimension,
-        # and its flat-phase residual (a = 1.0 at every point) is certified without a solve
+        # closed-form witnesses; theorem2 needs one membership check per dimension and one
+        # program for its flat-phase residual (a = 1.0 at every point), and both are
+        # certified without an interior-point iteration
         report = run_scenario(scenario(
             state={"named": "golden", "d": [2, 4]}, free_set={"kind": "incoherent"},
             checks=["theorem1", "eq10", "theorem2", "corollary1"]))
         assert len(report["entries"]) == 2 * 9 * 4
-        assert len(solves) == 2, solves
+        assert solves == [("incoherent(d=2, m=2)", 0)] * 2 + [("incoherent(d=4, m=4)", 0)] * 2
 
     def test_second_run_reuses_the_maximally_mixed_proof(self, solves):
-        # I/d membership is a fact of the cached free set, and the flat-phase residuals
-        # need no solve: a rerun solves nothing
+        # I/d membership is a fact of the cached free set: a rerun calls robustness_dual
+        # only for the flat-phase residuals, each certified without iterating
         sc = scenario(state={"named": "golden", "d": [2, 4]}, free_set={"kind": "incoherent"},
                       checks=["theorem2"])
         run_scenario(sc)
-        assert len(solves) == 2, solves
+        assert solves == [("incoherent(d=2, m=2)", 0)] * 2 + [("incoherent(d=4, m=4)", 0)] * 2
         solves.clear()
         run_scenario(sc)
-        assert len(solves) == 0, solves
+        assert solves == [("incoherent(d=2, m=2)", 0), ("incoherent(d=4, m=4)", 0)]
 
     def test_channel_grid_solves_each_program_once(self, solves):
         # Choi program and theorem3 output program; the free pure input is an overlap test
@@ -135,13 +141,13 @@ class TestSolveCounts:
         assert len(solves) == 3, solves
 
     def test_residual_solved_once_per_distinct_weight(self, solves):
-        # small lambda*beta*c: every lambda gives its own residual weight, and each
-        # flat-phase residual is certified without a solve; only I/2 membership solves
+        # small lambda*beta*c: every lambda gives its own residual weight, one program each,
+        # certified without iterating like the I/2 membership program
         run_scenario(load_scenario({
             "schema_version": 1, "name": "warm", "state": {"named": "golden", "d": 2},
             "free_set": {"kind": "incoherent"}, "lambda_grid": [0.1, 0.2],
             "beta_grid": [0.5], "checks": ["theorem2"]}))
-        assert len(solves) == 1, solves
+        assert solves == [("incoherent(d=2, m=2)", 0)] * 3
 
     def test_cli_channel_verb(self, solves, tmp_path, capsys):
         path = tmp_path / "ch.json"

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robustwork.solver as solver_module
+from robustwork import thermo
 from robustwork.freesets import finite_hull, incoherent_set, membership, stabilizer_set
 from robustwork.channels import choi_state, depolarizing_channel, unitary_channel
 from robustwork.linalg import maximally_mixed, projector, trace_inner
@@ -418,11 +419,17 @@ def _depolarizing_choi(p: float) -> np.ndarray:
     return choi_state(depolarizing_channel(2, p)).matrix
 
 
+def _residual(y: np.ndarray, a: float) -> np.ndarray:
+    """Theorem 2's residual state (I - a|y><y|)/(d - a)."""
+    return thermo._residual_state(y, a, len(y))
+
+
 class TestIterationCounts:
     """Status and interior-point iterations of the certify_mix benchmark instances and of
-    verify_grid's depolarizing Choi states.  The pure golden and T states and the Choi
-    states are certified by ``robustness_dual`` without iterating, so the loop is pinned on
-    them through ``_solve``."""
+    verify_grid's depolarizing Choi states and theorem-2 residuals.  The pure golden and T
+    states, the Choi states and the flat residuals are certified by ``robustness_dual``
+    without iterating, so the loop is pinned on them through ``_solve``; the |T>^n residuals
+    take the twirl's reduced counts."""
 
     @pytest.mark.parametrize("rho, spec, run, iterations", [
         (projector(golden_state(2)), incoherent_set(2), _loop, 6),
@@ -446,14 +453,52 @@ class TestIterationCounts:
         (_depolarizing_choi(0.75), incoherent_set(4), _loop, 6),
         (_depolarizing_choi(0.25), incoherent_set(4), _dual, 0),
         (_depolarizing_choi(0.75), incoherent_set(4), _dual, 0),
+        (_residual(golden_state(4), 1.0), incoherent_set(4), _loop, 5),
+        (_residual(golden_state(32), 1.0), incoherent_set(32), _loop, 5),
+        (_residual(golden_state(64), 1.0), incoherent_set(64), _loop, 5),
+        (_residual(golden_state(4), 1.0), incoherent_set(4), _dual, 0),
+        (_residual(golden_state(32), 1.0), incoherent_set(32), _dual, 0),
+        (_residual(golden_state(64), 1.0), incoherent_set(64), _dual, 0),
+        (_residual(t_state(1), 1.0), stabilizer_set(1), _dual, 6),
+        (_residual(t_state(2), 1.0), stabilizer_set(2), _dual, 7),
+        (_residual(t_state(3), 1.0), stabilizer_set(3), _dual, 7),
     ], ids=["golden-2", "golden-32", "golden-64", "tstate-1", "tstate-2", "tstate-3",
             "golden-2-exact", "golden-32-exact", "golden-64-exact",
             "tstate-1-exact", "tstate-2-exact", "tstate-3-exact",
             "ginibre-32", "haar-stab3", "choi-t_gate", "choi-hadamard",
             "choi-depolarizing-0.25", "choi-depolarizing-0.75",
-            "choi-depolarizing-0.25-exact", "choi-depolarizing-0.75-exact"])
+            "choi-depolarizing-0.25-exact", "choi-depolarizing-0.75-exact",
+            "residual-golden-4", "residual-golden-32", "residual-golden-64",
+            "residual-golden-4-exact", "residual-golden-32-exact", "residual-golden-64-exact",
+            "residual-tstate-1-twirl", "residual-tstate-2-twirl", "residual-tstate-3-twirl"])
     def test_converges_in(self, rho, spec, run, iterations):
         assert run(rho, spec) == (CONVERGED, iterations)
+
+
+class TestPaddedCertificates:
+    """A certificate found without iterating sits on the boundary of the witness cone, and its
+    witness is scaled by 1 - 8 ulps (solver docstring), so rounding in Tr[Y rho] cannot lift
+    the lower end above R.  The upper end is not asserted: rounding in the weights can put it
+    below R by a few ulps."""
+
+    @pytest.mark.parametrize("d", range(2, 65))
+    def test_golden_state(self, d):
+        res = robustness_dual(projector(golden_state(d)), incoherent_set(d))
+        assert res.newton_iterations == 0
+        assert res.lower_bound <= d - 1.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tstate(self, n):
+        res = robustness_dual(projector(t_state(n)), stabilizer_set(n))
+        assert res.newton_iterations == 0
+        assert res.lower_bound <= tstate_magic_robustness(n)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 16, 32, 48, 56, 60, 64])
+    @pytest.mark.parametrize("a", [0.3, 0.7, 1.0])
+    def test_flat_residual(self, d, a):
+        res = robustness_dual(_residual(golden_state(d), a), incoherent_set(d))
+        assert res.newton_iterations == 0
+        assert res.lower_bound <= a / (d - a)
 
 
 def _pauli_eigenbasis_mixture(n: int, weights) -> tuple[np.ndarray, np.ndarray]:
@@ -533,11 +578,16 @@ def _amplitudes(d: int, seed: int, zeros: int) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
+def _loop_result(rho, spec):
+    """Certified result of the interior-point loop alone, without the exact routes."""
+    prog, it, used, status = solver_module._solve(rho, spec, DEFAULT_TOL, DEFAULT_MAX_NEWTON)
+    return solver_module._certify(rho, spec, prog.expand(it.Y), it.q, status, used)
+
+
 def _loop_interval(rho, spec) -> tuple[float, float]:
     """Certified [lower, upper] of the interior-point loop alone."""
-    prog, it, used, status = solver_module._solve(rho, spec, DEFAULT_TOL, DEFAULT_MAX_NEWTON)
-    assert status == CONVERGED
-    res = solver_module._certify(rho, spec, prog.expand(it.Y), it.q, status, used)
+    res = _loop_result(rho, spec)
+    assert res.status == CONVERGED
     return res.lower_bound, res.upper_bound
 
 
@@ -668,7 +718,8 @@ class TestL1Pair:
     ], ids=["two-blocks", "ginibre-4", "ginibre-16"])
     def test_other_states_run_the_loop(self, rho):
         spec = incoherent_set(len(rho))
-        assert solver_module._closed_pair(rho, spec, False, DEFAULT_TOL) is None
+        # declined by both incoherent pairs: the l1 pair and the spectral pair
+        assert solver_module._closed_pair(rho, spec, np.linalg.eigvalsh(rho), DEFAULT_TOL) is None
         res = robustness_dual(rho, spec)
         assert res.status == CONVERGED and res.newton_iterations > 0
         assert_certified(res, rho, spec)

@@ -15,7 +15,7 @@ from robustwork.linalg import (
     trace_inner,
     von_neumann_entropy,
 )
-from robustwork import thermo
+from robustwork import solver, thermo
 from robustwork.solver import (
     DEFAULT_MAX_NEWTON,
     DEFAULT_TOL,
@@ -63,7 +63,7 @@ from robustwork.thermo import (
 )
 
 from conftest import SEEDS
-from test_solver import assert_certified
+from test_solver import _loop_result, assert_certified
 
 rng = np.random.default_rng(SEEDS["thermo"])
 
@@ -430,17 +430,23 @@ class TestTheorem2:
         assert rep.satisfied is False
 
 
+def twirled(rho, spec):
+    """The twirl route alone, on rho and its spectrum, as robustness_dual tries it."""
+    return _twirled_dual(rho, np.linalg.eigvalsh(rho), spec, DEFAULT_TOL, DEFAULT_MAX_NEWTON)
+
+
 class TestTwirlReduction:
     """Theorem 2's |T>^n residuals are solved over the stabilizer profiles
-    (solver docstring); the lifted certificates must hold in the full space."""
+    (solver docstring), whoever calls robustness_dual; the lifted certificates must hold in
+    the full space."""
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("a", [0.5, 0.9, 1.0])
     def test_reduced_solve_matches_full_solve(self, n, a):
         d, spec = 2**n, stabilizer_set(n)
         rho = thermo._residual_state(t_state(n), a, d)
-        red = _twirled_dual(rho, t_state(n), spec, DEFAULT_TOL, DEFAULT_MAX_NEWTON)
-        full = robustness_dual(rho, spec)
+        red = robustness_dual(rho, spec)
+        full = _loop_result(rho, spec)
         assert red.status == full.status == "converged"
         assert max(red.lower_bound, full.lower_bound) <= min(red.upper_bound, full.upper_bound)
         assert red.gap <= DEFAULT_TOL * max(1.0, red.upper_bound)  # the lift keeps it closed
@@ -477,19 +483,23 @@ class TestTwirlReduction:
     def test_dispatch_takes_the_reduced_route_only_for_t_states(self, n, monkeypatch):
         reduced = []
 
-        def spy(*args, **kwargs):
-            result = _twirled_dual(*args, **kwargs)
+        def spy(rho, spectrum, spec, *args):
+            result = _twirled_dual(rho, spectrum, spec, *args)
             if result is not None:
-                reduced.append(len(args[1]))
+                reduced.append(spec.dim)
             return result
 
-        monkeypatch.setattr(thermo, "_twirled_dual", spy)
+        monkeypatch.setattr(solver, "_twirled_dual", spy)
         d, spec = 2**n, stabilizer_set(n)
-        theorem2_at_weight(np.exp(0.3j) * t_state(n), 1.0, d, spec)
+        y = np.exp(0.3j) * t_state(n)
+        theorem2_at_weight(y, 1.0, d, spec)
         assert reduced == [d]
+        # any caller of robustness_dual gets the same route
+        robustness_dual(thermo._residual_state(y, 0.9, d), spec)
+        assert reduced == [d, d]
         for y, free in self.other_pairs(n):
             theorem2_at_weight(y, 1.0, d, free)
-        assert reduced == [d]
+        assert reduced == [d, d]
 
     @pytest.mark.parametrize("n, as_matrices", [(1, True), (1, False), (2, False)])
     def test_copies_of_the_stabilizer_set_take_the_twirl(self, n, as_matrices):
@@ -497,12 +507,12 @@ class TestTwirlReduction:
         # the cache is cleared, and a reversed copy, get the cached set's interval
         d = 2**n
         rho = thermo._residual_state(t_state(n), 0.9, d)
-        cached = _twirled_dual(rho, t_state(n), stabilizer_set(n), DEFAULT_TOL, DEFAULT_MAX_NEWTON)
+        cached = twirled(rho, stabilizer_set(n))
         before = stabilizer_set(n)
         stabilizer_set.cache_clear()
         points = before.density_matrices() if as_matrices else before.vectors
         for spec in (before, finite_hull(points[::-1])):
-            res = _twirled_dual(rho, t_state(n), spec, DEFAULT_TOL, DEFAULT_MAX_NEWTON)
+            res = twirled(rho, spec)
             assert res is not None and res.status == "converged"
             assert_certified(res, rho, spec)
             assert res.lower_bound == pytest.approx(cached.lower_bound, abs=1e-12)
@@ -511,22 +521,49 @@ class TestTwirlReduction:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_twirl_declines_other_pairs(self, n):
         for y, free in self.other_pairs(n):
-            rho = thermo._residual_state(y, 1.0, 2**n)
-            assert _twirled_dual(rho, y, free, DEFAULT_TOL, DEFAULT_MAX_NEWTON) is None
+            assert twirled(thermo._residual_state(y, 1.0, 2**n), free) is None
+
+    def test_other_sets_build_no_stabilizer_set(self):
+        # the twirl compares point counts before it builds stabilizer(n)
+        y = np.arange(1.0, 9.0) / np.linalg.norm(np.arange(1.0, 9.0))
+        stabilizer_set.cache_clear()
+        theorem2_at_weight(y, 0.9, 8, incoherent_set(8))
+        assert stabilizer_set.cache_info().currsize == 0
+
+
+def flat_y(d: int, gen) -> np.ndarray:
+    """A unit vector with |y_k|^2 = 1/d and random phases."""
+    return np.exp(2j * np.pi * gen.uniform(size=d)) / math.sqrt(d)
+
+
+def two_block_state(d: int, gen, t: float) -> np.ndarray:
+    """t|psi1><psi1| + (1 - t)|psi2><psi2|, psi1 on the first half of the basis and psi2 on
+    the second (d >= 4): two coherent blocks."""
+    h = d // 2
+    psi = gen.normal(size=(2, d)) + 1j * gen.normal(size=(2, d))
+    psi[0, h:] = psi[1, :h] = 0.0
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    return t * projector(psi[0]) + (1.0 - t) * projector(psi[1])
+
+
+def closed_pair(rho, spec):
+    """robustness_dual's closed pairs alone, on rho and its spectrum: against an incoherent set,
+    the l1 pair and then the spectral pair."""
+    return solver._closed_pair(rho, spec, np.linalg.eigvalsh(rho), DEFAULT_TOL)
 
 
 class TestFlatResidual:
-    """Theorem 2's residual of a flat-phase y against an incoherent set is certified in
-    closed form (solver docstring), without an interior-point iteration."""
+    """Theorem 2's residual of a flat-phase y against an incoherent set is certified by the
+    spectral pair (solver docstring), without an interior-point iteration, whoever calls
+    robustness_dual."""
 
     @pytest.mark.parametrize("d", [*range(2, 17), 32, 64])
     @pytest.mark.parametrize("a", [0.3, 0.7, 1.0])
     def test_flat_route_matches_full_solve(self, d, a):
-        gen = np.random.default_rng([SEEDS["thermo"], d])
-        y = np.exp(2j * np.pi * gen.uniform(size=d)) / math.sqrt(d)
+        y = flat_y(d, np.random.default_rng([SEEDS["thermo"], d]))
         rho, spec = thermo._residual_state(y, a, d), incoherent_set(d)
-        flat = _twirled_dual(rho, y, spec, DEFAULT_TOL, DEFAULT_MAX_NEWTON)
-        full = robustness_dual(rho, spec)
+        flat = robustness_dual(rho, spec)
+        full = _loop_result(rho, spec)
         assert (flat.status, flat.newton_iterations) == ("converged", 0)
         assert full.status == "converged"
         assert max(flat.lower_bound, full.lower_bound) <= min(flat.upper_bound, full.upper_bound)
@@ -541,7 +578,7 @@ class TestFlatResidual:
     def test_every_pure_coherence_witness_takes_the_route(self, psi):
         _, y = pure_coherence_witness(psi)
         rho = thermo._residual_state(y, 1.0, 4)
-        res = _twirled_dual(rho, y, incoherent_set(4), DEFAULT_TOL, DEFAULT_MAX_NEWTON)
+        res = robustness_dual(rho, incoherent_set(4))
         assert res.newton_iterations == 0
         assert_certified(res, rho, incoherent_set(4))
 
@@ -551,8 +588,46 @@ class TestFlatResidual:
         for y, free in [(ramp, incoherent_set(d)),  # not flat
                         (golden_state(d), finite_hull(incoherent_set(d).vectors)),
                         (golden_state(d), stabilizer_set(2))]:
-            rho = thermo._residual_state(y, 1.0, d)
-            assert _twirled_dual(rho, y, free, DEFAULT_TOL, DEFAULT_MAX_NEWTON) is None
+            assert closed_pair(thermo._residual_state(y, 1.0, d), free) is None
+
+    @pytest.mark.parametrize("d", [2, 8, 32, 64])
+    @pytest.mark.parametrize("a", [1e-6, 1e-4, 1e-2])
+    def test_small_weights(self, d, a):
+        # Y = (rho - lambda_min I)/c with c ~ a/d: without the solver's margin on lambda_min,
+        # its rounding over c leaves Y indefinite beyond the feasibility check's tolerance
+        # (golden d = 64, a = 1e-6: least eigenvalue -1.9e-9)
+        spec = incoherent_set(d)
+        for y in (golden_state(d), flat_y(d, np.random.default_rng([SEEDS["thermo"], d]))):
+            rho = thermo._residual_state(y, a, d)
+            res = robustness_dual(rho, spec)
+            assert (res.status, res.newton_iterations) == ("converged", 0)
+            assert_certified(res, rho, spec)
+            assert res.value == pytest.approx(a / (d - a), abs=1e-12)
+            assert res.lower_bound <= a / (d - a)
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(2, 32), seed=st.integers(0, 2**32 - 1), a=st.floats(0.05, 1.0))
+    def test_flat_residual_property(self, d, seed, a):
+        rho = thermo._residual_state(flat_y(d, np.random.default_rng(seed)), a, d)
+        spec = incoherent_set(d)
+        res = robustness_dual(rho, spec)
+        assert (res.status, res.newton_iterations) == ("converged", 0)
+        assert_certified(res, rho, spec)
+        assert res.value == pytest.approx(a / (d - a), abs=1e-12)
+        assert res.lower_bound <= a / (d - a)
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(4, 32), seed=st.integers(0, 2**32 - 1), a=st.floats(0.05, 1.0),
+           t=st.floats(0.2, 0.8))
+    def test_spectral_pair_declines_other_states(self, d, seed, a, t):
+        # every amplitude of a Gaussian y is nonzero, so its residual has one coherent block
+        # with frustrated phases, and a diagonal that is not constant
+        gen = np.random.default_rng(seed)
+        y = gen.normal(size=d) + 1j * gen.normal(size=d)
+        spec = incoherent_set(d)
+        for rho in (thermo._residual_state(y / np.linalg.norm(y), a, d),
+                    random_density_matrix(d, gen), two_block_state(d, gen, t)):
+            assert closed_pair(rho, spec) is None
 
 
 def state_reports(summary, ctx):
