@@ -220,9 +220,7 @@ def stabilizer_set(n: int) -> FreeSet:
 
 def membership(spec: FreeSet, rho, tol: float = 1e-7) -> bool:
     """True iff the certified upper bound on the robustness of ``rho`` w.r.t.
-    the hull is <= tol."""
+    the hull is <= tol; ``robustness_dual`` validates rho."""
     from .solver import robustness_dual  # deferred: solver builds on this module
 
-    rho = assert_density(rho)
-    result = robustness_dual(rho, spec, tol=min(tol, 1e-7) / 2)
-    return result.upper_bound <= tol
+    return robustness_dual(rho, spec, tol=min(tol, 1e-7) / 2).upper_bound <= tol

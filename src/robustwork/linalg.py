@@ -82,7 +82,7 @@ def _density_spectrum(rho, name: str) -> tuple[np.ndarray, np.ndarray]:
     rho = assert_hermitian(rho, name)
     tr = rho.trace().real
     if abs(tr - 1.0) > policy.trace_tol:
-        raise ValueError(f"{name} has trace {tr!r}, expected 1")
+        raise ValueError(f"{name} has trace {float(tr)!r}, expected 1")
     w = np.linalg.eigvalsh(rho)
     if w[0] < -policy.psd_tol:
         raise ValueError(f"{name} has negative eigenvalue {w[0]:.3e}")

@@ -59,24 +59,13 @@ Parrilo, J. Pure Appl. Algebra 192, 95, 2004; Heinrich & Gross, Quantum 3, 132, 
 Twirling over that group keeps a feasible pair feasible at the same objective and maps
 onto span{P_j}, P_j projecting onto the Hamming-weight-j class of the {|T>, |T^perp>}^n
 basis, so sigma enters only through its profile p(sigma) = (Tr[P_j sigma])_j (28 at
-n = 3).  robustness_dual(diag(p(rho)), hull of the diag(p(sigma))) is lifted back: its
-witness's diagonal f to Y = sum_j f_j P_j, a profile's weight w to w / S on each of its
-S states (their average is sum_j p_j P_j / Tr P_j), and the lower bound is re-derived.
+n = 3).  The loop solves diag(p(rho)) on the hull of the diag(p(sigma)); with no nested call,
+its witness's diagonal f lifts to Y = sum_j f_j P_j, a profile's weight w to w / S on each of
+its S states (their average is sum_j p_j P_j / Tr P_j), and one ``_certify`` on rho follows.
 ``robustness_dual`` tries this route (``_twirled_dual``) first, for a free set with
 stabilizer(n)'s point count in any order (a copy of the cached set is matched by overlap) and
 rho = lambda_max I - (lambda_max - lambda_min)|T^n><T^n| to rounding, lambda_max (d-1)-fold and
 above lambda_min in the spectrum that validates rho; no other input builds stabilizer(n).
-
-A free state needs no iteration either when it mixes orthonormal pure extreme points,
-rho = sum_i w_i sigma_k(i) (Regula, J. Phys. A 51, 045303, 2018): the witness I is
-feasible and reaches Tr[rho] - 1 = 0, and the eigenvalues w_i as weights meet
-sum(q) - 1 = 0, so R = 0 is certified exactly.  ``robustness_dual`` tries this next.  As
-Tr[rho sigma] <= lambda_max(rho), such a rho has max_k Tr[rho sigma_k] = lambda_max(rho), one
-constraint evaluation that every other input fails (``_reaches_extreme_point``; at level 1 it
-is theorem 3's test for a free pure input).  Then each eigenvector of rho with an
-eigenvalue above rounding must overlap some extreme point to 1 - _PURE_FREE_SLACK, and the
-slack of the matched weights is rechecked down to rounding; a spectrum whose eigenbasis
-is not made of extreme points (say, a degenerate one) is left to the interior-point loop.
 
 Against an incoherent set, rho is tried next with the l1 pair (Napoli et al., PRL 116,
 150502, 2016; Piani et al., PRA 93, 042107, 2016).  Let r be the column of rho with the most
@@ -96,6 +85,18 @@ of |+> and |+i> (found by overlap): R = 1/F - 1 = (4 - 2 sqrt 2)^n - 1, F = cos^
 every extreme point, and the weights (2 - sqrt 2)^n on the products leave the slack
 A^n - |T><T|^n >= 0: A = (2 - sqrt 2)(|+><+| + |+i><+i|) = |T><T| + (3 - 2 sqrt 2)|T^perp><T^perp|
 >= |T><T| >= 0, and A >= B >= 0 gives A^n >= B^n.
+
+A free state needs no iteration either when it mixes orthonormal pure extreme points,
+rho = sum_i w_i sigma_k(i) (Regula, J. Phys. A 51, 045303, 2018): the witness I is
+feasible and reaches Tr[rho] - 1 = 0, and the eigenvalues w_i as weights meet
+sum(q) - 1 = 0, so R = 0 is certified exactly.  ``robustness_dual`` tries this last: a free
+state of an incoherent set is diagonal, and its l1 pair is already this certificate.  As
+Tr[rho sigma] <= lambda_max(rho), such a rho has max_k Tr[rho sigma_k] = lambda_max(rho), one
+constraint evaluation that every other input fails (``_reaches_extreme_point``; at level 1 it
+is theorem 3's test for a free pure input).  Then each eigenvector of rho with an
+eigenvalue above rounding must overlap some extreme point to 1 - _PURE_FREE_SLACK, and the
+slack of the matched weights is rechecked down to rounding; a spectrum whose eigenbasis
+is not made of extreme points (say, a degenerate one) is left to the interior-point loop.
 
 These certificates sit on the boundary, with the slack's least eigenvalue at rounding
 (about -1e-15).  The free mixture's and the l1 and product pairs' slacks are rechecked down to
@@ -497,8 +498,8 @@ def robustness_dual(rho, spec: FreeSet, tol: float = DEFAULT_TOL,
     if spec.dim != rho.shape[0]:
         raise ValueError(f"state dimension {rho.shape[0]} does not match free set {spec.label()}")
     exact = (_twirled_dual(rho, spectrum, spec, tol, max_newton)
-             or _free_mixture(rho, spec, spectrum[-1], tol)
-             or _closed_pair(rho, spec, spectrum, tol))
+             or _closed_pair(rho, spec, spectrum, tol)
+             or _free_mixture(rho, spec, spectrum[-1], tol))
     if exact is not None:
         return exact
     prog, it, used, status = _solve(rho, spec, tol, max_newton)
@@ -580,8 +581,8 @@ def _closed_pair(rho, spec: FreeSet, spectrum, tol: float) -> RobustnessResult |
             closes = d * hi - np.vdot(Y, rho).real <= tol * max(1.0, d * hi - 1.0)
             return _exact(rho, spec, Y, np.full(d, hi), tol) if closes else None
     elif (hi >= 1.0 - _round_off(d) and 1 < d == 2**n
-          and np.vdot(t_state(n), rho @ t_state(n)).real >= (1 - 1e-14)**2):
-        Y = (1.0 + tstate_magic_robustness(n)) * projector(t_state(n))
+          and np.vdot(t := t_state(n), rho @ t).real >= (1 - 1e-14)**2):
+        Y = (1.0 + tstate_magic_robustness(n)) * projector(t)
         points = tensor_power(np.array([[1.0, 1.0], [1.0, 1j]]) / math.sqrt(2.0), n)
         w = np.full(d, (2.0 - math.sqrt(2.0)) ** n)  # on the products of |+> and |+i>
     else:
@@ -622,8 +623,8 @@ def _tstate_profiles(n: int):
 
 def _twirled_dual(rho, spectrum, spec: FreeSet, tol: float,
                   max_newton: int) -> RobustnessResult | None:
-    """robustness_dual(rho, spec) over the |T>^n profiles (module docstring) when spec has
-    stabilizer(n)'s point count and rho = lambda_max I - (lambda_max - lambda_min)|T^n><T^n|,
+    """rho's certificate against spec, solved over the |T>^n profiles (module docstring), when spec
+    has stabilizer(n)'s point count and rho = lambda_max I - (lambda_max - lambda_min)|T^n><T^n|,
     lambda_max (d-1)-fold above lambda_min, to rounding; spec's points are found by overlap
     unless it is the cached set.  None for any other pair, before any stabilizer set is built."""
     d, (lo, hi) = spec.dim, spectrum[[0, -1]]
@@ -636,13 +637,12 @@ def _twirled_dual(rho, spectrum, spec: FreeSet, tol: float,
     stab = stabilizer_set(n)
     V, classes, hull, index, counts = _tstate_profiles(n)
     p = (dagger(V) @ rho @ V).diagonal().real @ classes
-    res = robustness_dual(np.diag(p), hull, tol=tol, max_newton=max_newton)  # I/d in the hull
-    Y = (V * (classes @ res.witness.diagonal().real)) @ dagger(V)
-    weights = (res.primal_weights / counts)[index]
+    prog, it, used, status = _solve(np.diag(p), hull, tol, max_newton)  # I/d in the hull
+    Y = (V * (classes @ prog.expand(it.Y).diagonal().real)) @ dagger(V)
+    weights = (it.q / counts)[index]
     if spec is not stab:  # a copy, in any order: its points are found by overlap
         weights = _placed(rho, spec, stab.vector_array, weights)
-    return None if weights is None else _certify(rho, spec, Y, weights, res.status,
-                                                 res.newton_iterations)
+    return None if weights is None else _certify(rho, spec, Y, weights, status, used)
 
 
 def robustness_primal(rho, spec: FreeSet, tol: float = DEFAULT_TOL,
@@ -763,7 +763,8 @@ def rank1_witness_from_pure(psi, spec: FreeSet, tol: float = DEFAULT_TOL) -> tup
     hull cannot dominate the state.
     """
     psi = assert_pure(psi)
-    return rank1_truncation(psi, spec, robustness_dual(projector(psi), spec, tol=tol), tol)
+    result = robustness_dual(np.outer(psi, psi.conj()), spec, tol=tol)
+    return rank1_truncation(psi, spec, result, tol)
 
 
 def rank1_truncation(psi: np.ndarray, spec: FreeSet, result: RobustnessResult,
@@ -773,7 +774,7 @@ def rank1_truncation(psi: np.ndarray, spec: FreeSet, result: RobustnessResult,
         raise ValueError("state is free; a rank-1 witness requires robustness > tol")
     _, V = np.linalg.eigh(result.witness)
     y = V[:, -1]
-    feas = float(witness_constraints(projector(y), spec).max())
+    feas = float(witness_constraints(np.outer(y, y.conj()), spec).max())  # y: unit eigenvector
     c = 1.0 / feas
     achieved = c * float(np.abs(np.vdot(y, psi)) ** 2) - 1.0
     if achieved < result.value - 10.0 * tol:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import robustwork.freesets as freesets_module
+import robustwork.linalg as linalg_module
 import robustwork.solver as solver_module
 from robustwork.freesets import (
     _lagrangian_subspaces,
@@ -186,6 +187,36 @@ class TestMembership:
 
         monkeypatch.setattr(solver_module, "robustness_dual", unresolved)
         assert not membership(stabilizer_set(1), maximally_mixed(2), tol=1e-7)
+
+    @pytest.mark.parametrize("spec, rho", [
+        (incoherent_set(2), maximally_mixed(2)),
+        (incoherent_set(4), projector(np.full(4, 0.5))),
+        (stabilizer_set(1), projector(t_state(1))),
+    ], ids=["incoherent-2-mixed", "incoherent-4-golden", "stabilizer-1-tstate"])
+    def test_one_validation_per_call(self, monkeypatch, spec, rho):
+        # robustness_dual validates rho, so membership does not do it first
+        calls = []
+
+        def counted(rho, name):
+            calls.append(name)
+            return spectrum(rho, name)
+
+        spectrum = linalg_module._density_spectrum
+        monkeypatch.setattr(linalg_module, "_density_spectrum", counted)
+        monkeypatch.setattr(solver_module, "_density_spectrum", counted)
+        membership(spec, rho)
+        assert calls == ["state"]
+
+    @pytest.mark.parametrize("rho, message", [
+        (np.diag([1.0, 0.5]), "state has trace 1.5, expected 1"),
+        (np.diag([1.5, -0.5]), "state has negative eigenvalue -5.000e-01"),
+        (np.array([[0.5, 1.0], [0.0, 0.5]]), "state is not Hermitian (deviation 1.000e+00)"),
+        (np.diag([np.nan, 0.5]), "state has non-finite entries"),
+    ], ids=["trace", "psd", "hermitian", "non-finite"])
+    def test_invalid_state_message(self, rho, message):
+        with pytest.raises(ValueError) as err:
+            membership(incoherent_set(2), rho)
+        assert str(err.value) == message
 
 
 class TestContainsMaximallyMixed:

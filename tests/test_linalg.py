@@ -191,6 +191,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             assert_density(2.0 * np.eye(2))
 
+    def test_bad_trace_message_prints_a_plain_float(self):
+        with pytest.raises(ValueError, match=r"^state has trace 1\.5, expected 1$"):
+            assert_density(np.diag([1.0, 0.5]))
+
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(ValueError):
             assert_density(np.diag([1.5, -0.5]).astype(complex))

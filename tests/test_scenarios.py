@@ -842,6 +842,15 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert any("error:" in line and field in line for line in proc.stderr.splitlines())
 
+    def test_bad_trace_message_prints_a_plain_float(self, tmp_path):
+        path = self.write(tmp_path, "in.json", {
+            "state": {"matrix": [[1, 0], [0, 0.5]]},
+            "free_set": {"kind": "incoherent"},
+        })
+        proc = self.run_cli("robustness", "--input", path)
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr == "error: state has trace 1.5, expected 1\n"
+
     @pytest.mark.parametrize("verb", ["robustness", "witness"])
     def test_single_state_above_the_cap_is_an_input_error(self, tmp_path, verb):
         path = self.write(tmp_path, "in.json", {

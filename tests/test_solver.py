@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import robustwork.linalg as linalg_module
 import robustwork.solver as solver_module
 from robustwork import thermo
 from robustwork.freesets import finite_hull, incoherent_set, membership, stabilizer_set
@@ -567,6 +568,81 @@ class TestExactCertificates:
         assert (res.status, res.newton_iterations) == (CONVERGED, 0)
         assert res.value == pytest.approx(robustness_pure_coherence(psi), abs=1e-12)
         assert_certified(res, rho, spec)
+
+
+def _random_diagonal(d: int, seed: int) -> np.ndarray:
+    w = np.random.default_rng([d, seed]).random(d)
+    return np.diag(w / w.sum()).astype(complex)
+
+
+_INCOHERENT_FREE = [maximally_mixed(d) for d in range(2, 6)] + [
+    _random_diagonal(d, seed) for d, seed in [(2, 0), (3, 1), (16, 2), (64, 3)]]
+_INCOHERENT_FREE_IDS = [f"mixed-{d}" for d in range(2, 6)] + [
+    f"diagonal-{d}" for d in (2, 3, 16, 64)]
+
+
+class TestOneCertificatePerInput:
+    """``robustness_dual`` is one flat chain (solver docstring): the twirl's reduced program is
+    solved by the loop in place, not by a nested ``robustness_dual`` call, and the free mixture
+    is tried last, since the l1 pair certifies every free state of an incoherent set on its own
+    with the free mixture's witness, weights and bounds."""
+
+    @pytest.mark.parametrize("a", [0.5, 1.0])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_twirl_makes_no_nested_call(self, monkeypatch, n, a):
+        calls = []
+
+        def counted(rho, spec, *args, **kwargs):
+            calls.append(spec.label())
+            return dual(rho, spec, *args, **kwargs)
+
+        dual = solver_module.robustness_dual
+        monkeypatch.setattr(solver_module, "robustness_dual", counted)
+        rho, spec = _residual(t_state(n), a), stabilizer_set(n)
+        res = solver_module.robustness_dual(rho, spec)
+        assert calls == [spec.label()]
+        assert res.status == CONVERGED
+        assert_certified(res, rho, spec)
+
+    @pytest.mark.parametrize("rho", [
+        *(projector(golden_state(d)) for d in (2, 32, 64)),
+        *_INCOHERENT_FREE,
+        *(_depolarizing_choi(p) for p in (0.2, 0.5, 0.8)),
+    ], ids=[*(f"golden-{d}" for d in (2, 32, 64)), *_INCOHERENT_FREE_IDS,
+            *(f"choi-depolarizing-{p}" for p in (0.2, 0.5, 0.8))])
+    def test_incoherent_pairs_come_before_the_free_mixture(self, monkeypatch, rho):
+        calls = []
+        monkeypatch.setattr(solver_module, "_free_mixture", lambda *args: calls.append(args))
+        spec = incoherent_set(len(rho))
+        res = robustness_dual(rho, spec)
+        assert calls == []
+        assert (res.status, res.newton_iterations) == (CONVERGED, 0)
+        assert_certified(res, rho, spec)
+
+    @pytest.mark.parametrize("rho", _INCOHERENT_FREE, ids=_INCOHERENT_FREE_IDS)
+    def test_l1_pair_of_a_free_state_is_the_free_mixture(self, rho):
+        spec = incoherent_set(len(rho))
+        res = robustness_dual(rho, spec)
+        mix = solver_module._free_mixture(rho, spec, np.linalg.eigvalsh(rho)[-1], DEFAULT_TOL)
+        assert res.witness.tobytes() == mix.witness.tobytes()
+        assert res.primal_weights.tobytes() == mix.primal_weights.tobytes()
+        fields = ("value", "gap", "status", "lower_bound", "upper_bound", "newton_iterations")
+        assert [getattr(res, f) for f in fields] == [getattr(mix, f) for f in fields]
+
+    @pytest.mark.parametrize("psi", [
+        golden_state(4), random_pure_state(8, np.random.default_rng(1))], ids=["golden-4", "haar-8"])
+    def test_rank1_witness_validates_psi_once(self, monkeypatch, psi):
+        calls = []
+
+        def counted(psi, *args):
+            calls.append(psi)
+            return validate(psi, *args)
+
+        validate = linalg_module.assert_pure
+        monkeypatch.setattr(linalg_module, "assert_pure", counted)
+        monkeypatch.setattr(solver_module, "assert_pure", counted)
+        rank1_witness_from_pure(psi, incoherent_set(len(psi)))
+        assert len(calls) == 1
 
 
 def _amplitudes(d: int, seed: int, zeros: int) -> np.ndarray:
