@@ -5,28 +5,28 @@ robustness programs need the constraint list explicitly.  Pure extreme points
 are kept as state vectors (the solver has a fast path for them); arbitrary
 hulls may also carry mixed density matrices.
 
-Stabilizer states are enumerated from GF(2) symplectic generator matrices: a
-depth-first search lists each maximal isotropic (Lagrangian) subspace of
-F_2^{2n} once, by its least basis.  All (subspace, sign pattern) pairs form one
-batch: generator position k gathers its half-projectors (I + s_k G_k)/2 from a
-table of all 4^n Pauli rows and multiplies that (N, d, d) stack into the
-products, whose small dyadic entries make them exact.  Distinct (subspace,
-sign pattern) pairs are distinct states, so the batch lists each state once,
-phase-normalized; the counts are checked against 6, 60, 1080.  A free set
-proves I/d in its hull once (``contains_maximally_mixed``), and the incoherent
-and stabilizer sets are cached, so each of them proves it once per process.
+Stabilizer states are written in their affine form 2^{-k/2} sum_u i^{l.u}
+(-1)^{m.u + u^T Q u} |t + uG> (Dehaene & De Moor, PRA 68, 042318, 2003; Van den
+Nest, QIC 10, 258, 2010), u in F_2^k: G in reduced row echelon form, t zero on
+its pivots, Q strictly upper triangular, l and m in F_2^k.  Each choice is a
+distinct state, so the loop lists each once; the counts are checked against 6,
+60, 1080.  The list is sorted by stabilizer group, its bit rows ascending, then
+by the signs over them, both read from the Pauli expectations that a
+Walsh-Hadamard transform gives.  A free set proves I/d in its hull once
+(``contains_maximally_mixed``), and the incoherent and stabilizer sets are
+cached, so each of them proves it once per process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
-from itertools import product
+from functools import cached_property, lru_cache
+from itertools import combinations, product
 
 import numpy as np
 
 from .linalg import assert_density, assert_pure, maximally_mixed, projector
-from .states import basis_state, pauli_string
+from .states import basis_state
 
 __all__ = [
     "FreeSet",
@@ -131,54 +131,50 @@ def finite_hull(points) -> FreeSet:
 # ---------------------------------------------------------------------------
 
 
-def _joint_eigenvectors(halves) -> np.ndarray:
-    """Row i: unit vector spanning the range of the i-th product of half-projectors
-    (I + s G)/2; ``halves`` yields one (N, d, d) stack per generator, in order."""
-    P = reduce(np.matmul, halves)
-    if np.any(np.abs(np.trace(P, axis1=1, axis2=2).real - 1.0) > 1e-9):
-        raise ValueError("projector is not rank 1")
-    cols = np.argmax(np.linalg.norm(P, axis=1), axis=1)
-    V = P[np.arange(len(P)), :, cols]
-    return _phase_normalize(V / np.linalg.norm(V, axis=1, keepdims=True))
+_PHASES = np.array([1, 1j, -1, 0 - 1j])  # i^p; 0 - 1j has the real part +0.0 that -1j lacks
 
 
-def _split_row(row: int, n: int):
-    x = [(row >> i) & 1 for i in range(n)]
-    z = [(row >> (n + i)) & 1 for i in range(n)]
-    return x, z
+def _bits(k: int) -> np.ndarray:
+    """All of F_2^k, in counting order, as the rows of a (2^k, k) integer array."""
+    return np.array(list(product((0, 1), repeat=k)), dtype=np.int64).reshape(2**k, k)
 
 
-def _symplectic_product(a: int, b: int, n: int) -> int:
-    ax, az = a & ((1 << n) - 1), a >> n
-    bx, bz = b & ((1 << n) - 1), b >> n
-    return (bin(ax & bz).count("1") + bin(az & bx).count("1")) % 2
+def _affine_states(n: int) -> np.ndarray:
+    """Every n-qubit stabilizer state once, as the rows 2^{-k/2} sum_u i^{l.u}
+    (-1)^{m.u + u^T Q u} |t + uG> (module docstring), qubit 0 the leading bit of t + uG.
+
+    Each of G's rows has a leading bit that the other rows and t lack, so t is the
+    least index in t + span(G), and its amplitude is real and positive."""
+    d, blocks = 2**n, []
+    for k in range(n + 1):
+        U, (i, j) = _bits(k), np.triu_indices(k, 1)
+        quad = _bits(len(i)) @ (U[:, i] * U[:, j]).T  # [Q, u] = u^T Q u
+        lin = U @ U.T  # [l, u] = l.u
+        phase = lin[None, :, None] + 2 * (lin[None, None] + quad[:, None, None])  # [Q, l, m, u]
+        amp = (_PHASES / np.sqrt(2.0**k))[phase.reshape(-1, 2**k) % 4]
+        for leads in combinations([1 << b for b in range(n)], k):
+            lead = sum(leads)
+            for rows in product(*([p | f for f in range(p) if not f & lead] for p in leads)):
+                span = np.bitwise_xor.reduce(U * np.array(rows, dtype=np.int64), axis=1)
+                for t in [s for s in range(d) if not s & lead]:
+                    blocks.append(np.zeros((len(amp), d), dtype=complex))
+                    blocks[-1][:, t ^ span] = amp
+    return np.concatenate(blocks)
 
 
-def _phase_normalize(V: np.ndarray) -> np.ndarray:
-    first = V[np.arange(len(V)), np.argmax(np.abs(V) > 1e-8, axis=1)]
-    W = V * (np.abs(first) / first)[:, None]
-    W[np.abs(W) < 1e-12] = 0.0
-    return W
-
-
-def _lagrangian_subspaces(n: int) -> list[tuple[int, ...]]:
-    """All maximal isotropic subspaces of F_2^{2n}, each once by its least basis, sorted.
-
-    Depth-first: a tuple grows only by a ``v`` above its last entry that commutes
-    with it and is least in its coset ``v + span``, which makes ``v`` independent."""
-    out = []
-
-    def extend(rows: tuple[int, ...], span: list[int]) -> None:
-        if len(rows) == n:
-            out.append(rows)
-            return
-        for v in range(rows[-1] + 1 if rows else 1, 1 << (2 * n)):
-            least_in_coset = min(v ^ s for s in span) == v
-            if least_in_coset and not any(_symplectic_product(v, r, n) for r in rows):
-                extend(rows + (v,), span + [v ^ s for s in span])
-
-    extend((), [0])
-    return out
+def _group_order(states: np.ndarray, n: int) -> np.ndarray:
+    """Positions that sort the states by their stabilizer groups' bit rows (x bits low, z bits
+    shifted left by n, qubit j at bit j) as ascending lists, then by the signs over that list."""
+    bits = _bits(n)  # row x: the bits of x, qubit 0 (the leading bit) first
+    d, x, ab = 2**n, np.arange(2**n), bits @ bits.T  # ab[a, b] = |a & b|
+    # <i^{a.b} X^a Z^b> = i^{a.b} sum_x conj(psi(x ^ a)) (-1)^{b.x} psi(x): a Walsh-Hadamard
+    # transform over x, with qubit j at bit n - 1 - j of a and b
+    E = (states.conj()[:, x[:, None] ^ x] * states[:, None, :]) @ (-1.0) ** ab * _PHASES[ab % 4]
+    rev, row = bits @ (1 << np.arange(n)), np.arange(4**n)  # rev[x]: qubit j moved to bit j
+    E = E.reshape(len(states), -1)[:, rev[row % d] * d + rev[row >> n]].real  # [state, row]
+    group = np.nonzero(np.abs(E) > 0.5)[1].reshape(len(states), d)  # its 2^n rows, ascending
+    signs = E[np.arange(len(states))[:, None], group] < 0
+    return np.lexsort(np.hstack([group, signs]).T[::-1])
 
 
 def stabilizer_state_count(n: int) -> int:
@@ -190,21 +186,13 @@ def stabilizer_state_count(n: int) -> int:
 
 
 def enumerate_stabilizer_states(n: int) -> list[np.ndarray]:
-    """All n-qubit pure stabilizer states, each once, phase-normalized."""
+    """All n-qubit pure stabilizer states, each once, phase-normalized, in group order."""
     if not 1 <= n <= STABILIZER_MAX_QUBITS:
         raise ValueError(f"stabilizer enumeration supports n in 1..{STABILIZER_MAX_QUBITS}")
-    eye = np.eye(2**n, dtype=complex)
-    paulis = np.stack([pauli_string(*_split_row(row, n)) for row in range(4**n)])
-    halves = np.stack([(eye + s * paulis) / 2.0 for s in (1, -1)], axis=1)  # [row, c] = (I + (-1)^c G)/2
-    # state i has subspace i // 2^n and sign pattern i % 2^n, in product((0, 1), repeat=n) order
-    subspaces = np.array(_lagrangian_subspaces(n))
-    patterns = np.array(list(product((0, 1), repeat=n)))
-    index = np.repeat(subspaces, len(patterns), axis=0)
-    choice = np.tile(patterns, (len(subspaces), 1))
-    vectors = _joint_eigenvectors(halves[index[:, j], choice[:, j]] for j in range(n))
-    if len(vectors) != (count := stabilizer_state_count(n)):
-        raise RuntimeError(f"enumerated {len(vectors)} states, expected {count}")
-    return list(vectors)
+    states = _affine_states(n)
+    if len(states) != (count := stabilizer_state_count(n)):
+        raise RuntimeError(f"enumerated {len(states)} states, expected {count}")
+    return list(states[_group_order(states, n)])
 
 
 @lru_cache(maxsize=STABILIZER_MAX_QUBITS)
@@ -220,7 +208,8 @@ def stabilizer_set(n: int) -> FreeSet:
 
 def membership(spec: FreeSet, rho, tol: float = 1e-7) -> bool:
     """True iff the certified upper bound on the robustness of ``rho`` w.r.t.
-    the hull is <= tol; ``robustness_dual`` validates rho."""
-    from .solver import robustness_dual  # deferred: solver builds on this module
+    the hull is <= tol; ``robustness_dual`` validates rho, and tol by its rule."""
+    from .solver import _check_tol, robustness_dual  # deferred: solver builds on this module
 
+    _check_tol(tol)  # before the min below hides an infinite tol or halves a negative one
     return robustness_dual(rho, spec, tol=min(tol, 1e-7) / 2).upper_bound <= tol

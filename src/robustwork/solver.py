@@ -478,6 +478,11 @@ def _solve(rho: np.ndarray, spec: FreeSet, tol: float, max_newton: int):
     return prog, best, used, CONVERGED
 
 
+def _check_tol(tol) -> None:
+    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0.0 < tol < math.inf):
+        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
+
+
 def robustness_dual(rho, spec: FreeSet, tol: float = DEFAULT_TOL,
                     max_newton: int = DEFAULT_MAX_NEWTON) -> RobustnessResult:
     """Certified robustness of ``rho`` with respect to the free set.
@@ -489,8 +494,7 @@ def robustness_dual(rho, spec: FreeSet, tol: float = DEFAULT_TOL,
     valid) and ``infeasible`` when no mixture dominates ``rho``.  Raises
     ValueError unless ``tol`` is finite and > 0 and ``max_newton`` an integer >= 0.
     """
-    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0.0 < tol < math.inf):
-        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
+    _check_tol(tol)
     if isinstance(max_newton, bool) or not (isinstance(max_newton, numbers.Integral)
                                             and max_newton >= 0):
         raise ValueError(f"max_newton must be an integer >= 0, got {max_newton!r}")
@@ -581,9 +585,9 @@ def _closed_pair(rho, spec: FreeSet, spectrum, tol: float) -> RobustnessResult |
             closes = d * hi - np.vdot(Y, rho).real <= tol * max(1.0, d * hi - 1.0)
             return _exact(rho, spec, Y, np.full(d, hi), tol) if closes else None
     elif (hi >= 1.0 - _round_off(d) and 1 < d == 2**n
-          and np.vdot(t := t_state(n), rho @ t).real >= (1 - 1e-14)**2):
-        Y = (1.0 + tstate_magic_robustness(n)) * projector(t)
-        points = tensor_power(np.array([[1.0, 1.0], [1.0, 1j]]) / math.sqrt(2.0), n)
+          and np.vdot(t := _tstate_table(n)[0], rho @ t).real >= (1 - 1e-14)**2):
+        _, T, points = _tstate_table(n)
+        Y = (1.0 + tstate_magic_robustness(n)) * T
         w = np.full(d, (2.0 - math.sqrt(2.0)) ** n)  # on the products of |+> and |+i>
     else:
         return None
@@ -608,11 +612,21 @@ def _placed(rho, spec: FreeSet, E, w) -> np.ndarray | None:
     return q
 
 
+@lru_cache(maxsize=None)
+def _tstate_table(n: int):
+    """|T>^n, |T^n><T^n| and the products of |+> and |+i> as columns; read-only, one build per n."""
+    t = t_state(n)
+    T, points = projector(t), tensor_power(np.array([[1.0, 1.0], [1.0, 1j]]) / math.sqrt(2.0), n)
+    t.flags.writeable = T.flags.writeable = points.flags.writeable = False
+    return t, T, points
+
+
 @lru_cache(maxsize=STABILIZER_MAX_QUBITS)
 def _tstate_profiles(n: int):
     """Twirl table around |T>^n (module docstring): basis V = [|T>, |T^perp>]^n,
     classes[x, j] = [|x| = j], profile hull, state k's profile index[k], counts."""
-    V = tensor_power(np.stack([t_state(1), PAULI_Z @ t_state(1)], axis=1), n)
+    t = _tstate_table(1)[0]
+    V = tensor_power(np.stack([t, PAULI_Z @ t], axis=1), n)
     classes = np.eye(n + 1)[[bin(x).count("1") for x in range(2**n)]]
     profiles = (np.abs(dagger(V) @ stabilizer_set(n).vector_array) ** 2).T @ classes
     _, first, index, counts = np.unique(np.round(profiles, 8), axis=0, return_index=True,
@@ -631,7 +645,7 @@ def _twirled_dual(rho, spectrum, spec: FreeSet, tol: float,
     n = d.bit_length() - 1
     if not (lo < hi - _round_off(d) <= spectrum[1] and 0 < n <= STABILIZER_MAX_QUBITS
             and d == 2**n and spec.n_points == stabilizer_state_count(n)
-            and np.abs(rho - hi * np.eye(d) + (hi - lo) * projector(t_state(n))).max()
+            and np.abs(rho - hi * np.eye(d) + (hi - lo) * _tstate_table(n)[1]).max()
             <= _round_off(d)):
         return None
     stab = stabilizer_set(n)

@@ -1,10 +1,10 @@
-"""Named states, gates and Pauli strings; the seeded random generators serve tests and demos."""
+"""Named states and gates; the seeded random generators serve tests and demos."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import assert_pure, dagger, tensor, tensor_power
+from .linalg import assert_pure, dagger, tensor_power
 
 __all__ = [
     "PAULI_X",
@@ -75,10 +75,4 @@ def random_density_matrix(d: int, rng: np.random.Generator, rank: int | None = N
 def random_hermitian(d: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return scale * 0.5 * (A + dagger(A))
-
-
-def pauli_string(bits_x, bits_z) -> np.ndarray:
-    """Hermitian Pauli operator from X/Z bit rows (I, X, Z, Y per qubit)."""
-    table = {(0, 0): np.eye(2, dtype=complex), (1, 0): PAULI_X, (0, 1): PAULI_Z, (1, 1): PAULI_Y}
-    return tensor(*(table[(int(x), int(z))] for x, z in zip(bits_x, bits_z, strict=True)))
 

@@ -2,9 +2,9 @@
 
 Everything here is deliberately written from scratch against the library's
 implementation choices: the stabilizer enumeration below walks the Clifford
-orbit of |0..0> (the library synthesizes states from symplectic generator
-matrices instead), and the helpers recompute scalar quantities from first
-principles.
+orbit of |0..0> (the library writes states in their affine form instead), the
+Pauli strings are Kronecker products of 2 x 2 matrices, and the helpers
+recompute scalar quantities from first principles.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ import numpy as np
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _S = np.array([[1, 0], [0, 1j]], dtype=complex)
+_PAULI = {(0, 0): np.eye(2, dtype=complex), (1, 0): np.array([[0, 1], [1, 0]], dtype=complex),
+          (0, 1): np.diag([1.0, -1.0]).astype(complex), (1, 1): np.array([[0, -1j], [1j, 0]])}
 
 
 def phase_key(v: np.ndarray, digits: int = 8) -> tuple:
@@ -90,6 +92,22 @@ def clifford_unitaries_1q() -> list[np.ndarray]:
             frontier.append(normalize(G @ U))
     assert len(seen) == 24
     return list(seen.values())
+
+
+def pauli_string(bits_x, bits_z) -> np.ndarray:
+    """Hermitian Pauli operator from X/Z bit rows (I, X, Z, Y per qubit)."""
+    out = np.eye(1, dtype=complex)
+    for x, z in zip(bits_x, bits_z, strict=True):
+        out = np.kron(out, _PAULI[(int(x), int(z))])
+    return out
+
+
+def pauli_table(n: int) -> np.ndarray:
+    """All 4^n Pauli strings, stacked by bit row: x bits low, z bits shifted left by n,
+    qubit j at bit j."""
+    return np.stack([pauli_string([(row >> j) & 1 for j in range(n)],
+                                  [(row >> (n + j)) & 1 for j in range(n)])
+                     for row in range(4**n)])
 
 
 def stabilizer_count_formula(n: int) -> int:

@@ -1,5 +1,4 @@
 import hashlib
-from itertools import product
 
 import numpy as np
 import pytest
@@ -8,9 +7,6 @@ import robustwork.freesets as freesets_module
 import robustwork.linalg as linalg_module
 import robustwork.solver as solver_module
 from robustwork.freesets import (
-    _lagrangian_subspaces,
-    _split_row,
-    _symplectic_product,
     enumerate_stabilizer_states,
     finite_hull,
     incoherent_extreme_points,
@@ -20,10 +16,16 @@ from robustwork.freesets import (
     stabilizer_state_count,
 )
 from robustwork.linalg import maximally_mixed, projector
-from robustwork.states import HADAMARD, S_GATE, basis_state, pauli_string, t_state
+from robustwork.states import HADAMARD, S_GATE, basis_state, t_state
 
 from conftest import SEEDS
-from oracles import _cnot_op, clifford_orbit_states, phase_key, stabilizer_count_formula
+from oracles import (
+    _cnot_op,
+    clifford_orbit_states,
+    pauli_table,
+    phase_key,
+    stabilizer_count_formula,
+)
 
 rng = np.random.default_rng(SEEDS["freesets"])
 
@@ -95,35 +97,33 @@ class TestStabilizerEnumeration:
         states = np.stack(enumerate_stabilizer_states(n))
         assert hashlib.sha256(states.tobytes()).hexdigest() == digest
 
-    @pytest.mark.parametrize("n, count", [(1, 3), (2, 15), (3, 135)])
-    def test_lagrangian_subspaces_are_distinct(self, n, count):
-        # prod_k (2^k + 1) Lagrangian subspaces, each listed once, sorted
-        subspaces = _lagrangian_subspaces(n)
-        assert len(subspaces) == count
-        assert subspaces == sorted(subspaces)
-        spans = set()
-        for rows in subspaces:
-            assert len(rows) == n
-            assert not any(_symplectic_product(a, b, n) for a in rows for b in rows)
-            span = {0}
-            for r in rows:
-                span |= {s ^ r for s in span}
-            assert len(span) == 2**n
-            spans.add(frozenset(span))
-        assert len(spans) == count
+    @staticmethod
+    def _expectations(n):
+        # <v|P|v> of every listed state v (rows) and Pauli string P (columns, by bit row), with
+        # the ones where P v = +-v; dense products, independent of the library's transform
+        V = np.stack(enumerate_stabilizer_states(n))
+        PV = np.einsum("rab,sb->sra", pauli_table(n), V)
+        E = np.einsum("sa,sra->sr", V.conj(), PV)
+        eigen = np.linalg.norm(PV - E[:, :, None] * V[:, None, :], axis=2) < 1e-12
+        return E.real, eigen & (np.abs(np.abs(E) - 1.0) < 1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_states_solve_their_eigen_equations(self, n):
-        # state i * 2^n + j is stabilized by the generators G_k of subspace i
-        # with the signs s_k = (-1)^c_k of pattern j, in product((0, 1)) order
-        states = enumerate_stabilizer_states(n)
-        patterns = list(product((0, 1), repeat=n))
-        for i, rows in enumerate(_lagrangian_subspaces(n)):
-            gens = [pauli_string(*_split_row(row, n)) for row in rows]
-            for j, bits in enumerate(patterns):
-                v = states[i * len(patterns) + j]
-                for G, c in zip(gens, bits):
-                    assert np.abs((-1) ** c * (G @ v) - v).max() < 1e-12
+    def test_each_state_is_stabilized_by_2n_paulis(self, n):
+        _, eigen = self._expectations(n)
+        assert (eigen.sum(axis=1) == 2**n).all()
+
+    @pytest.mark.parametrize("n, count", [(1, 3), (2, 15), (3, 135)])
+    def test_groups_and_sign_patterns_in_order(self, n, count):
+        # prod_k (2^k + 1) stabilizer groups, each with all 2^n sign patterns, listed by
+        # (the group's bit rows ascending, the sign bits over those rows), every key once
+        E, eigen = self._expectations(n)
+        keys = [(tuple(np.flatnonzero(row)), tuple(e[row] < 0)) for e, row in zip(E, eigen)]
+        assert keys == sorted(set(keys))
+        groups = {}
+        for group, signs in keys:
+            groups.setdefault(group, set()).add(signs)
+        assert len(groups) == count
+        assert all(len(patterns) == 2**n for patterns in groups.values())
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_clifford_orbit(self, n):
@@ -153,10 +153,10 @@ class TestStabilizerEnumeration:
         for v in enumerate_stabilizer_states(2):
             assert abs(np.vdot(v, v).real - 1.0) < 1e-10
 
-    def test_repeated_generator_is_not_rank_one(self, monkeypatch):
-        # Z x I twice: the sign patterns give (I + Z)/2 (trace 2) or 0 (trace 0)
-        monkeypatch.setattr(freesets_module, "_lagrangian_subspaces", lambda n: ((0b0100, 0b0100),))
-        with pytest.raises(ValueError, match="projector is not rank 1"):
+    def test_dropped_state_fails_the_count_check(self, monkeypatch):
+        generate = freesets_module._affine_states
+        monkeypatch.setattr(freesets_module, "_affine_states", lambda n: generate(n)[1:])
+        with pytest.raises(RuntimeError, match="enumerated 59 states, expected 60"):
             enumerate_stabilizer_states(2)
 
 

@@ -21,7 +21,7 @@ from robustwork.linalg import projector
 from robustwork.scenarios import load_scenario, run_scenario
 from robustwork.solver import pure_coherence_witness, rank1_witness_from_pure
 from robustwork.iojson import matrix_to_json
-from robustwork.states import HADAMARD, T_GATE, basis_state, golden_state
+from robustwork.states import HADAMARD, T_GATE, basis_state, golden_state, t_state
 from robustwork.thermo import ThermoContext, verify_theorem2
 
 GRID3 = {"lambda_grid": [100.0, 1000.0, 10000.0], "beta_grid": [1.0, 10.0, "inf"]}
@@ -238,6 +238,26 @@ class TestBuildCounts:
                                        checks=["theorem1", "eq10", "corollary1"]))
         assert len(report["entries"]) == 2 * 9 * 3
         assert len(calls) == 2 * 9
+
+    def test_tstate_is_built_once_per_n(self, monkeypatch):
+        # the product pair's gate (the Hadamard Choi state is pure on 2 qubits) and the twirl's
+        # gate (theorem 2's residuals) read |T>^n from one table, however often they run
+        residuals = [(np.eye(2**n) - projector(t_state(n))) / (2**n - 1) for n in (1, 2, 3)]
+        built = []
+        original = solver.t_state
+
+        def counting(n=1):
+            built.append(n)
+            return original(n)
+
+        monkeypatch.setattr(solver, "t_state", counting)
+        solver._tstate_table.cache_clear()
+        choi = channels.choi_state(unitary_channel(HADAMARD)).matrix
+        for _ in range(5):
+            assert solver.robustness_dual(choi, stabilizer_set(2)).newton_iterations == 0
+            for n, rho in enumerate(residuals, start=1):
+                assert solver.robustness_dual(rho, stabilizer_set(n)).status == "converged"
+        assert sorted(built) == sorted(set(built)) and {2, 3} <= set(built), built
 
     def test_specs_are_parsed_once(self, monkeypatch):
         states = count_calls(monkeypatch, "parse_state_spec", (scenarios,))

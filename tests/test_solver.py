@@ -119,9 +119,13 @@ class TestArguments:
         with pytest.raises(ValueError, match="max_newton"):
             robustness_dual(projector(golden_state(4)), incoherent_set(4), max_newton=max_newton)
 
-    def test_membership_inherits_the_tol_check(self):
-        with pytest.raises(ValueError, match="tol"):
-            membership(incoherent_set(2), maximally_mixed(2), tol=math.nan)
+    # membership passes min(tol, 1e-7) / 2 on, so its own tol is checked first: tol = inf
+    # must not read a resourceful state as free, and -1.0 must not be reported as -0.5
+    @pytest.mark.parametrize("tol", [math.inf, -1.0, 0.0, math.nan, True])
+    def test_membership_inherits_the_tol_check(self, tol):
+        with pytest.raises(ValueError) as err:
+            membership(incoherent_set(2), projector(golden_state(2)), tol=tol)
+        assert str(err.value) == f"tol must be a finite number > 0, got {tol!r}"
 
 
 class TestPrimal:
