@@ -9,12 +9,10 @@ Stabilizer states are written in their affine form 2^{-k/2} sum_u i^{l.u}
 (-1)^{m.u + u^T Q u} |t + uG> (Dehaene & De Moor, PRA 68, 042318, 2003; Van den
 Nest, QIC 10, 258, 2010), u in F_2^k: G in reduced row echelon form, t zero on
 its pivots, Q strictly upper triangular, l and m in F_2^k.  Each choice is a
-distinct state, so the loop lists each once; the counts are checked against 6,
-60, 1080.  The list is sorted by stabilizer group, its bit rows ascending, then
-by the signs over them, both read from the Pauli expectations that a
-Walsh-Hadamard transform gives.  A free set proves I/d in its hull once
-(``contains_maximally_mixed``), and the incoherent and stabilizer sets are
-cached, so each of them proves it once per process.
+distinct state, so the loop lists each once, in generator order (by k, G, t,
+then Q, l, m); the counts are checked against 6, 60, 1080.  A free set proves
+I/d in its hull once (``contains_maximally_mixed``), and the incoherent and
+stabilizer sets are cached, so each of them proves it once per process.
 """
 
 from __future__ import annotations
@@ -162,21 +160,6 @@ def _affine_states(n: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _group_order(states: np.ndarray, n: int) -> np.ndarray:
-    """Positions that sort the states by their stabilizer groups' bit rows (x bits low, z bits
-    shifted left by n, qubit j at bit j) as ascending lists, then by the signs over that list."""
-    bits = _bits(n)  # row x: the bits of x, qubit 0 (the leading bit) first
-    d, x, ab = 2**n, np.arange(2**n), bits @ bits.T  # ab[a, b] = |a & b|
-    # <i^{a.b} X^a Z^b> = i^{a.b} sum_x conj(psi(x ^ a)) (-1)^{b.x} psi(x): a Walsh-Hadamard
-    # transform over x, with qubit j at bit n - 1 - j of a and b
-    E = (states.conj()[:, x[:, None] ^ x] * states[:, None, :]) @ (-1.0) ** ab * _PHASES[ab % 4]
-    rev, row = bits @ (1 << np.arange(n)), np.arange(4**n)  # rev[x]: qubit j moved to bit j
-    E = E.reshape(len(states), -1)[:, rev[row % d] * d + rev[row >> n]].real  # [state, row]
-    group = np.nonzero(np.abs(E) > 0.5)[1].reshape(len(states), d)  # its 2^n rows, ascending
-    signs = E[np.arange(len(states))[:, None], group] < 0
-    return np.lexsort(np.hstack([group, signs]).T[::-1])
-
-
 def stabilizer_state_count(n: int) -> int:
     """Closed-form count 2^n * prod_{k=1..n} (2^k + 1)."""
     out = 2**n
@@ -186,13 +169,13 @@ def stabilizer_state_count(n: int) -> int:
 
 
 def enumerate_stabilizer_states(n: int) -> list[np.ndarray]:
-    """All n-qubit pure stabilizer states, each once, phase-normalized, in group order."""
+    """All n-qubit pure stabilizer states, each once, phase-normalized, in generator order."""
     if not 1 <= n <= STABILIZER_MAX_QUBITS:
         raise ValueError(f"stabilizer enumeration supports n in 1..{STABILIZER_MAX_QUBITS}")
     states = _affine_states(n)
     if len(states) != (count := stabilizer_state_count(n)):
         raise RuntimeError(f"enumerated {len(states)} states, expected {count}")
-    return list(states[_group_order(states, n)])
+    return list(states)
 
 
 @lru_cache(maxsize=STABILIZER_MAX_QUBITS)

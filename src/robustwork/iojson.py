@@ -53,6 +53,8 @@ def json_to_matrix(obj, where: str = "matrix") -> np.ndarray:
     for i, row in enumerate(obj):
         if not isinstance(row, list):
             raise ValueError(f"{where}[{i}]: expected an array of entries")
+        if i and len(row) != len(obj[0]):
+            raise ValueError(f"{where}[{i}]: expected an array of {len(obj[0])} entries")
         rows.append([pair_to_complex(z, f"{where}[{i}][{j}]") for j, z in enumerate(row)])
     return np.array(rows, dtype=complex)
 

@@ -177,11 +177,11 @@ def _variant(label: str, psi=None, rho=None, n: int | None = None) -> _StateVari
     return _StateVariant(label, d, n, psi, rho)
 
 
-def _int_list(obj, path: str, high: int) -> list[int]:
+def _int_list(obj, path: str, low: int, high: int) -> list[int]:
     items = obj if isinstance(obj, list) else [obj]
     if not items:
         raise ScenarioError(f"{path}: empty list")
-    return [_parse_int(x, path, 1, high) for x in items]
+    return [_parse_int(x, path, low, high) for x in items]
 
 
 def parse_state_spec(obj, path: str = "state") -> list[_StateVariant]:
@@ -191,11 +191,11 @@ def parse_state_spec(obj, path: str = "state") -> list[_StateVariant]:
         if name == "golden":
             _check_keys(obj, path, ("named", "d"))
             return [_variant(f"golden({d})", golden_state(d))
-                    for d in _int_list(obj["d"], f"{path}.d", _FAMILY_DIM_CAP)]
+                    for d in _int_list(obj["d"], f"{path}.d", 2, _FAMILY_DIM_CAP)]
         if name == "tstate":
             _check_keys(obj, path, ("named", "n"))
             return [_variant(f"tstate({n})", t_state(n), n=n)
-                    for n in _int_list(obj["n"], f"{path}.n", _FAMILY_QUBIT_CAP)]
+                    for n in _int_list(obj["n"], f"{path}.n", 1, _FAMILY_QUBIT_CAP)]
         if name == "basis":
             _check_keys(obj, path, ("named", "d", "j"))
             d = _parse_int(obj["d"], f"{path}.d", 2, _FAMILY_DIM_CAP)

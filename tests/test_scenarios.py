@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -152,6 +153,27 @@ class TestParsing:
     def test_unknown_state_field(self):
         with pytest.raises(ScenarioError, match="state"):
             load_scenario(scenario_dict(state={"named": "golden", "d": 2, "extra": 1}))
+
+    @pytest.mark.parametrize("d", [1, [2, 1]], ids=["scalar", "list"])
+    def test_golden_below_two_names_the_field(self, d):
+        with pytest.raises(ScenarioError,
+                           match=r"^state\.d: expected an integer in 2\.\.1024, got 1$"):
+            load_scenario(scenario_dict(state={"named": "golden", "d": d}))
+
+    @pytest.mark.parametrize("doc, row", [
+        pytest.param(scenario_dict(state={"matrix": [[1, 0], [0]]}), "state.matrix[1]",
+                     id="state-matrix"),
+        pytest.param({**{k: v for k, v in scenario_dict().items() if k != "state"},
+                      "channel": {"kraus": [[[1, 0], [0]]]}, "checks": ["theorem3"]},
+                     "channel.kraus[0][1]", id="kraus"),
+        pytest.param(scenario_dict(state={"named": "basis", "d": 2, "j": 0},
+                                   free_set={"kind": "finite_hull",
+                                             "states": [[[[1, 0], [0, 0]], [[0, 0]]]]}),
+                     "free_set.states[0][1]", id="finite-hull-matrix"),
+    ])
+    def test_ragged_matrix_names_the_row(self, doc, row):
+        with pytest.raises(ValueError, match=re.escape(f"{row}: expected an array of 2 entries")):
+            load_scenario(doc)
 
 
 def peak_traced_bytes(fn) -> int:
@@ -804,6 +826,12 @@ class TestCli:
         pytest.param(["robustness"], {"state": {"named": "basis", "d": 10**12, "j": 0},
                                       "free_set": {"kind": "incoherent"}},
                      "state.d: expected an integer in 2..1024", id="basis-above-family-cap"),
+        pytest.param(["robustness"], {"state": {"named": "golden", "d": 1},
+                                      "free_set": {"kind": "incoherent"}},
+                     "state.d: expected an integer in 2..1024, got 1", id="golden-below-two"),
+        pytest.param(["robustness"], {"state": {"matrix": [[1, 0], [0]]},
+                                      "free_set": {"kind": "incoherent"}},
+                     "state.matrix[1]: expected an array of 2 entries", id="matrix-ragged"),
         pytest.param(["robustness"], {"state": {"named": "basis", "d": 100, "j": 0},
                                       "free_set": {"kind": "incoherent"}},
                      "basis(100,0) has dimension 100, above the cap of 64", id="basis-above-cap"),

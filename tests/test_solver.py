@@ -997,6 +997,30 @@ class TestMetamorphic:
             lower, upper = max(lower, res.lower_bound), min(upper, res.upper_bound)
         assert lower <= upper + 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_stabilizer_point_order_keeps_robustness(self, n, seed):
+        # R is a function of the hull, not of the order its extreme points are listed in:
+        # stabilizer(n) and a finite hull of the same points, shuffled, share a point of
+        # their certified intervals for a Haar, a Ginibre and the |T>^n state
+        gen = np.random.default_rng(seed)
+        spec = stabilizer_set(n)
+        shuffled = finite_hull([spec.vectors[k] for k in gen.permutation(spec.n_points)])
+        for rho in (projector(random_pure_state(spec.dim, gen)),
+                    random_density_matrix(spec.dim, gen), projector(t_state(n))):
+            self._assert_same_robustness([(rho, spec), (rho, shuffled)], [np.complex128] * 2)
+
+    @settings(max_examples=20, deadline=None)
+    @given(d=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))
+    def test_incoherent_point_order_keeps_robustness(self, d, seed):
+        # the same for incoherent(d) against its basis in a random order
+        gen = np.random.default_rng(seed)
+        spec = incoherent_set(d)
+        shuffled = finite_hull([spec.vectors[k] for k in gen.permutation(d)])
+        for rho in (projector(random_pure_state(d, gen)), random_density_matrix(d, gen)):
+            self._assert_same_robustness([(rho, spec), (rho, shuffled)], [np.complex128] * 2)
+
     @settings(max_examples=30, deadline=None)
     @given(d=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))
     def test_phased_permutation_keeps_coherence_robustness(self, d, seed):
