@@ -104,9 +104,8 @@ def _cmd_solve(args) -> int:
         "witness": None if result.witness is None else matrix_to_json(result.witness),
     }
     if args.command == "robustness":
-        payload["primal_weights"] = None if result.primal_weights is None else [
-            float(x) for x in result.primal_weights
-        ]
+        payload["primal_weights"] = (None if result.primal_weights is None
+                                     else result.primal_weights.tolist())
     else:
         payload["rank1"] = None
         if variant.psi is not None and result.status != INFEASIBLE and result.value > 10 * tol:

@@ -12,7 +12,6 @@ import math
 import numpy as np
 
 __all__ = [
-    "complex_to_pair",
     "pair_to_complex",
     "matrix_to_json",
     "json_to_matrix",
@@ -21,11 +20,6 @@ __all__ = [
     "beta_to_json",
     "parse_beta",
 ]
-
-
-def complex_to_pair(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
 
 
 def _is_number(x) -> bool:
@@ -42,8 +36,8 @@ def pair_to_complex(obj, where: str = "value") -> complex:
 
 
 def matrix_to_json(A) -> list:
-    A = np.asarray(A, dtype=complex)
-    return [[complex_to_pair(z) for z in row] for row in A]
+    A = np.asarray(A)
+    return np.ascontiguousarray(A, dtype=complex).view(float).reshape(*A.shape, 2).tolist()
 
 
 def json_to_matrix(obj, where: str = "matrix") -> np.ndarray:
@@ -60,8 +54,7 @@ def json_to_matrix(obj, where: str = "matrix") -> np.ndarray:
 
 
 def vector_to_json(v) -> list:
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    return [complex_to_pair(z) for z in v]
+    return matrix_to_json(np.ravel(v))
 
 
 def json_to_vector(obj, where: str = "vector") -> np.ndarray:

@@ -464,8 +464,7 @@ def _state_family(scenario: Scenario, variant: _StateVariant):
     """The robustness block and the grid evaluator of one state variant: one
     witness, from a closed form or one solve, shared across the grid."""
     kind, build = scenario.free_set[variant.d]
-    enumerable = kind != "stabilizer" or variant.d <= 2**STABILIZER_MAX_QUBITS
-    free_set = build() if enumerable else None
+    free_set = None if _above_enumeration_cap(kind, variant.d) else build()
     c = y = None
     if variant.psi is not None and kind == "incoherent":
         (c, y), R = pure_coherence_witness(variant.psi), robustness_pure_coherence(variant.psi)
@@ -519,6 +518,14 @@ def _state_family(scenario: Scenario, variant: _StateVariant):
     return robustness, evaluate
 
 
+def _above_enumeration_cap(kind: str, d: int) -> str | None:
+    """Why the free set of this kind at dimension d cannot be enumerated, or None."""
+    n = d.bit_length() - 1  # a stabilizer dimension is 2^n, as the free-set parser checked
+    if kind == "stabilizer" and n > STABILIZER_MAX_QUBITS:
+        return f"stabilizer({n}) is above the {STABILIZER_MAX_QUBITS}-qubit enumeration cap"
+    return None
+
+
 def _lift_bipartite(kind: str, d: int) -> FreeSet | str:
     """Theorem 4's free set on the Choi space, or the reason theorem4 is skipped."""
     if d * d > _SDP_DIM_CAP:
@@ -527,10 +534,7 @@ def _lift_bipartite(kind: str, d: int) -> FreeSet | str:
         return incoherent_set(d * d)
     if kind != "stabilizer":
         return "free set kind cannot be lifted to the bipartite space"
-    n = 2 * (d.bit_length() - 1)  # d = 2^(n/2), as the free-set parser checked
-    if n > STABILIZER_MAX_QUBITS:
-        return f"stabilizer({n}) is above the {STABILIZER_MAX_QUBITS}-qubit enumeration cap"
-    return stabilizer_set(n)
+    return _above_enumeration_cap(kind, d * d) or stabilizer_set(2 * (d.bit_length() - 1))
 
 
 def _channel_family(scenario: Scenario, channel: QuantumChannel):
@@ -546,13 +550,13 @@ def _channel_family(scenario: Scenario, channel: QuantumChannel):
         choi = robustness_dual(J.matrix, bipartite, tol=scenario.tol)
         robustness = {"value": choi.value, "gap": choi.gap, "status": choi.status}
         choi_summary = witness_summary(choi.witness, J.matrix, bipartite)
-    output = None
-    if "theorem3" in scenario.checks:
+    output = theorem3_skip = None
+    if "theorem3" in scenario.checks and not (theorem3_skip := _above_enumeration_cap(kind, d)):
         output = theorem3_output_witness(channel, scenario.input_state, build(), tol=scenario.tol)
 
     def evaluate(check: str, ctx: ThermoContext) -> BoundReport | str:
         if check == "theorem3":
-            return theorem3_report(output, ctx)
+            return theorem3_skip or theorem3_report(output, ctx)
         return theorem4_skip or theorem4_report(choi_summary, choi, ctx)
 
     return robustness, evaluate
@@ -623,16 +627,18 @@ _SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__, type(None): lam
                 bool: lambda b: "true" if b else "false"}
 
 
-def _json_parts(obj, indent: str, out: list) -> None:
-    """Append ``json.dumps(obj, sort_keys=True, indent=2)`` to ``out``, but with float NaN
-    as null and +-inf as "inf"/"-inf"; other numpy scalars must be finite after ``.item()``."""
+def _json_text(obj, indent: str) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` at ``indent``, but with float NaN as
+    null and +-inf as "inf"/"-inf"; other numpy scalars must be finite after ``.item()``."""
+    text = _SCALAR_TEXT.get(type(obj))
+    if text is not None:
+        return text(obj)
     inner = indent + "  "
     if isinstance(obj, dict):  # encode_basestring_ascii refuses a key that is no str
-        keys, brackets = sorted(obj), "{}"
-        heads = [f",\n{inner}{encode_basestring_ascii(k)}: " for k in keys]
-        values = map(obj.get, keys)
+        items, brackets = [f"{inner}{encode_basestring_ascii(k)}: {_json_text(obj[k], inner)}"
+                           for k in sorted(obj)], "{}"
     elif isinstance(obj, (list, tuple)):
-        heads, values, brackets = [",\n" + inner] * len(obj), obj, "[]"
+        items, brackets = [inner + _json_text(value, inner) for value in obj], "[]"
     else:  # a scalar, whose type may subclass a JSON type, as json.dumps allows
         if isinstance(obj, (np.floating, np.integer)) and not isinstance(obj, float):
             if not math.isfinite(obj := obj.item()):
@@ -640,21 +646,14 @@ def _json_parts(obj, indent: str, out: list) -> None:
         text = next((_SCALAR_TEXT[t] for t in type(obj).__mro__ if t in _SCALAR_TEXT), None)
         if text is None:
             raise TypeError(f"not JSON serializable: {type(obj)}")
-        out.append(text(obj))
-        return
-    if heads:
-        heads[0] = brackets[0] + heads[0][1:]
-    for head, value in zip(heads, values):
-        text = _SCALAR_TEXT.get(type(value))
-        out.append(head if text is None else head + text(value))
-        if text is None:
-            _json_parts(value, inner, out)
-    out.append("\n" + indent + brackets[1] if heads else brackets)
+        return text(obj)
+    if not items:
+        return brackets
+    return brackets[0] + "\n" + ",\n".join(items) + "\n" + indent + brackets[1]
 
 
 def report_to_json_text(report: dict) -> str:
-    _json_parts(report, "", out := [])
-    return "".join(out)
+    return _json_text(report, "")
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,9 @@ COUNTS = " / ".join(str(stabilizer_state_count(n)) for n in range(1, STABILIZER_
                  id="depolarizing"),
     pytest.param(f"`stabilizer(2n)` above the {STABILIZER_MAX_QUBITS}-qubit enumeration cap",
                  id="theorem4-lift"),
+    pytest.param(f"a channel on {STABILIZER_MAX_QUBITS + 1} to {_SDP_DIM_CAP.bit_length() - 1} "
+                 f"qubits skips it with the reason `stabilizer(n) is above the "
+                 f"{STABILIZER_MAX_QUBITS}-qubit enumeration cap`", id="theorem3-cap"),
     pytest.param(f"SDPs are capped at dimension {_SDP_DIM_CAP}; named families and free sets "
                  f"at {_FAMILY_DIM_CAP}.", id="scope"),
     pytest.param(f"`dimension d above the SDP cap of {_SDP_DIM_CAP}`", id="theorem2-skip"),

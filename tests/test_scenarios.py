@@ -189,6 +189,8 @@ def peak_traced_bytes(fn) -> int:
 
 CHANNEL_DOC = {**{k: v for k, v in scenario_dict().items() if k != "state"},
                "checks": ["theorem3", "theorem4"]}
+# one 16 x 16 identity Kraus operator: a channel on four qubits
+IDENTITY16 = [[[float(i == j), 0.0] for j in range(16)] for i in range(16)]
 
 
 class TestDimensionCaps:
@@ -280,6 +282,16 @@ class TestRunScenario:
         t4 = [e for e in report["entries"] if e["check"] == "theorem4"]
         assert t4 and all(e["skipped"] and e["reason"] == "stabilizer(4) is above the 3-qubit "
                           "enumeration cap" for e in t4)
+
+    def test_four_qubit_stabilizer_channel_skips_theorem3_at_the_enumeration_cap(self):
+        # the output witness of theorem3 needs stabilizer(4), which is not enumerated
+        doc = {**CHANNEL_DOC, "channel": {"kraus": [IDENTITY16]},
+               "free_set": {"kind": "stabilizer"}}
+        report = run_scenario(load_scenario(doc))
+        t3 = [e for e in report["entries"] if e["check"] == "theorem3"]
+        assert t3 and all(e["skipped"] and e["reason"] == "stabilizer(4) is above the 3-qubit "
+                          "enumeration cap" for e in t3)
+        assert report["exit_code"] == 0
 
     def test_golden_all_satisfied(self):
         report = run_scenario(load_scenario(scenario_dict()))
@@ -388,6 +400,39 @@ class TestRunScenario:
     @given(doc=JSON_DOCS)
     def test_json_text_matches_two_pass_emitter(self, doc):
         assert report_to_json_text(doc) == old_report_to_json_text(doc)
+
+    @pytest.mark.parametrize("doc", [
+        pytest.param(scenario_dict(state={"named": "golden", "d": [2, 4, 8]},
+                                   lambda_grid=[100.0, 10000.0],
+                                   checks=["theorem1", "eq10", "theorem2", "corollary1"]),
+                     id="golden-2..8"),
+        pytest.param({**CHANNEL_DOC, "channel": {"named": "depolarizing", "d": 2, "p": 0.4}},
+                     id="depolarizing"),
+        # |0> is free under the T gate, so theorem3 reports a null slack
+        pytest.param({**CHANNEL_DOC, "channel": {"named": "t_gate"},
+                      "free_set": {"kind": "stabilizer"}}, id="t_gate-degenerate"),
+    ])
+    def test_real_reports_match_two_pass_emitter(self, doc):
+        report = run_scenario(load_scenario(doc))
+        assert report_to_json_text(report) == old_report_to_json_text(report)
+
+    @pytest.mark.parametrize("argv, doc", [
+        pytest.param(["robustness"], {**GOLDEN2, "state": {"named": "golden", "d": 4}},
+                     id="robustness"),
+        pytest.param(["freeset", "dump", "--kind", "stabilizer", "--n", "2"], None,
+                     id="freeset-dump"),
+    ])
+    def test_cli_payloads_match_two_pass_emitter(self, argv, doc, monkeypatch, tmp_path,
+                                                 capsys):
+        payloads = []
+        monkeypatch.setattr(cli, "report_to_json_text",
+                            lambda p: payloads.append(p) or report_to_json_text(p))
+        if doc is not None:
+            (path := tmp_path / "in.json").write_text(json.dumps(doc))
+            argv = [*argv, "--input", str(path)]
+        assert cli.main(argv) == 0
+        (payload,) = payloads
+        assert capsys.readouterr().out.strip() == old_report_to_json_text(payload)
 
     def test_theorem2_runs_with_closed_form_witness(self):
         sc = load_scenario(scenario_dict(checks=["theorem2"], beta_grid=[1.0]))
@@ -947,6 +992,20 @@ class TestCli:
         out = json.loads(proc.stdout)
         assert out["bounds"]["theorem3"]["satisfied"]
         assert out["bounds"]["theorem3"]["precondition_met"]
+
+    def test_channel_verb_above_the_enumeration_cap(self, tmp_path, capsys):
+        path = self.write(tmp_path, "ch.json", {
+            "channel": {"kraus": [IDENTITY16]},
+            "free_set": {"kind": "stabilizer"},
+            "lambda": 1.0,
+            "beta": 1.0,
+        })
+        assert cli.main(["channel", "--input", path]) == 0
+        out = strict_json(capsys.readouterr().out)
+        assert out["skips"] == {
+            "theorem3": "stabilizer(4) is above the 3-qubit enumeration cap",
+            "theorem4": "Choi dimension 256 above the SDP cap of 64",
+        }
 
     def test_witness_verb(self, tmp_path):
         path = self.write(tmp_path, "in.json", {
