@@ -2,8 +2,9 @@
 
 A free set is stored extensionally as its list of extreme points, because the
 robustness programs need the constraint list explicitly.  Pure extreme points
-are kept as state vectors (the solver has a fast path for them); arbitrary
-hulls may also carry mixed density matrices.
+are kept as state vectors, mixed ones (hulls only) as density matrices, and
+every program and recheck reads one array, ``FreeSet.points``: the vectors as
+columns when all points are pure, else every point as a matrix.
 
 Stabilizer states are written in their affine form 2^{-k/2} sum_u i^{l.u}
 (-1)^{m.u + u^T Q u} |t + uG> (Dehaene & De Moor, PRA 68, 042318, 2003; Van den
@@ -23,7 +24,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .linalg import assert_density, assert_pure, maximally_mixed, projector
+from .linalg import assert_density, assert_pure, maximally_mixed, policy
 from .states import basis_state
 
 __all__ = [
@@ -40,13 +41,14 @@ __all__ = [
 STABILIZER_MAX_QUBITS = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FreeSet:
     """Extensional description of a convex free set.
 
     ``vectors`` holds pure extreme points as state vectors; ``matrices``
     holds any mixed extreme points (finite hulls only).  At least one entry
-    must exist overall.
+    must exist overall.  ``points`` stacks them.  Sets compare and hash by
+    identity, so a set can key a dict or a cache.
     """
 
     kind: str
@@ -62,19 +64,25 @@ class FreeSet:
     def n_points(self) -> int:
         return len(self.vectors) + len(self.matrices)
 
-    @property
-    def all_pure(self) -> bool:
-        return not self.matrices
-
     @cached_property
-    def vector_array(self) -> np.ndarray | None:
-        """The pure extreme points as the columns of one read-only (d, m) array,
-        stacked on first use; None when there are none."""
-        if not self.vectors:
-            return None
-        V = np.stack(self.vectors, axis=1)
-        V.flags.writeable = False
-        return V
+    def points(self) -> np.ndarray:
+        """The extreme points in one read-only array, stacked and checked on first use: the
+        columns of a (d, m) array when every point is pure, else the (m, d, d) stack of
+        ``density_matrices()``.  ValueError unless each has dimension d and unit norm or trace."""
+        if self.matrices:
+            P = np.stack(self.density_matrices())
+            unit, what = np.trace(P, axis1=1, axis2=2).real, "trace"
+        else:
+            P, what = np.stack(self.vectors, axis=1), "squared norm"
+            re, im = P.real, P.imag  # views: the column norms take no d x m temporary
+            unit = np.einsum("ij,ij->j", re, re) + np.einsum("ij,ij->j", im, im)
+        if P.shape[-2] != self.dim:
+            raise ValueError(f"{self.label()}: extreme points have dimension {P.shape[-2]}")
+        if (bad := np.flatnonzero(~(np.abs(unit - 1.0) <= policy.trace_tol))).size:  # or NaN
+            raise ValueError(f"{self.label()}: extreme point {bad[0]} has {what} "
+                             f"{float(unit[bad[0]])!r}, expected 1")
+        P.flags.writeable = False
+        return P
 
     @cached_property
     def contains_maximally_mixed(self) -> bool:
@@ -83,8 +91,9 @@ class FreeSet:
         return membership(self, maximally_mixed(self.dim), tol=1e-6)
 
     def density_matrices(self) -> list[np.ndarray]:
-        """All extreme points as density matrices (pure ones first)."""
-        return [projector(v) for v in self.vectors] + [np.array(m) for m in self.matrices]
+        """All extreme points as density matrices (pure ones first); ``points`` checks them."""
+        pure = [np.outer(v, np.conj(v)) for v in self.vectors]
+        return pure + [np.array(m) for m in self.matrices]
 
     def label(self) -> str:
         return f"{self.kind}(d={self.dim}, m={self.n_points})"
@@ -105,20 +114,16 @@ def incoherent_set(dim: int) -> FreeSet:
 
 def finite_hull(points) -> FreeSet:
     """Free set from explicit extreme points (vectors or density matrices)."""
-    vectors, matrices = [], []
-    dim = None
-    for p in points:
-        arr = np.asarray(p, dtype=complex)
+    vectors, matrices, dim = [], [], None
+    for i, p in enumerate(points):
+        arr, name = np.asarray(p, dtype=complex), f"extreme point {i}"
         if arr.ndim == 1:
-            vectors.append(assert_pure(arr))
-            d = arr.shape[0]
+            vectors.append(assert_pure(arr, name))
         else:
-            matrices.append(assert_density(arr))
-            d = arr.shape[0]
-        if dim is None:
-            dim = d
-        elif dim != d:
-            raise ValueError("hull points have mixed dimensions")
+            matrices.append(assert_density(arr, name))
+        dim = arr.shape[0] if dim is None else dim
+        if arr.shape[0] != dim:
+            raise ValueError(f"{name} has dimension {arr.shape[0]}, expected {dim}")
     if dim is None:
         raise ValueError("finite hull needs at least one extreme point")
     return FreeSet("finite_hull", int(dim), vectors=tuple(vectors), matrices=tuple(matrices))

@@ -295,7 +295,10 @@ def _parse_free_set(obj, d: int | None,
                 pts.append(json_to_matrix(s, f"{path}.states[{i}]"))
             else:
                 pts.append(json_to_vector(s, f"{path}.states[{i}]"))
-        hull = finite_hull(pts)
+        try:
+            hull = finite_hull(pts)
+        except ValueError as exc:  # a point's norm, trace or dimension, by its index
+            raise ScenarioError(f"{path}.states: {exc}") from None
         if d not in (None, hull.dim):
             raise ScenarioError(f"{path}.states: hull dimension {hull.dim} != dimension {d}")
         return kind, lambda: hull

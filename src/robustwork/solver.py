@@ -209,12 +209,9 @@ def _feasible(result: RobustnessResult, spec: FreeSet) -> RobustnessResult:
 
 
 class _Program:
-    def __init__(self, rho: np.ndarray, vecs: np.ndarray | None, mats: np.ndarray | None):
-        d = rho.shape[0]
-        if vecs is not None:
-            omega = (vecs @ dagger(vecs)) / vecs.shape[1]
-        else:
-            omega = mats.mean(axis=0)
+    def __init__(self, rho: np.ndarray, points: np.ndarray):
+        d, pure = rho.shape[0], points.ndim == 2  # the layout of ``FreeSet.points``
+        omega = (points @ dagger(points)) / points.shape[1] if pure else points.mean(axis=0)
 
         w, U = np.linalg.eigh(omega)
         keep = w > max(w[-1], 1e-300) * 1e-12
@@ -227,27 +224,26 @@ class _Program:
             self.leak = float(rho.trace().real - np.trace(self.rho_w).real)
             self.basis = B
             rho = self.rho_w
-            if vecs is not None:
-                vecs = dagger(B) @ vecs
+            if pure:
+                points = dagger(B) @ points
             else:
-                mats = np.einsum("ia,kij,jb->kab", B.conj(), mats, B, optimize=True)
+                points = np.einsum("ia,kij,jb->kab", B.conj(), points, B, optimize=True)
         else:
             self.basis = None
             self.leak = 0.0
 
         self.feasible = self.leak <= _round_off(d)  # rho's weight outside the hull's support
         self.rho = rho
-        self.vecs = vecs
-        self.mats = mats
-        self.m = vecs.shape[1] if vecs is not None else mats.shape[0]
+        self.points = points
+        self.m = points.shape[1] if pure else len(points)
 
     @classmethod
     def from_spec(cls, rho: np.ndarray, spec: FreeSet) -> "_Program":
-        points = spec.vector_array if spec.all_pure else np.stack(spec.density_matrices())
+        points = spec.points
         if not (rho.imag.any() or points.imag.any()):
             # real data: solve over real symmetric witnesses (module docstring)
             rho, points = rho.real.copy(), points.real.copy()
-        return cls(rho, points, None) if spec.all_pure else cls(rho, None, points)
+        return cls(rho, points)
 
     def expand(self, Y: np.ndarray) -> np.ndarray:
         """Lift an operator from the compressed subspace back to this
@@ -257,12 +253,12 @@ class _Program:
         return Y
 
     def slack(self, q: np.ndarray) -> np.ndarray:
-        S = _mix(self.vecs, self.mats, q) - self.rho
+        S = _mix(self.points, q) - self.rho
         return 0.5 * (S + dagger(S))
 
     def constraint_values(self, Y: np.ndarray) -> np.ndarray:
         """Tr[Y sigma_k] for every compressed extreme point."""
-        return _constraint_values(self.vecs, self.mats, Y)
+        return _constraint_values(self.points, Y)
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +316,9 @@ class _Iterate:
     pass a Cholesky factorisation.  With S = Ls Ls^H, Y = Ly Ly^H and the SVD
     Ly^H Ls = U diag(lam) V^H, the scaling R = Ls V diag(lam)^{-1/2} gives
     R^{-1} S R^{-H} = R^H Y R = diag(lam) and R^{-1} = diag(lam)^{-1/2} (Ly U)^H.
-    The scaled extreme points G_k = R^{-1} sigma_k R^{-H} are kept as vectors
-    (pure hulls) or as matrices.
+    The scaled extreme points G_k = R^{-1} sigma_k R^{-H} are kept in ``g``, in the
+    layout of the program's points: as the columns R^{-1} v_k when every point is
+    pure, else as a stack of matrices.
     """
 
     def __init__(self, prog: _Program, q: np.ndarray, Y: np.ndarray):
@@ -340,18 +337,16 @@ class _Iterate:
         self.d = np.sqrt(q / self.u)
         self.lam_lp = np.sqrt(q * self.u)
         self.mu = float(self.lam_lp @ self.lam_lp + lam @ lam) / (prog.m + prog.rank)
-        if prog.vecs is not None:
-            self.gvecs, self.gmats = self.rinv @ prog.vecs, None
-        else:
-            self.gvecs, self.gmats = None, self.rinv @ prog.mats @ dagger(self.rinv)
+        g = self.rinv @ prog.points
+        self.g = g @ dagger(self.rinv) if g.ndim == 3 else g
         self.upper = float(q.sum()) - 1.0
         self.lower = float(np.vdot(self.Y, prog.rho).real) - 1.0
 
     def coords(self) -> np.ndarray:
         """Real coordinates of every G_k, one row each (m x r^2)."""
-        if self.gvecs is None:
-            return _hvec(self.gmats)
-        g = self.gvecs
+        g = self.g
+        if g.ndim == 3:
+            return _hvec(g)
         i, j = _triu(g.shape[0])
         return _real_coords(np.abs(g) ** 2, math.sqrt(2.0) * (g[i] * g[j].conj()), 0).T
 
@@ -365,16 +360,16 @@ class _Iterate:
 
 def _schur_direction(it: _Iterate):
     """m x m system in dq: (diag(u/q) + [Tr G_k G_l]) dq = t/d + Tr[G_k T]."""
-    if it.gvecs is not None:
-        H = np.abs(dagger(it.gvecs) @ it.gvecs) ** 2
+    if it.g.ndim == 2:
+        H = _overlaps(it.g, it.g)  # Tr[G_k G_l] = |<g_k|g_l>|^2
     else:
         F = it.coords()
         H = F @ F.T
     H.reshape(-1)[::len(H) + 1] += it.u / it.q
 
     def solve(t: np.ndarray, T: np.ndarray):
-        dq = np.linalg.solve(H, t / it.d + _constraint_values(it.gvecs, it.gmats, T))
-        ds = _mix(it.gvecs, it.gmats, dq)
+        dq = np.linalg.solve(H, t / it.d + _constraint_values(it.g, T))
+        ds = _mix(it.g, dq)
         ds = 0.5 * (ds + dagger(ds))
         return dq, ds, T - ds
 
@@ -598,10 +593,7 @@ def _placed(rho, spec: FreeSet, E, w) -> np.ndarray | None:
     """The weights w on the extreme points that the columns of E overlap to
     1 - _PURE_FREE_SLACK, once their slack is rechecked down to rounding; None when a column
     matches no point or the slack fails the recheck."""
-    parts = [np.abs(dagger(E) @ spec.vector_array) ** 2] if spec.vectors else []
-    if spec.matrices:
-        parts.append(np.einsum("ai,kab,bi->ik", E.conj(), np.stack(spec.matrices), E).real)
-    overlaps = np.concatenate(parts, axis=1)
+    overlaps = _overlaps(spec.points, E)
     match = overlaps.argmax(axis=1)
     if not overlaps[np.arange(len(match)), match].min() >= 1.0 - _PURE_FREE_SLACK:
         return None
@@ -628,7 +620,7 @@ def _tstate_profiles(n: int):
     t = _tstate_table(1)[0]
     V = tensor_power(np.stack([t, PAULI_Z @ t], axis=1), n)
     classes = np.eye(n + 1)[[bin(x).count("1") for x in range(2**n)]]
-    profiles = (np.abs(dagger(V) @ stabilizer_set(n).vector_array) ** 2).T @ classes
+    profiles = _overlaps(stabilizer_set(n).points, V).T @ classes
     _, first, index, counts = np.unique(np.round(profiles, 8), axis=0, return_index=True,
                                         return_inverse=True, return_counts=True)
     hull = finite_hull(np.diag(p).astype(complex) for p in profiles[first])
@@ -655,7 +647,7 @@ def _twirled_dual(rho, spectrum, spec: FreeSet, tol: float,
     Y = (V * (classes @ prog.expand(it.Y).diagonal().real)) @ dagger(V)
     weights = (it.q / counts)[index]
     if spec is not stab:  # a copy, in any order: its points are found by overlap
-        weights = _placed(rho, spec, stab.vector_array, weights)
+        weights = _placed(rho, spec, stab.points, weights)
     return None if weights is None else _certify(rho, spec, Y, weights, status, used)
 
 
@@ -675,27 +667,31 @@ def robustness_primal(rho, spec: FreeSet, tol: float = DEFAULT_TOL,
 # ---------------------------------------------------------------------------
 
 
-def _mix(vecs, mats, coeff: np.ndarray) -> np.ndarray:
-    """sum_k coeff_k sigma_k over the columns of ``vecs`` or the stacked ``mats``."""
-    if vecs is not None:
-        return (vecs * coeff) @ dagger(vecs)
-    return np.tensordot(coeff, mats, axes=1)
+def _mix(points: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """sum_k coeff_k sigma_k, the points laid out as in ``FreeSet.points``: the columns
+    v_k of a (d, m) array, sigma_k = |v_k><v_k|, or an (m, d, d) stack of matrices."""
+    if points.ndim == 2:
+        return (points * coeff) @ dagger(points)
+    return np.tensordot(coeff, points, axes=1)
 
 
-def _constraint_values(vecs, mats, Y: np.ndarray) -> np.ndarray:
-    """Tr[Y sigma_k]: the columns of ``vecs`` first, then the stacked ``mats``."""
-    vals = []
-    if vecs is not None:
-        vals.append(((Y @ vecs) * vecs.conj()).real.sum(axis=0))
-    if mats is not None:
-        vals.append((mats.reshape(mats.shape[0], -1) @ Y.T.reshape(-1)).real)
-    return np.concatenate(vals)
+def _constraint_values(points: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Tr[Y sigma_k] for every point."""
+    if points.ndim == 2:
+        return ((Y @ points) * points.conj()).real.sum(axis=0)
+    return (points.reshape(len(points), -1) @ Y.T.reshape(-1)).real
+
+
+def _overlaps(points: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """<e_i|sigma_k|e_i> for the columns e_i of E, one row per column."""
+    if points.ndim == 2:
+        return np.abs(dagger(E) @ points) ** 2
+    return np.einsum("ai,kab,bi->ik", E.conj(), points, E).real
 
 
 def witness_constraints(witness, spec: FreeSet) -> np.ndarray:
     """Tr[Y sigma_k] for every extreme point, in density_matrices() order."""
-    return _constraint_values(spec.vector_array,
-                              np.stack(spec.matrices) if spec.matrices else None, witness)
+    return _constraint_values(spec.points, witness)
 
 
 def witness_is_feasible(witness, spec: FreeSet, psd_tol: float = 1e-9,
@@ -714,12 +710,7 @@ def primal_slack(weights, rho, spec: FreeSet) -> np.ndarray:
     weights = np.asarray(weights, dtype=float)
     if len(weights) != spec.n_points:
         raise ValueError("weight vector length does not match the extreme-point list")
-    S = -np.asarray(rho, dtype=complex)
-    V = spec.vector_array
-    if V is not None:
-        S = S + (V * weights[:V.shape[1]]) @ dagger(V)
-    if spec.matrices:
-        S = S + np.tensordot(weights[len(spec.vectors):], np.stack(spec.matrices), axes=1)
+    S = _mix(spec.points, weights) - np.asarray(rho, dtype=complex)
     return 0.5 * (S + dagger(S))
 
 

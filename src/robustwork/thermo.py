@@ -42,7 +42,7 @@ from .linalg import (
     trace_inner,
     von_neumann_entropy,
 )
-from .solver import (DEFAULT_MAX_NEWTON, DEFAULT_TOL, _feasible, robustness_dual,
+from .solver import (DEFAULT_MAX_NEWTON, DEFAULT_TOL, _feasible, _overlaps, robustness_dual,
                      witness_constraints)
 
 __all__ = [
@@ -220,8 +220,8 @@ def witness_summary(witness, rho=None, spec: FreeSet | None = None) -> WitnessSu
 def rank1_summary(c: float, y, psi, spec: FreeSet | None) -> WitnessSummary:
     """Closed-form summary of Y = c|y><y| and the pure state |psi>.
 
-    The spectrum is {c, 0^(d-1)}, Tr[Y rho] = c|<y|psi>|^2 and the pure
-    extreme points give c|<y|v_k>|^2.  ``spec = None`` stands for a free set
+    The spectrum is {c, 0^(d-1)}, Tr[Y rho] = c|<y|psi>|^2 and the extreme
+    points give c<y|sigma_k|y>.  ``spec = None`` stands for a free set
     that cannot be enumerated; the witness is then taken as tight, with
     max_k Tr[Y sigma_k] = 1, as every named closed-form witness is.
     """
@@ -235,9 +235,7 @@ def rank1_summary(c: float, y, psi, spec: FreeSet | None) -> WitnessSummary:
     else:
         if spec.dim != y.shape[0]:
             raise ValueError("free set and witness dimensions differ")
-        vals = [c * np.abs(y.conj() @ spec.vector_array) ** 2] if spec.vectors else []
-        vals += [np.array([c * np.vdot(y, m @ y).real for m in spec.matrices])]
-        constraints, S_free = np.concatenate(vals), _free_entropies(spec)
+        constraints, S_free = c * _overlaps(spec.points, y[:, None])[0], _free_entropies(spec)
     energy = c * float(np.abs(np.vdot(y, psi)) ** 2)
     return WitnessSummary(spectrum, energy, 0.0, constraints, S_free)
 

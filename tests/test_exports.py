@@ -60,3 +60,25 @@ def test_per_layer_span_names_resolve(group):
                    "thermo.rank1_work_summary, which robustwork no longer defines")
 def test_check_span_names_resolve():
     assert _unresolved(layers.CHECKS) == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports at module level and never reads, nor lists in ``__all__``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported.update({(a.asname or a.name).split(".")[0]: node.lineno for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update({a.asname or a.name: node.lineno for a in node.names})
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= {item.value for node in tree.body if isinstance(node, ast.Assign)
+             and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+             for item in node.value.elts}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in Path(robustwork.__file__).parent.glob("*.py")
+                                        if p.name != "__init__.py"), ids=lambda p: p.stem)
+def test_module_imports_only_names_it_uses(path):
+    assert _unused_imports(path) == []

@@ -1,4 +1,5 @@
 import hashlib
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import robustwork.freesets as freesets_module
 import robustwork.linalg as linalg_module
 import robustwork.solver as solver_module
 from robustwork.freesets import (
+    FreeSet,
     enumerate_stabilizer_states,
     finite_hull,
     incoherent_extreme_points,
@@ -252,13 +254,56 @@ class TestFiniteHull:
     def test_accepts_vectors_and_matrices(self):
         hull = finite_hull([basis_state(2, 0), maximally_mixed(2)])
         assert hull.n_points == 2
-        assert not hull.all_pure
+        assert hull.points.ndim == 3
         assert len(hull.density_matrices()) == 2
 
-    def test_vector_array_is_stacked_once(self):
-        hull = finite_hull([basis_state(3, 0), basis_state(3, 2), maximally_mixed(3)])
-        V = hull.vector_array
-        assert V is hull.vector_array
-        assert np.array_equal(V, np.stack(hull.vectors, axis=1))
+    def test_points_are_stacked_once(self):
+        pure = finite_hull([basis_state(3, 0), basis_state(3, 2)])
+        V = pure.points
+        assert V is pure.points
+        assert np.array_equal(V, np.stack(pure.vectors, axis=1))
         assert not V.flags.writeable
-        assert finite_hull([maximally_mixed(2)]).vector_array is None
+        mixed = finite_hull([maximally_mixed(3), basis_state(3, 0), basis_state(3, 2)])
+        M = mixed.points
+        assert M is mixed.points
+        assert np.array_equal(M, np.stack(mixed.density_matrices()))  # pure points first
+        assert np.array_equal(M[0], projector(basis_state(3, 0)))
+        assert not M.flags.writeable
+
+
+class TestDirectlyBuiltSet:
+    def test_sets_compare_and_hash_by_identity(self):
+        v0, v1 = basis_state(2, 0), basis_state(2, 1)
+        a, b = finite_hull([v0, v1]), finite_hull([v0, v1])
+        assert a == a and a != b
+        assert {a: "a", b: "b"}[a] == "a"
+        assert hash(incoherent_set(2)) == hash(incoherent_set(2))
+        count = lru_cache(maxsize=None)(lambda spec: spec.n_points)
+        assert count(incoherent_set(2)) == count(incoherent_set(2)) == 2
+        assert count.cache_info().hits == 1
+
+    def test_unnormalised_vectors_rejected(self):
+        spec = FreeSet("custom", 2, vectors=(np.array([1, 1]), np.array([1, -1])))
+        with pytest.raises(ValueError, match=r"^custom\(d=2, m=2\): extreme point 0 has "
+                                             r"squared norm 2\.0, expected 1$"):
+            solver_module.robustness_dual(maximally_mixed(2), spec)
+
+    @pytest.mark.parametrize("vectors, matrices, k", [
+        ((basis_state(2, 0),), (np.eye(2),), 1),
+        ((np.array([1, 1]),), (maximally_mixed(2),), 0),
+    ], ids=["matrix", "vector-beside-a-matrix"])
+    def test_points_without_unit_trace_rejected(self, vectors, matrices, k):
+        spec = FreeSet("custom", 2, vectors=vectors, matrices=matrices)
+        with pytest.raises(ValueError, match=rf"^custom\(d=2, m=2\): extreme point {k} has "
+                                             r"trace 2\.0, expected 1$"):
+            solver_module.robustness_dual(maximally_mixed(2), spec)
+
+    @pytest.mark.parametrize("vectors, matrices", [
+        ((basis_state(2, 0), basis_state(2, 1)), ()),
+        ((), (maximally_mixed(2),)),
+    ], ids=["vectors", "matrix"])
+    def test_points_of_another_dimension_rejected(self, vectors, matrices):
+        spec = FreeSet("custom", 3, vectors=vectors, matrices=matrices)
+        with pytest.raises(ValueError, match=r"^custom\(d=3, m=\d\): extreme points have "
+                                             r"dimension 2$"):
+            solver_module.robustness_dual(maximally_mixed(3), spec)

@@ -53,6 +53,9 @@ COUNTS = " / ".join(str(stabilizer_state_count(n)) for n in range(1, STABILIZER_
     pytest.param(f"SDPs are capped at dimension {_SDP_DIM_CAP}; named families and free sets "
                  f"at {_FAMILY_DIM_CAP}.", id="scope"),
     pytest.param(f"`dimension d above the SDP cap of {_SDP_DIM_CAP}`", id="theorem2-skip"),
+    pytest.param("A hull that mixes vectors and matrices is solved and rechecked on projectors.",
+                 id="mixed-hull"),
+    pytest.param(f"unit squared norm or trace within {sci(POLICY.trace_tol)}", id="point-check"),
 ])
 def test_readme_states_the_code_value(phrase):
     assert phrase in README

@@ -175,6 +175,19 @@ class TestParsing:
         with pytest.raises(ValueError, match=re.escape(f"{row}: expected an array of 2 entries")):
             load_scenario(doc)
 
+    @pytest.mark.parametrize("states, message", [
+        pytest.param([[[1, 0], [1, 0]]], "extreme point 0 has squared norm 2.0, expected 1",
+                     id="vector-norm"),
+        pytest.param([[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]],
+                     "extreme point 0 has trace 2.0, expected 1", id="matrix-trace"),
+        pytest.param([[[1, 0], [0, 0]], [[1, 0], [0, 0], [0, 0]]],
+                     "extreme point 1 has dimension 3, expected 2", id="dimension"),
+    ])
+    def test_bad_hull_point_names_the_field(self, states, message):
+        with pytest.raises(ScenarioError, match=f"^{re.escape(f'free_set.states: {message}')}$"):
+            load_scenario(scenario_dict(state={"named": "basis", "d": 2, "j": 0},
+                                        free_set={"kind": "finite_hull", "states": states}))
+
 
 def peak_traced_bytes(fn) -> int:
     """Peak bytes allocated while ``fn`` runs; numpy reports its buffers to tracemalloc."""
@@ -868,6 +881,9 @@ class TestCli:
         pytest.param(["robustness"], {"state": {"named": "golden", "d": 100},
                                       "free_set": {"kind": "incoherent"}},
                      "golden(100) has dimension 100, above the cap of 64", id="golden-above-cap"),
+        pytest.param(["robustness"], {**GOLDEN2, "free_set": {"kind": "finite_hull",
+                                                              "states": [[[1, 0], [1, 0]]]}},
+                     "free_set.states: extreme point 0 has squared norm 2.0", id="hull-point-norm"),
         pytest.param(["robustness"], {"state": {"named": "basis", "d": 10**12, "j": 0},
                                       "free_set": {"kind": "incoherent"}},
                      "state.d: expected an integer in 2..1024", id="basis-above-family-cap"),

@@ -861,7 +861,7 @@ class TestNewtonSolve:
 
             def solve(t, T):
                 dq, ds, dy = newton(t, T)
-                du = -_constraint_values(it.gvecs, it.gmats, dy)
+                du = -_constraint_values(it.g, dy)
                 err = np.abs((t - dq / it.d) / it.d - du).max()
                 errors.append(err / max(1.0, np.abs(du).max()))
                 return dq, ds, dy
@@ -929,7 +929,7 @@ class TestContractions:
         Y = random_hermitian(r, gen)
         planned = np.einsum("ik,ij,jk->k", V.conj(), Y, V, optimize=True).real
         scale = np.linalg.norm(Y) * (np.abs(V) ** 2).sum(axis=0).max()
-        assert np.abs(_constraint_values(V, None, Y) - planned).max() <= 1e-12 * scale
+        assert np.abs(_constraint_values(V, Y) - planned).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("r, m", [(2, 6), (4, 60), (8, 1080), (64, 64)])
     def test_matrix_path_matches_planner_bitwise(self, r, m):
@@ -938,7 +938,7 @@ class TestContractions:
         Y = random_hermitian(r, gen)
         planned = np.einsum("kij,ji->k", M, Y, optimize=True).real
         scale = np.linalg.norm(Y) * np.linalg.norm(M, axis=(1, 2)).max()
-        assert np.abs(_constraint_values(None, M, Y) - planned).max() <= 1e-12 * scale
+        assert np.abs(_constraint_values(M, Y) - planned).max() <= 1e-12 * scale
 
 
 class TestIndependentOracles:
@@ -1135,3 +1135,36 @@ class TestRechecks:
         for _ in range(3):
             Y = random_hermitian(spec.dim, rng)
             assert np.array_equal(witness_constraints(Y, spec), prog.constraint_values(Y))
+
+
+# pure points given as vectors next to a mixed point: both layouts in one hull
+MIXED_HULLS = [
+    finite_hull([*stabilizer_set(1).vectors, random_density_matrix(2, np.random.default_rng(11))]),
+    finite_hull([*incoherent_set(3).vectors, maximally_mixed(3)]),
+]
+
+
+class TestMixedHulls:
+    @pytest.mark.parametrize("spec", MIXED_HULLS, ids=["stabilizer1-ginibre", "incoherent3-flat"])
+    def test_rechecks_match_a_loop_over_density_matrices(self, spec):
+        gen = np.random.default_rng(spec.n_points)
+        sigmas = spec.density_matrices()
+        for _ in range(3):
+            Y = random_hermitian(spec.dim, gen)
+            loop = [np.trace(Y @ sigma).real for sigma in sigmas]
+            assert np.abs(witness_constraints(Y, spec) - loop).max() <= 1e-12
+            weights, rho = gen.uniform(size=spec.n_points), random_density_matrix(spec.dim, gen)
+            assert np.abs(primal_slack(weights, rho, spec)
+                          - loop_primal_slack(weights, rho, spec)).max() <= 1e-12
+            c, y, psi = 1.5, random_pure_state(spec.dim, gen), random_pure_state(spec.dim, gen)
+            loop = [c * np.vdot(y, sigma @ y).real for sigma in sigmas]
+            assert np.abs(thermo.rank1_summary(c, y, psi, spec).constraints - loop).max() <= 1e-12
+
+    @pytest.mark.parametrize("spec", MIXED_HULLS, ids=["stabilizer1-ginibre", "incoherent3-flat"])
+    def test_solve_agrees_with_the_all_matrix_hull(self, spec):
+        rho = random_density_matrix(spec.dim, np.random.default_rng(spec.dim))
+        res = robustness_dual(rho, spec)
+        assert res.status == CONVERGED and len(res.primal_weights) == spec.n_points
+        assert_certified(res, rho, spec)
+        ref = robustness_dual(rho, finite_hull(spec.density_matrices()))
+        assert max(res.lower_bound, ref.lower_bound) <= min(res.upper_bound, ref.upper_bound) + 1e-12
