@@ -65,7 +65,7 @@ its S states (their average is sum_j p_j P_j / Tr P_j), and one ``_certify`` on 
 ``robustness_dual`` tries this route (``_twirled_dual``) first, for a free set with
 stabilizer(n)'s point count in any order (a copy of the cached set is matched by overlap) and
 rho = lambda_max I - (lambda_max - lambda_min)|T^n><T^n| to rounding, lambda_max (d-1)-fold and
-above lambda_min in the spectrum that validates rho; no other input builds stabilizer(n).
+above lambda_min in rho's spectrum; no other input builds stabilizer(n).
 
 Against an incoherent set, rho is tried next with the l1 pair (Napoli et al., PRL 116,
 150502, 2016; Piani et al., PRA 93, 042107, 2016).  Let r be the column of rho with the most
@@ -99,10 +99,16 @@ slack of the matched weights is rechecked down to rounding; a spectrum whose eig
 is not made of extreme points (say, a degenerate one) is left to the interior-point loop.
 
 These certificates sit on the boundary, with the slack's least eigenvalue at rounding
-(about -1e-15).  The free mixture's and the l1 and product pairs' slacks are rechecked down to
-rounding, and every witness is scaled by 1 - 8 ulps: rounding put Tr[Y rho] up to 2.8 ulps
-of 1 + R above R.  Each goes through ``_certify`` with ``newton_iterations`` 0; an input whose
-certificate fails a recheck or does not close within ``tol`` runs the loop instead.
+(about -1e-15).  The free mixture's and the l1 and product pairs' slacks are rechecked against
+the rounding bound 8 d eps by one Cholesky factorisation shifted by half of it (``_psd_within``;
+the spectrum decides only where it fails).  A completed factorisation proves only lambda_min >=
+-O(d eps Tr), about 4x that bound for a golden slack of trace d - 1 at d = 60: the order of
+eigvalsh's own rounding on it.  Every witness is scaled by 1 - 8 ulps: rounding put Tr[Y rho]
+up to 2.8 ulps of 1 + R above R.  Each goes through ``_certify`` with ``newton_iterations`` 0; an
+input whose certificate fails a recheck or does not close within ``tol`` runs the loop instead.
+rho is validated by the same shifted factorisation, at psd_tol, and its spectrum is computed
+at most once, by the first route that reads it, so a state that the l1 pair certifies costs no
+eigendecomposition.
 """
 
 from __future__ import annotations
@@ -110,14 +116,15 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
 from .freesets import (STABILIZER_MAX_QUBITS, FreeSet, finite_hull, stabilizer_set,
                        stabilizer_state_count)
 from .linalg import (
-    _density_spectrum,
+    _psd_within,
+    assert_density,
     assert_pure,
     dagger,
     projector,
@@ -493,12 +500,13 @@ def robustness_dual(rho, spec: FreeSet, tol: float = DEFAULT_TOL,
     if isinstance(max_newton, bool) or not (isinstance(max_newton, numbers.Integral)
                                             and max_newton >= 0):
         raise ValueError(f"max_newton must be an integer >= 0, got {max_newton!r}")
-    rho, spectrum = _density_spectrum(rho, "state")
+    rho = assert_density(rho, "state")
     if spec.dim != rho.shape[0]:
         raise ValueError(f"state dimension {rho.shape[0]} does not match free set {spec.label()}")
+    spectrum = cache(lambda: np.linalg.eigvalsh(rho))  # once, by the first route that reads it
     exact = (_twirled_dual(rho, spectrum, spec, tol, max_newton)
              or _closed_pair(rho, spec, spectrum, tol)
-             or _free_mixture(rho, spec, spectrum[-1], tol))
+             or _free_mixture(rho, spec, spectrum, tol))
     if exact is not None:
         return exact
     prog, it, used, status = _solve(rho, spec, tol, max_newton)
@@ -552,10 +560,10 @@ def _reaches_extreme_point(rho, spec: FreeSet, level: float = 1.0) -> bool:
     return bool(witness_constraints(rho, spec).max() >= level - _PURE_FREE_SLACK)
 
 
-def _free_mixture(rho, spec: FreeSet, lam_max: float, tol: float) -> RobustnessResult | None:
+def _free_mixture(rho, spec: FreeSet, spectrum, tol: float) -> RobustnessResult | None:
     """R = 0 certified by the witness I and rho's eigenvalues as weights, when rho mixes
     orthonormal pure extreme points (module docstring); None for any other rho."""
-    if not _reaches_extreme_point(rho, spec, lam_max):
+    if not _reaches_extreme_point(rho, spec, spectrum()[-1]):
         return None
     w, E = np.linalg.eigh(rho)
     keep = w > _round_off(len(w))
@@ -565,7 +573,7 @@ def _free_mixture(rho, spec: FreeSet, lam_max: float, tol: float) -> RobustnessR
 def _closed_pair(rho, spec: FreeSet, spectrum, tol: float) -> RobustnessResult | None:
     """The l1 or else the spectral pair against an incoherent set, or the product pair of a pure
     rho that is |T>^n to 1e-14 (module docstring); None, after O(d^2) work, for any other rho."""
-    d, (lo, hi) = spec.dim, spectrum[[0, -1]]
+    d = spec.dim
     n = d.bit_length() - 1
     if spec.kind == "incoherent":
         mags = np.abs(rho)
@@ -575,12 +583,13 @@ def _closed_pair(rho, spec: FreeSet, spectrum, tol: float) -> RobustnessResult |
         y = np.where(block, rho[:, r] / np.where(block, mags[:, r], 1.0), 0.0)  # phase(rho_jr)
         Y, points = np.outer(y, y.conj()) + np.diag(~block), np.eye(d)  # y y^H on B, I off B
         if w.sum() - np.vdot(Y, rho).real > tol * max(1.0, w.sum() - 1.0):
+            lo, hi = spectrum()[[0, -1]]
             Y = rho - (lo - _round_off(d) * hi) * np.eye(d)  # >= 0 despite lambda_min's rounding
             Y /= Y.diagonal().real.max()  # the spectral pair; lambda_max I - rho >= 0 holds
             closes = d * hi - np.vdot(Y, rho).real <= tol * max(1.0, d * hi - 1.0)
             return _exact(rho, spec, Y, np.full(d, hi), tol) if closes else None
-    elif (hi >= 1.0 - _round_off(d) and 1 < d == 2**n
-          and np.vdot(t := _tstate_table(n)[0], rho @ t).real >= (1 - 1e-14)**2):
+    elif (1 < d == 2**n and np.vdot(t := _tstate_table(n)[0], rho @ t).real >= (1 - 1e-14)**2
+          and spectrum()[-1] >= 1.0 - _round_off(d)):
         _, T, points = _tstate_table(n)
         Y = (1.0 + tstate_magic_robustness(n)) * T
         w = np.full(d, (2.0 - math.sqrt(2.0)) ** n)  # on the products of |+> and |+i>
@@ -599,7 +608,7 @@ def _placed(rho, spec: FreeSet, E, w) -> np.ndarray | None:
         return None
     q = np.zeros(spec.n_points)
     q[match] = w  # columns that overlap by <= 1/2 cannot share a point they each overlap by ~1
-    if not np.linalg.eigvalsh(primal_slack(q, rho, spec))[0] >= -_round_off(len(rho)):
+    if not _psd_within(primal_slack(q, rho, spec), _round_off(len(rho))):
         return None
     return q
 
@@ -633,11 +642,12 @@ def _twirled_dual(rho, spectrum, spec: FreeSet, tol: float,
     has stabilizer(n)'s point count and rho = lambda_max I - (lambda_max - lambda_min)|T^n><T^n|,
     lambda_max (d-1)-fold above lambda_min, to rounding; spec's points are found by overlap
     unless it is the cached set.  None for any other pair, before any stabilizer set is built."""
-    d, (lo, hi) = spec.dim, spectrum[[0, -1]]
+    d = spec.dim
     n = d.bit_length() - 1
-    if not (lo < hi - _round_off(d) <= spectrum[1] and 0 < n <= STABILIZER_MAX_QUBITS
-            and d == 2**n and spec.n_points == stabilizer_state_count(n)
-            and np.abs(rho - hi * np.eye(d) + (hi - lo) * _tstate_table(n)[1]).max()
+    if not (0 < n <= STABILIZER_MAX_QUBITS and d == 2**n
+            and spec.n_points == stabilizer_state_count(n)
+            and (w := spectrum())[0] < w[-1] - _round_off(d) <= w[1]
+            and np.abs(rho - w[-1] * np.eye(d) + (w[-1] - w[0]) * _tstate_table(n)[1]).max()
             <= _round_off(d)):
         return None
     stab = stabilizer_set(n)
@@ -689,20 +699,32 @@ def _overlaps(points: np.ndarray, E: np.ndarray) -> np.ndarray:
     return np.einsum("ai,kab,bi->ik", E.conj(), points, E).real
 
 
+def _sized(A, spec: FreeSet, name: str) -> np.ndarray:
+    """``A`` as a complex array, once its shape is checked against spec's d x d operators."""
+    A = np.asarray(A, dtype=complex)
+    if A.shape != (spec.dim, spec.dim):
+        raise ValueError(f"{name} has shape {A.shape}, expected ({spec.dim}, {spec.dim}) "
+                         f"for free set {spec.label()}")
+    return A
+
+
 def witness_constraints(witness, spec: FreeSet) -> np.ndarray:
     """Tr[Y sigma_k] for every extreme point, in density_matrices() order."""
-    return _constraint_values(spec.points, witness)
+    return _constraint_values(spec.points, _sized(witness, spec, "witness"))
 
 
 def witness_is_feasible(witness, spec: FreeSet, psd_tol: float = 1e-9,
                         constraint_tol: float = 1e-8) -> bool:
-    """Independent feasibility re-check of a dual witness."""
-    witness = np.asarray(witness, dtype=complex)
-    if np.abs(witness - dagger(witness)).max() > 1e-9:
+    """Independent feasibility re-check of a dual witness: False for a non-finite or
+    non-Hermitian witness, else Y >= 0 within ``psd_tol``, proved by one shifted Cholesky
+    factorisation (the spectrum decides only where it fails; the proof holds psd_tol while
+    (d + 1) eps Tr Y / 2 stays below psd_tol / 2, see ``linalg._psd_within``), and every
+    constraint within ``constraint_tol``.  Raises ValueError for a witness of the wrong shape."""
+    witness = _sized(witness, spec, "witness")
+    # _psd_within is False for a non-finite witness, before the Hermiticity test's arithmetic
+    if not (_psd_within(witness, psd_tol) and np.abs(witness - dagger(witness)).max() <= 1e-9):
         return False
-    if np.linalg.eigvalsh(witness)[0] < -psd_tol:
-        return False
-    return bool(witness_constraints(witness, spec).max() <= 1.0 + constraint_tol)
+    return bool(_constraint_values(spec.points, witness).max() <= 1.0 + constraint_tol)
 
 
 def primal_slack(weights, rho, spec: FreeSet) -> np.ndarray:
@@ -710,7 +732,7 @@ def primal_slack(weights, rho, spec: FreeSet) -> np.ndarray:
     weights = np.asarray(weights, dtype=float)
     if len(weights) != spec.n_points:
         raise ValueError("weight vector length does not match the extreme-point list")
-    S = _mix(spec.points, weights) - np.asarray(rho, dtype=complex)
+    S = _mix(spec.points, weights) - _sized(rho, spec, "rho")
     return 0.5 * (S + dagger(S))
 
 

@@ -196,16 +196,16 @@ class TestMembership:
         (stabilizer_set(1), projector(t_state(1))),
     ], ids=["incoherent-2-mixed", "incoherent-4-golden", "stabilizer-1-tstate"])
     def test_one_validation_per_call(self, monkeypatch, spec, rho):
-        # robustness_dual validates rho, so membership does not do it first
+        # robustness_dual validates rho, so membership does not do it first; every
+        # assert_density, under whichever module's binding, runs linalg's assert_hermitian
         calls = []
 
-        def counted(rho, name):
+        def counted(A, name="operator"):
             calls.append(name)
-            return spectrum(rho, name)
+            return hermitian(A, name)
 
-        spectrum = linalg_module._density_spectrum
-        monkeypatch.setattr(linalg_module, "_density_spectrum", counted)
-        monkeypatch.setattr(solver_module, "_density_spectrum", counted)
+        hermitian = linalg_module.assert_hermitian
+        monkeypatch.setattr(linalg_module, "assert_hermitian", counted)
         membership(spec, rho)
         assert calls == ["state"]
 

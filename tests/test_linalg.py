@@ -1,11 +1,15 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustwork.linalg import (
     INF_BETA,
     NumericPolicy,
+    _psd_within,
     assert_density,
     assert_hermitian,
     assert_pure,
@@ -28,6 +32,7 @@ from robustwork.states import (
     random_hermitian,
     random_pure_state,
 )
+from robustwork.solver import _round_off
 
 from conftest import SEEDS
 from oracles import shannon_entropy, two_level_gibbs_probs
@@ -206,3 +211,58 @@ class TestValidation:
     def test_unnormalized_vector_rejected(self):
         with pytest.raises(ValueError):
             assert_pure(np.array([1.0, 1.0]))
+
+
+def _cholesky(fallback: bool):
+    """np.linalg.cholesky patched to fail, so the spectrum decides, or wrapped as it is."""
+    kernel = {"side_effect": np.linalg.LinAlgError} if fallback else {"wraps": np.linalg.cholesky}
+    return mock.patch.object(np.linalg, "cholesky", **kernel)
+
+
+class TestPsdWithin:
+    """``_psd_within(A, tol)`` decides lambda_min(A) >= -tol: a shifted Cholesky factorisation
+    proves it, and the spectrum decides where that fails; forcing the fallback keeps the verdict."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(d=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           tol=st.sampled_from([1e-9, 1e-6, 1e-3]),
+           depth=st.one_of(st.floats(-0.4, 1.0), st.floats(-100.0, -1.6)),
+           fallback=st.booleans())
+    def test_decides_by_the_least_eigenvalue(self, d, seed, tol, depth, fallback):
+        gen = np.random.default_rng(seed)
+        U = np.linalg.qr(gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d)))[0]
+        w = depth * tol + np.concatenate([[0.0], gen.uniform(0.0, 1.0, d - 1)])  # lambda_min first
+        A = (U * w) @ U.conj().T
+        A = 0.5 * (A + A.conj().T)
+        with _cholesky(fallback), \
+                mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spectrum:
+            assert _psd_within(A, tol) is (depth >= -0.4)
+        # the factorisation alone proves every PSD verdict; the spectrum decides the others
+        assert spectrum.call_count == int(fallback or depth < -0.4)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("fallback", [False, True])
+    def test_non_finite_matrix_fails(self, value, fallback):
+        with _cholesky(fallback):
+            assert _psd_within(np.full((3, 3), value, dtype=complex), 1e-9) is False
+
+    @pytest.mark.parametrize("d", [32, 60, 256])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_slack_recheck_scale(self, d, seed):
+        # the solver's slack recheck: tol 8 d eps on I - (1 - depth)|g><g|, golden's slack shape
+        # of trace d - 1.  A completed factorisation proves only lambda_min >= -proved, several
+        # tol here (docstring), yet it accepts every depth >= -0.4 tol alone and nothing below
+        # -1.6 tol, where the spectrum agrees
+        tol, eps = _round_off(d), np.finfo(float).eps
+        proved = tol / 2 + (d + 1) * eps * (d - 1 + d * tol)  # gamma_{d+1} <= (d + 1) eps, complex
+        assert proved > 3 * tol
+        gen = np.random.default_rng(seed)
+        g = gen.normal(size=d) + 1j * gen.normal(size=d)
+        g /= np.linalg.norm(g)
+        for depth, verdict in [(0.0, True), (-0.4 * tol, True), (-1.6 * tol, False),
+                               (-1.6 * proved, False)]:
+            A = np.eye(d) + (depth - 1.0) * np.outer(g, g.conj())
+            with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spectrum:
+                assert _psd_within(A, tol) is verdict
+            assert spectrum.call_count == int(not verdict)

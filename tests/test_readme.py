@@ -56,6 +56,8 @@ COUNTS = " / ".join(str(stabilizer_state_count(n)) for n in range(1, STABILIZER_
     pytest.param("A hull that mixes vectors and matrices is solved and rechecked on projectors.",
                  id="mixed-hull"),
     pytest.param(f"unit squared norm or trace within {sci(POLICY.trace_tol)}", id="point-check"),
+    pytest.param("only a failed factorisation computes its spectrum, so validation costs no "
+                 "eigendecomposition.", id="validation"),
 ])
 def test_readme_states_the_code_value(phrase):
     assert phrase in README

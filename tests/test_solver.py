@@ -1,4 +1,5 @@
 import math
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -566,7 +567,7 @@ class TestExactCertificates:
         # pure, so the l1 pair certifies it instead, and the loop agrees
         psi = np.array([math.sqrt(1.0 - 1e-14), 1e-7])
         rho, spec = projector(psi), incoherent_set(2)
-        assert solver_module._free_mixture(rho, spec, 1.0, DEFAULT_TOL) is None
+        assert solver_module._free_mixture(rho, spec, lambda: np.ones(1), DEFAULT_TOL) is None
         assert _loop(rho, spec)[0] == CONVERGED
         res = robustness_dual(rho, spec)
         assert (res.status, res.newton_iterations) == (CONVERGED, 0)
@@ -583,6 +584,17 @@ _INCOHERENT_FREE = [maximally_mixed(d) for d in range(2, 6)] + [
     _random_diagonal(d, seed) for d, seed in [(2, 0), (3, 1), (16, 2), (64, 3)]]
 _INCOHERENT_FREE_IDS = [f"mixed-{d}" for d in range(2, 6)] + [
     f"diagonal-{d}" for d in (2, 3, 16, 64)]
+
+
+def _spectra(monkeypatch) -> list:
+    """The operands of every later np.linalg.eigh and eigvalsh call, in call order."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, _kernel=getattr(np.linalg, name), **kwargs):
+            calls.append(a)
+            return _kernel(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
 
 
 class TestOneCertificatePerInput:
@@ -623,11 +635,28 @@ class TestOneCertificatePerInput:
         assert (res.status, res.newton_iterations) == (CONVERGED, 0)
         assert_certified(res, rho, spec)
 
+    @pytest.mark.parametrize("d", [2, 32, 60])
+    def test_golden_certificate_and_its_recheck_take_no_eigendecomposition(self, monkeypatch, d):
+        # validation, the slack recheck and witness_is_feasible each prove PSD by Cholesky
+        calls = _spectra(monkeypatch)
+        rho, spec = projector(golden_state(d)), incoherent_set(d)
+        res = robustness_dual(rho, spec)
+        assert witness_is_feasible(res.witness, spec)
+        assert (res.newton_iterations, len(calls)) == (0, 0)
+
+    def test_a_loop_instance_takes_one_spectrum_of_rho(self, monkeypatch):
+        rho = random_density_matrix(4, np.random.default_rng(SEEDS["solver"]))
+        calls = _spectra(monkeypatch)
+        res = robustness_dual(rho, incoherent_set(4))
+        assert res.newton_iterations > 0
+        assert sum(np.array_equal(a, rho) for a in calls) == 1
+
     @pytest.mark.parametrize("rho", _INCOHERENT_FREE, ids=_INCOHERENT_FREE_IDS)
     def test_l1_pair_of_a_free_state_is_the_free_mixture(self, rho):
         spec = incoherent_set(len(rho))
         res = robustness_dual(rho, spec)
-        mix = solver_module._free_mixture(rho, spec, np.linalg.eigvalsh(rho)[-1], DEFAULT_TOL)
+        spectrum = partial(np.linalg.eigvalsh, rho)
+        mix = solver_module._free_mixture(rho, spec, spectrum, DEFAULT_TOL)
         assert res.witness.tobytes() == mix.witness.tobytes()
         assert res.primal_weights.tobytes() == mix.primal_weights.tobytes()
         fields = ("value", "gap", "status", "lower_bound", "upper_bound", "newton_iterations")
@@ -799,7 +828,8 @@ class TestL1Pair:
     def test_other_states_run_the_loop(self, rho):
         spec = incoherent_set(len(rho))
         # declined by both incoherent pairs: the l1 pair and the spectral pair
-        assert solver_module._closed_pair(rho, spec, np.linalg.eigvalsh(rho), DEFAULT_TOL) is None
+        spectrum = partial(np.linalg.eigvalsh, rho)
+        assert solver_module._closed_pair(rho, spec, spectrum, DEFAULT_TOL) is None
         res = robustness_dual(rho, spec)
         assert res.status == CONVERGED and res.newton_iterations > 0
         assert_certified(res, rho, spec)
@@ -1126,6 +1156,25 @@ class TestRechecks:
     def test_primal_slack_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             primal_slack(np.ones(3), maximally_mixed(4), incoherent_set(4))
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda spec: witness_is_feasible(np.eye(3), spec), "witness"),
+        (lambda spec: witness_constraints(np.eye(3), spec), "witness"),
+        (lambda spec: primal_slack(np.ones(2), np.eye(3) / 3, spec), "rho"),
+    ], ids=["witness_is_feasible", "witness_constraints", "primal_slack"])
+    def test_operator_of_the_wrong_shape_names_its_argument(self, call, name):
+        with pytest.raises(ValueError, match=rf"^{name} has shape \(3, 3\), expected \(2, 2\) "
+                                             r"for free set incoherent\(d=2, m=2\)$"):
+            call(incoherent_set(2))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entries", [(0, 0), (0, 1), slice(None)],
+                             ids=["diagonal", "off-diagonal", "everywhere"])
+    def test_non_finite_witness_is_infeasible_without_arithmetic(self, value, entries):
+        witness = np.eye(2, dtype=complex)
+        witness[entries] = value
+        assert witness_is_feasible(witness, incoherent_set(2)) is False
 
     @pytest.mark.parametrize("spec", RECHECK_SPECS[:2], ids=["incoherent4", "stabilizer2"])
     def test_witness_constraints_match_program_bitwise(self, spec):

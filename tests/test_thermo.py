@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -431,8 +432,8 @@ class TestTheorem2:
 
 
 def twirled(rho, spec):
-    """The twirl route alone, on rho and its spectrum, as robustness_dual tries it."""
-    return _twirled_dual(rho, np.linalg.eigvalsh(rho), spec, DEFAULT_TOL, DEFAULT_MAX_NEWTON)
+    """The twirl route alone, on rho and its lazy spectrum, as robustness_dual tries it."""
+    return _twirled_dual(rho, partial(np.linalg.eigvalsh, rho), spec, DEFAULT_TOL, DEFAULT_MAX_NEWTON)
 
 
 class TestTwirlReduction:
@@ -547,9 +548,9 @@ def two_block_state(d: int, gen, t: float) -> np.ndarray:
 
 
 def closed_pair(rho, spec):
-    """robustness_dual's closed pairs alone, on rho and its spectrum: against an incoherent set,
-    the l1 pair and then the spectral pair."""
-    return solver._closed_pair(rho, spec, np.linalg.eigvalsh(rho), DEFAULT_TOL)
+    """robustness_dual's closed pairs alone, on rho and its lazy spectrum: against an incoherent
+    set, the l1 pair and then the spectral pair."""
+    return solver._closed_pair(rho, spec, partial(np.linalg.eigvalsh, rho), DEFAULT_TOL)
 
 
 class TestFlatResidual:
