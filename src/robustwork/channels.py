@@ -18,8 +18,8 @@ import numpy as np
 
 from .freesets import FreeSet
 from .linalg import assert_density, dagger, partial_trace, projector, trace_inner
-from .solver import (DEFAULT_TOL, RobustnessResult, _feasible, _reaches_extreme_point,
-                     robustness_dual)
+from .solver import (_PURE_FREE_SLACK, DEFAULT_TOL, RobustnessResult, _feasible,
+                     robustness_dual, witness_constraints)
 from .states import maximally_entangled_state
 from .thermo import (
     _DEGENERATE_R,
@@ -180,13 +180,14 @@ def theorem3_output_witness(E: QuantumChannel, sigma_in, spec: FreeSet,
     """Validate the free pure input and solve the output state's program.
 
     Pure states are extreme among states, so sigma_in is a free pure state iff it is one
-    of the extreme points, which the solver's overlap test decides at level 1.  Raises
-    InfeasibleHullError when the hull cannot dominate the output."""
+    of the extreme points: as Tr[sigma_in sigma_k] <= lambda_max(sigma_in) <= 1, iff some
+    constraint value reaches 1 to _PURE_FREE_SLACK.  Raises InfeasibleHullError when the hull
+    cannot dominate the output."""
     sigma_in = assert_density(sigma_in)
     if not sigma_in.shape[0] == E.dim == spec.dim:
         raise ValueError(f"sigma_in has dimension {sigma_in.shape[0]} and the free set "
                          f"{spec.dim}, but the channel acts on dimension {E.dim}")
-    if not _reaches_extreme_point(sigma_in, spec):
+    if not witness_constraints(sigma_in, spec).max() >= 1.0 - _PURE_FREE_SLACK:
         raise ValueError("sigma_in must be a pure state of the free set")
     out = apply_channel(E, sigma_in)
     result = _feasible(robustness_dual(out, spec, tol=tol), spec)

@@ -157,7 +157,7 @@ def gibbs_state(H, beta: float) -> np.ndarray:
     shifted by the ground energy first).
     """
     H = assert_hermitian(H, "Hamiltonian")
-    if beta < 0:
+    if not beta >= 0:  # also rejects NaN
         raise ValueError(f"beta must be >= 0 or inf, got {beta}")
     w, V = np.linalg.eigh(H)
     out = (V * _thermal_weights(w, beta)) @ V.conj().T

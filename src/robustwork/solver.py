@@ -64,8 +64,10 @@ its witness's diagonal f lifts to Y = sum_j f_j P_j, a profile's weight w to w /
 its S states (their average is sum_j p_j P_j / Tr P_j), and one ``_certify`` on rho follows.
 ``robustness_dual`` tries this route (``_twirled_dual``) first, for a free set with
 stabilizer(n)'s point count in any order (a copy of the cached set is matched by overlap) and
-rho = lambda_max I - (lambda_max - lambda_min)|T^n><T^n| to rounding, lambda_max (d-1)-fold and
-above lambda_min in rho's spectrum; no other input builds stabilizer(n).
+rho = lambda_max I - (lambda_max - lambda_min)|T^n><T^n| to rounding, lambda_max above
+lambda_min.  Both are read off rho, lambda_min = <T^n|rho|T^n> and lambda_max = (Tr rho -
+lambda_min)/(d - 1), and one O(d^2) comparison decides, with no spectrum; no other input builds
+stabilizer(n).
 
 Against an incoherent set, rho is tried next with the l1 pair (Napoli et al., PRL 116,
 150502, 2016; Piani et al., PRA 93, 042107, 2016).  Let r be the column of rho with the most
@@ -74,13 +76,14 @@ witness Y = y y^H on B plus I off B is PSD by construction, with a unit diagonal
 q_j = sum_k |rho_jk| leave diag(q) - rho diagonally dominant, hence PSD.  So Tr[Y rho] - 1 <=
 R <= sum_jk |rho_jk| - 1, and the ends meet when rho's coherences lie in B x B with the phases
 rho_jk = |rho_jk| y_j conj(y_k), as in a pure state or a depolarizing channel's Choi state.
-Else the spectral pair: Y = (rho - l I)/max_j (rho_jj - l) is PSD with a diagonal <= 1, l
-lambda_min less _round_off(d) lambda_max for its rounding, and the weights lambda_max on every
-basis state leave lambda_max I - rho >= 0.  A constant diagonal and a (d-1)-fold top eigenvalue
-give Tr[Y rho] = d lambda_max at l = lambda_min, so the ends meet at R = a/(d - a) on theorem
-2's residual of a flat y (|y_k|^2 = 1/d); other states fail this O(d^2) test.  A pure rho with
-<T^n|rho|T^n> >= (1 - 1e-14)^2 has the product pair against any hull holding the 2^n products
-of |+> and |+i> (found by overlap): R = 1/F - 1 = (4 - 2 sqrt 2)^n - 1, F = cos^{2n}(pi/8)
+Else the spectral pair, the one route here that takes rho's spectrum: Y = (rho - l I)/max_j
+(rho_jj - l) is PSD with a diagonal <= 1, l lambda_min less _round_off(d) lambda_max for its
+rounding, and the weights lambda_max on every basis state leave lambda_max I - rho >= 0.  A
+constant diagonal and a (d-1)-fold top eigenvalue give Tr[Y rho] = d lambda_max at l =
+lambda_min, so the ends meet at R = a/(d - a) on theorem 2's residual of a flat y (|y_k|^2 =
+1/d); other states fail this O(d^2) test.  Against any other set, a rho with <T^n|rho|T^n> >=
+(1 - 1e-14)^2, so lambda_max(rho) >= 1 - 2e-14, has the product pair against any hull holding
+the 2^n products of |+> and |+i>: R = 1/F - 1 = (4 - 2 sqrt 2)^n - 1, F = cos^{2n}(pi/8)
 (Heinrich & Gross, Quantum 3, 132, 2019).  The witness (1 + R)|T><T|^n is rechecked against
 every extreme point, and the weights (2 - sqrt 2)^n on the products leave the slack
 A^n - |T><T|^n >= 0: A = (2 - sqrt 2)(|+><+| + |+i><+i|) = |T><T| + (3 - 2 sqrt 2)|T^perp><T^perp|
@@ -89,26 +92,25 @@ A^n - |T><T|^n >= 0: A = (2 - sqrt 2)(|+><+| + |+i><+i|) = |T><T| + (3 - 2 sqrt 
 A free state needs no iteration either when it mixes orthonormal pure extreme points,
 rho = sum_i w_i sigma_k(i) (Regula, J. Phys. A 51, 045303, 2018): the witness I is
 feasible and reaches Tr[rho] - 1 = 0, and the eigenvalues w_i as weights meet
-sum(q) - 1 = 0, so R = 0 is certified exactly.  ``robustness_dual`` tries this last: a free
-state of an incoherent set is diagonal, and its l1 pair is already this certificate.  As
-Tr[rho sigma] <= lambda_max(rho), such a rho has max_k Tr[rho sigma_k] = lambda_max(rho), one
-constraint evaluation that every other input fails (``_reaches_extreme_point``; at level 1 it
-is theorem 3's test for a free pure input).  Then each eigenvector of rho with an
-eigenvalue above rounding must overlap some extreme point to 1 - _PURE_FREE_SLACK, and the
-slack of the matched weights is rechecked down to rounding; a spectrum whose eigenbasis
-is not made of extreme points (say, a degenerate one) is left to the interior-point loop.
+sum(q) - 1 = 0, so R = 0 is certified exactly.  ``robustness_dual`` tries this last, and
+not against an incoherent set: a free state there is diagonal, and its l1 pair is already this
+certificate.  One eigendecomposition of rho gives the eigenvectors; each with an eigenvalue
+above rounding must overlap some extreme point to 1 - _PURE_FREE_SLACK, and the slack of the
+matched weights is rechecked down to rounding; a spectrum whose eigenbasis is not made of
+extreme points (say, a degenerate one) is left to the interior-point loop.
 
 These certificates sit on the boundary, with the slack's least eigenvalue at rounding
-(about -1e-15).  The free mixture's and the l1 and product pairs' slacks are rechecked against
-the rounding bound 8 d eps by one Cholesky factorisation shifted by half of it (``_psd_within``;
-the spectrum decides only where it fails).  A completed factorisation proves only lambda_min >=
--O(d eps Tr), about 4x that bound for a golden slack of trace d - 1 at d = 60: the order of
-eigvalsh's own rounding on it.  Every witness is scaled by 1 - 8 ulps: rounding put Tr[Y rho]
-up to 2.8 ulps of 1 + R above R.  Each goes through ``_certify`` with ``newton_iterations`` 0; an
-input whose certificate fails a recheck or does not close within ``tol`` runs the loop instead.
-rho is validated by the same shifted factorisation, at psd_tol, and its spectrum is computed
-at most once, by the first route that reads it, so a state that the l1 pair certifies costs no
-eigendecomposition.
+(about -1e-15).  Every pair's weights and the free mixture's are placed on the set's own
+points by overlap (``_placed``), and their slack is rechecked against the rounding bound 8 d
+eps by one Cholesky factorisation shifted by half of it (``_psd_within``; the spectrum decides
+only where it fails).  A completed factorisation proves only lambda_min >= -O(d eps Tr), about
+4x that bound for a golden slack of trace d - 1 at d = 60: the order of eigvalsh's own
+rounding on it.  Every witness is scaled by 1 - 8 ulps: rounding put Tr[Y rho] up to 2.8 ulps
+of 1 + R above R.  Each goes through ``_certify`` with ``newton_iterations`` 0; an input whose
+certificate fails a recheck or does not close within ``tol`` runs the loop instead.  rho is
+validated by the same shifted factorisation, at psd_tol.  Only the spectral pair and the free
+mixture decompose rho, so a call takes at most one decomposition of it, and golden states,
+|T>^n and the twirl's residuals take none.
 """
 
 from __future__ import annotations
@@ -116,7 +118,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -163,8 +165,8 @@ DEFAULT_MAX_NEWTON = 200
 
 _STEP_FRACTION = 0.99
 _MAX_BACKTRACK = 30
-# rounding bound on Tr[rho sigma_k] = lambda_max(rho) when rho's top eigenvector is the pure
-# extreme point sigma_k (module docstring); theorem 3's free-input test uses it at level 1
+# rounding bound on 1 - <e|sigma_k|e> when the unit vector e is the pure extreme point sigma_k:
+# ``_placed`` matches columns to points by it, and theorem 3's free-input test uses it too
 _PURE_FREE_SLACK = 1e-13
 
 
@@ -503,10 +505,7 @@ def robustness_dual(rho, spec: FreeSet, tol: float = DEFAULT_TOL,
     rho = assert_density(rho, "state")
     if spec.dim != rho.shape[0]:
         raise ValueError(f"state dimension {rho.shape[0]} does not match free set {spec.label()}")
-    spectrum = cache(lambda: np.linalg.eigvalsh(rho))  # once, by the first route that reads it
-    exact = (_twirled_dual(rho, spectrum, spec, tol, max_newton)
-             or _closed_pair(rho, spec, spectrum, tol)
-             or _free_mixture(rho, spec, spectrum, tol))
+    exact = _twirled_dual(rho, spec, tol, max_newton) or _closed_pair(rho, spec, tol)
     if exact is not None:
         return exact
     prog, it, used, status = _solve(rho, spec, tol, max_newton)
@@ -553,26 +552,18 @@ def _exact(rho, spec: FreeSet, witness, weights, tol: float) -> RobustnessResult
     return res if res is not None and res.gap <= tol * max(1.0, res.upper_bound) else None
 
 
-def _reaches_extreme_point(rho, spec: FreeSet, level: float = 1.0) -> bool:
-    """Whether max_k Tr[rho sigma_k] >= level - _PURE_FREE_SLACK: at level lambda_max(rho),
-    the pre-test of a free mixture; at level 1, whether rho is a pure extreme point, as
-    Tr[rho sigma] <= lambda_max(rho) <= 1 (module docstring)."""
-    return bool(witness_constraints(rho, spec).max() >= level - _PURE_FREE_SLACK)
-
-
-def _free_mixture(rho, spec: FreeSet, spectrum, tol: float) -> RobustnessResult | None:
+def _free_mixture(rho, spec: FreeSet, tol: float) -> RobustnessResult | None:
     """R = 0 certified by the witness I and rho's eigenvalues as weights, when rho mixes
     orthonormal pure extreme points (module docstring); None for any other rho."""
-    if not _reaches_extreme_point(rho, spec, spectrum()[-1]):
-        return None
     w, E = np.linalg.eigh(rho)
     keep = w > _round_off(len(w))
     return _exact(rho, spec, np.eye(len(w)), _placed(rho, spec, E[:, keep], w[keep]), tol)
 
 
-def _closed_pair(rho, spec: FreeSet, spectrum, tol: float) -> RobustnessResult | None:
-    """The l1 or else the spectral pair against an incoherent set, or the product pair of a pure
-    rho that is |T>^n to 1e-14 (module docstring); None, after O(d^2) work, for any other rho."""
+def _closed_pair(rho, spec: FreeSet, tol: float) -> RobustnessResult | None:
+    """Against an incoherent set, the l1 or else the spectral pair; against any other, the
+    product pair of a rho that overlaps |T>^n to 1e-14, or else the free mixture (module
+    docstring).  None for any other rho."""
     d = spec.dim
     n = d.bit_length() - 1
     if spec.kind == "incoherent":
@@ -581,21 +572,22 @@ def _closed_pair(rho, spec: FreeSet, spectrum, tol: float) -> RobustnessResult |
         r = int((w - mags.diagonal()).argmax())  # the column with the most coherence
         block = mags[:, r] > _round_off(d)
         y = np.where(block, rho[:, r] / np.where(block, mags[:, r], 1.0), 0.0)  # phase(rho_jr)
-        Y, points = np.outer(y, y.conj()) + np.diag(~block), np.eye(d)  # y y^H on B, I off B
+        Y = np.outer(y, y.conj()) + np.diag(~block)  # y y^H on B, I off B
         if w.sum() - np.vdot(Y, rho).real > tol * max(1.0, w.sum() - 1.0):
-            lo, hi = spectrum()[[0, -1]]
+            lo, hi = np.linalg.eigvalsh(rho)[[0, -1]]
             Y = rho - (lo - _round_off(d) * hi) * np.eye(d)  # >= 0 despite lambda_min's rounding
             Y /= Y.diagonal().real.max()  # the spectral pair; lambda_max I - rho >= 0 holds
-            closes = d * hi - np.vdot(Y, rho).real <= tol * max(1.0, d * hi - 1.0)
-            return _exact(rho, spec, Y, np.full(d, hi), tol) if closes else None
-    elif (1 < d == 2**n and np.vdot(t := _tstate_table(n)[0], rho @ t).real >= (1 - 1e-14)**2
-          and spectrum()[-1] >= 1.0 - _round_off(d)):
+            w = np.full(d, hi)
+            if w.sum() - np.vdot(Y, rho).real > tol * max(1.0, w.sum() - 1.0):
+                return None
+        return _exact(rho, spec, Y, _placed(rho, spec, np.eye(d), w), tol)
+    product = None
+    if 1 < d == 2**n and np.vdot(t := _tstate_table(n)[0], rho @ t).real >= (1 - 1e-14)**2:
         _, T, points = _tstate_table(n)
-        Y = (1.0 + tstate_magic_robustness(n)) * T
         w = np.full(d, (2.0 - math.sqrt(2.0)) ** n)  # on the products of |+> and |+i>
-    else:
-        return None
-    return _exact(rho, spec, Y, _placed(rho, spec, points, w), tol)
+        product = _exact(rho, spec, (1.0 + tstate_magic_robustness(n)) * T,
+                         _placed(rho, spec, points, w), tol)
+    return product or _free_mixture(rho, spec, tol)
 
 
 def _placed(rho, spec: FreeSet, E, w) -> np.ndarray | None:
@@ -636,18 +628,20 @@ def _tstate_profiles(n: int):
     return V, classes, hull, index.reshape(-1), counts
 
 
-def _twirled_dual(rho, spectrum, spec: FreeSet, tol: float,
-                  max_newton: int) -> RobustnessResult | None:
+def _twirled_dual(rho, spec: FreeSet, tol: float, max_newton: int) -> RobustnessResult | None:
     """rho's certificate against spec, solved over the |T>^n profiles (module docstring), when spec
     has stabilizer(n)'s point count and rho = lambda_max I - (lambda_max - lambda_min)|T^n><T^n|,
-    lambda_max (d-1)-fold above lambda_min, to rounding; spec's points are found by overlap
-    unless it is the cached set.  None for any other pair, before any stabilizer set is built."""
+    lambda_max above lambda_min, to rounding; spec's points are found by overlap unless it is
+    the cached set.  None for any other pair, before any stabilizer set is built."""
     d = spec.dim
     n = d.bit_length() - 1
     if not (0 < n <= STABILIZER_MAX_QUBITS and d == 2**n
-            and spec.n_points == stabilizer_state_count(n)
-            and (w := spectrum())[0] < w[-1] - _round_off(d) <= w[1]
-            and np.abs(rho - w[-1] * np.eye(d) + (w[-1] - w[0]) * _tstate_table(n)[1]).max()
+            and spec.n_points == stabilizer_state_count(n)):
+        return None
+    t, T, _ = _tstate_table(n)
+    lo = np.vdot(t, rho @ t).real  # lambda_min, and lambda_max (d-1)-fold from the trace
+    hi = (rho.trace().real - lo) / (d - 1)
+    if not (lo < hi - _round_off(d) and np.abs(rho - hi * np.eye(d) + (hi - lo) * T).max()
             <= _round_off(d)):
         return None
     stab = stabilizer_set(n)

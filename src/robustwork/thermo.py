@@ -86,8 +86,8 @@ class ThermoContext:
     lam: float
 
     def __post_init__(self):
-        if not (self.beta >= 0.0):
-            raise ValueError(f"beta must be >= 0 or inf, got {self.beta}")
+        if not (self.beta > 0.0):  # also rejects NaN; at beta = 0 no free energy is finite
+            raise ValueError(f"beta must be > 0 or inf, got {self.beta}")
         if not (self.lam > 0.0):
             raise ValueError(f"lambda must be > 0, got {self.lam}")
 
@@ -154,8 +154,6 @@ def _report(label, lhs, rhs, direction, precondition_met, tolerance=BOUND_TOL, d
 
 def _over_beta(S, beta: float):
     """The entropy term S/beta of a free energy; zero at beta = inf."""
-    if beta == 0.0:
-        raise ValueError("free energy is unbounded at beta = 0; use beta > 0 or inf")
     return 0.0 if beta == INF_BETA else S / beta
 
 
@@ -226,7 +224,7 @@ def rank1_summary(c: float, y, psi, spec: FreeSet | None) -> WitnessSummary:
     max_k Tr[Y sigma_k] = 1, as every named closed-form witness is.
     """
     y, psi = assert_pure(y, "y"), assert_pure(psi)
-    if c <= 0:
+    if not c > 0:  # also rejects NaN
         raise ValueError("c must be positive")
     spectrum = np.zeros(y.shape[0])
     spectrum[-1] = c
@@ -458,7 +456,7 @@ def residual_thermal_closed_form(y, c: float, ctx: ThermoContext, d: int) -> np.
 
 def residual_weight(c: float, ctx: ThermoContext) -> float:
     """a = 1 - e^{-beta lambda c}, the only way (lambda, beta) enter the residual state."""
-    if c <= 0:
+    if not c > 0:  # also rejects NaN
         raise ValueError("c must be positive")
     if ctx.beta == INF_BETA:
         return 1.0

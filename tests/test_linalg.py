@@ -116,6 +116,10 @@ class TestGibbs:
         with pytest.raises(ValueError):
             gibbs_state(np.eye(2), -1.0)
 
+    def test_nan_beta_rejected(self):
+        with pytest.raises(ValueError, match="beta"):
+            gibbs_state(np.eye(2), math.nan)
+
 
 class TestEntropy:
     def test_pure_state(self):

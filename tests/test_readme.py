@@ -31,8 +31,8 @@ COUNTS = " / ".join(str(stabilizer_state_count(n)) for n in range(1, STABILIZER_
     pytest.param(f"(default `tol = {sci(DEFAULT_TOL)}`)", id="default-tol"),
     pytest.param(f"`max_k Tr[sigma_in sigma_k] >= 1 - {sci(_PURE_FREE_SLACK)}`",
                  id="theorem3-free-input"),
-    pytest.param(f"`max_k Tr[rho sigma_k] >= lambda_max(rho) - {sci(_PURE_FREE_SLACK)}`",
-                 id="free-mixture"),
+    pytest.param(f"overlap a pure extreme point (a vector or a pure matrix) to "
+                 f"`1 - {sci(_PURE_FREE_SLACK)}`", id="free-mixture"),
     pytest.param(f"`tol` must be positive (default `{sci(DEFAULT_TOL)}`)", id="cli-tol"),
     pytest.param(f"`max_newton` interior-point iterations (default {DEFAULT_MAX_NEWTON})",
                  id="max-newton"),

@@ -1,5 +1,4 @@
 import math
-from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 import robustwork.linalg as linalg_module
 import robustwork.solver as solver_module
 from robustwork import thermo
-from robustwork.freesets import finite_hull, incoherent_set, membership, stabilizer_set
+from robustwork.freesets import FreeSet, finite_hull, incoherent_set, membership, stabilizer_set
 from robustwork.channels import choi_state, depolarizing_channel, unitary_channel
 from robustwork.linalg import maximally_mixed, projector, trace_inner
 from robustwork.solver import (
@@ -561,13 +560,26 @@ class TestExactCertificates:
         assert res.primal_weights.tolist() == pytest.approx([0.0, 1.0], abs=1e-15)
         assert_certified(res, rho, spec)
 
+    def test_pair_weights_sit_on_the_sets_own_points(self):
+        # a set labelled "incoherent" whose points are not the basis: the spectral pair's
+        # weights on e_0, e_1, e_2 are placed on the set's points by overlap, and e_2 is none of
+        # them, so the loop solves the flat residual; without e_2 in the hull it is infeasible
+        e, rho = np.eye(3), _residual(np.ones(3) / math.sqrt(3), 1.0)
+        spec = FreeSet("incoherent", 3, vectors=(e[0], e[1], (e[1] + e[2]) / math.sqrt(2)))
+        res = robustness_dual(rho, spec)
+        assert res.status == CONVERGED and res.newton_iterations > 0
+        assert res.lower_bound > 2.8  # R = 2.886; the unplaced weights claimed R <= 0.5
+        assert_certified(res, rho, spec)
+        assert robustness_dual(rho, FreeSet("incoherent", 3, vectors=(e[0], e[1]))).status \
+            == INFEASIBLE
+
     def test_overlap_just_below_one_fails_the_recheck(self):
         # |<0|psi>|^2 = 1 - 1e-14 passes the overlap test, but |0><0| - rho has the
         # eigenvalue -1e-7: a rounding-sized recheck declines the free mixture; rho is
         # pure, so the l1 pair certifies it instead, and the loop agrees
         psi = np.array([math.sqrt(1.0 - 1e-14), 1e-7])
         rho, spec = projector(psi), incoherent_set(2)
-        assert solver_module._free_mixture(rho, spec, lambda: np.ones(1), DEFAULT_TOL) is None
+        assert solver_module._free_mixture(rho, spec, DEFAULT_TOL) is None
         assert _loop(rho, spec)[0] == CONVERGED
         res = robustness_dual(rho, spec)
         assert (res.status, res.newton_iterations) == (CONVERGED, 0)
@@ -600,8 +612,9 @@ def _spectra(monkeypatch) -> list:
 class TestOneCertificatePerInput:
     """``robustness_dual`` is one flat chain (solver docstring): the twirl's reduced program is
     solved by the loop in place, not by a nested ``robustness_dual`` call, and the free mixture
-    is tried last, since the l1 pair certifies every free state of an incoherent set on its own
-    with the free mixture's witness, weights and bounds."""
+    is not tried against an incoherent set, since the l1 pair certifies every free state there
+    on its own with the free mixture's witness, weights and bounds.  Each route reads rho
+    itself, so a call decomposes rho at most once."""
 
     @pytest.mark.parametrize("a", [0.5, 1.0])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -644,6 +657,30 @@ class TestOneCertificatePerInput:
         assert witness_is_feasible(res.witness, spec)
         assert (res.newton_iterations, len(calls)) == (0, 0)
 
+    @pytest.mark.parametrize("rho, spec, most", [
+        *((projector(golden_state(d)), incoherent_set(d), 0) for d in (2, 32, 48, 56, 60, 64)),
+        *((projector(t_state(n)), stabilizer_set(n), 0) for n in (1, 2, 3)),
+        *((_residual(t_state(n), a), stabilizer_set(n), 0) for n in (1, 2, 3) for a in (0.5, 1.0)),
+        *((_residual(golden_state(d), 1.0), incoherent_set(d), 1) for d in (4, 32)),
+        (random_density_matrix(32, np.random.default_rng(0)), incoherent_set(32), 1),
+        (random_density_matrix(4, np.random.default_rng(1)), incoherent_set(4), 1),
+        (projector(random_pure_state(4, np.random.default_rng(1))), stabilizer_set(2), 1),
+        (projector(random_pure_state(8, np.random.default_rng(0))), stabilizer_set(3), 1),
+        (choi_state(unitary_channel(T_GATE)).matrix, stabilizer_set(2), 1),
+        (choi_state(unitary_channel(HADAMARD)).matrix, stabilizer_set(2), 1),
+    ], ids=[*(f"golden-{d}" for d in (2, 32, 48, 56, 60, 64)),
+            *(f"tstate-{n}" for n in (1, 2, 3)),
+            *(f"residual-tstate-{n}-{a}" for n in (1, 2, 3) for a in (0.5, 1.0)),
+            "flat-residual-4", "flat-residual-32", "ginibre-32", "ginibre-4", "haar-stab2",
+            "haar-stab3", "choi-t_gate", "choi-hadamard"])
+    def test_decompositions_of_rho_per_call(self, monkeypatch, rho, spec, most):
+        # the twirl reads lambda_min and lambda_max off rho, the product pair its overlap with
+        # |T>^n; only the spectral pair (eigvalsh) and the free mixture (eigh) decompose rho
+        calls = _spectra(monkeypatch)
+        res = robustness_dual(rho, spec)
+        assert sum(np.array_equal(a, rho) for a in calls) <= most
+        assert_certified(res, rho, spec)
+
     def test_a_loop_instance_takes_one_spectrum_of_rho(self, monkeypatch):
         rho = random_density_matrix(4, np.random.default_rng(SEEDS["solver"]))
         calls = _spectra(monkeypatch)
@@ -655,8 +692,7 @@ class TestOneCertificatePerInput:
     def test_l1_pair_of_a_free_state_is_the_free_mixture(self, rho):
         spec = incoherent_set(len(rho))
         res = robustness_dual(rho, spec)
-        spectrum = partial(np.linalg.eigvalsh, rho)
-        mix = solver_module._free_mixture(rho, spec, spectrum, DEFAULT_TOL)
+        mix = solver_module._free_mixture(rho, spec, DEFAULT_TOL)
         assert res.witness.tobytes() == mix.witness.tobytes()
         assert res.primal_weights.tobytes() == mix.primal_weights.tobytes()
         fields = ("value", "gap", "status", "lower_bound", "upper_bound", "newton_iterations")
@@ -759,14 +795,25 @@ class TestPurePairs:
         assert values[0].value == pytest.approx(values[1].value, abs=1e-12)
 
     def test_near_pure_state_runs_the_loop(self):
-        # lambda_max = 1 - 1e-9 + 1e-9/d is not pure to rounding, so the product pair is not
-        # tried
+        # <T^n|rho|T^n> = 1 - 1e-9 + 1e-9/d fails the product pair's overlap gate
         for n in (1, 2, 3):
             rho = (1.0 - 1e-9) * projector(t_state(n)) + 1e-9 * maximally_mixed(2**n)
             spec = stabilizer_set(n)
             res = robustness_dual(rho, spec)
             assert res.status == CONVERGED and res.newton_iterations > 0
             assert_certified(res, rho, spec)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_state_within_the_overlap_gate_takes_the_product_pair(self, n):
+        # <T^n|rho|T^n> = 1 - 1e-14 + 1e-14/d passes the overlap gate although lambda_max is
+        # more than 8 d ulps below 1: the slack recheck accepts the product pair's weights
+        rho = (1.0 - 1e-14) * projector(t_state(n)) + 1e-14 * maximally_mixed(2**n)
+        spec = stabilizer_set(n)
+        res = robustness_dual(rho, spec)
+        assert (res.status, res.newton_iterations) == (CONVERGED, 0)
+        assert_certified(res, rho, spec)
+        lower, upper = _loop_interval(rho, spec)
+        assert max(lower, res.lower_bound) <= min(upper, res.upper_bound)
 
     @settings(max_examples=10, deadline=None)
     @given(d=st.integers(2, 32), seed=st.integers(0, 2**32 - 1))
@@ -828,8 +875,7 @@ class TestL1Pair:
     def test_other_states_run_the_loop(self, rho):
         spec = incoherent_set(len(rho))
         # declined by both incoherent pairs: the l1 pair and the spectral pair
-        spectrum = partial(np.linalg.eigvalsh, rho)
-        assert solver_module._closed_pair(rho, spec, spectrum, DEFAULT_TOL) is None
+        assert solver_module._closed_pair(rho, spec, DEFAULT_TOL) is None
         res = robustness_dual(rho, spec)
         assert res.status == CONVERGED and res.newton_iterations > 0
         assert_certified(res, rho, spec)

@@ -1,5 +1,4 @@
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -98,6 +97,11 @@ class TestFreeEnergy:
     def test_beta_zero_rejected(self):
         with pytest.raises(ValueError):
             free_energy(maximally_mixed(2), np.eye(2), beta=0.0)
+
+    def test_context_rejects_beta_zero(self):
+        # no free energy is finite at beta = 0, so no check may start from such a context
+        with pytest.raises(ValueError, match="beta must be > 0 or inf"):
+            ThermoContext(beta=0.0, lam=1.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -354,6 +358,10 @@ class TestResidualThermal:
             tau2 = gibbs_state(lam * c * projector(y), beta)
             assert np.abs(tau1 - tau2).max() < 1e-10
 
+    def test_residual_weight_rejects_nan(self):
+        with pytest.raises(ValueError, match="c must be positive"):
+            thermo.residual_weight(math.nan, ThermoContext(beta=1.0, lam=1.0))
+
     def test_two_outcome_eigenvalues(self):
         # beta*lam*c = 1, d = 2, y = |+>: eigenvalues e^-1/(1+e^-1), 1/(1+e^-1)
         ctx = ThermoContext(beta=1.0, lam=1.0)
@@ -432,8 +440,8 @@ class TestTheorem2:
 
 
 def twirled(rho, spec):
-    """The twirl route alone, on rho and its lazy spectrum, as robustness_dual tries it."""
-    return _twirled_dual(rho, partial(np.linalg.eigvalsh, rho), spec, DEFAULT_TOL, DEFAULT_MAX_NEWTON)
+    """The twirl route alone, as robustness_dual tries it."""
+    return _twirled_dual(rho, spec, DEFAULT_TOL, DEFAULT_MAX_NEWTON)
 
 
 class TestTwirlReduction:
@@ -484,8 +492,8 @@ class TestTwirlReduction:
     def test_dispatch_takes_the_reduced_route_only_for_t_states(self, n, monkeypatch):
         reduced = []
 
-        def spy(rho, spectrum, spec, *args):
-            result = _twirled_dual(rho, spectrum, spec, *args)
+        def spy(rho, spec, *args):
+            result = _twirled_dual(rho, spec, *args)
             if result is not None:
                 reduced.append(spec.dim)
             return result
@@ -548,9 +556,9 @@ def two_block_state(d: int, gen, t: float) -> np.ndarray:
 
 
 def closed_pair(rho, spec):
-    """robustness_dual's closed pairs alone, on rho and its lazy spectrum: against an incoherent
-    set, the l1 pair and then the spectral pair."""
-    return solver._closed_pair(rho, spec, partial(np.linalg.eigvalsh, rho), DEFAULT_TOL)
+    """robustness_dual's closed pairs alone: against an incoherent set, the l1 pair and then the
+    spectral pair; against any other, the product pair and then the free mixture."""
+    return solver._closed_pair(rho, spec, DEFAULT_TOL)
 
 
 class TestFlatResidual:
@@ -675,6 +683,11 @@ class TestWitnessSummary:
         moved = witness_summary(U @ W @ U.conj().T, U @ rho @ U.conj().T, spec)
         assert_reports_close(state_reports(moved, ctx),
                              state_reports(witness_summary(W, rho, spec), ctx), rel=1e-9)
+
+    def test_rank1_summary_rejects_nan(self):
+        psi = t_state(1)
+        with pytest.raises(ValueError, match="c must be positive"):
+            rank1_summary(math.nan, psi, psi, stabilizer_set(1))
 
     def test_unenumerable_free_set_is_tight(self):
         c, psi = 4.0 - 2.0 * math.sqrt(2.0), t_state(1)
