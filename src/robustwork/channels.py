@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .freesets import FreeSet
-from .linalg import assert_density, dagger, partial_trace, projector, trace_inner
+from .linalg import _check_count, assert_density, dagger, partial_trace, projector, trace_inner
 from .solver import (_PURE_FREE_SLACK, DEFAULT_TOL, RobustnessResult, _feasible,
                      robustness_dual, witness_constraints)
 from .states import maximally_entangled_state
@@ -62,7 +62,7 @@ class QuantumChannel:
 
     def __post_init__(self):
         if not self.kraus:
-            raise ValueError("channel needs at least one Kraus operator")
+            raise ValueError("kraus must hold at least one operator")
         acc = np.zeros((self.dim, self.dim), dtype=complex)
         for K in self.kraus:
             K = np.asarray(K)
@@ -89,7 +89,7 @@ class ChoiState:
 
 def make_channel(kraus_list) -> QuantumChannel:
     kraus = tuple(np.asarray(K, dtype=complex) for K in kraus_list)
-    return QuantumChannel(kraus=kraus, dim=kraus[0].shape[0])
+    return QuantumChannel(kraus=kraus, dim=kraus[0].shape[0] if kraus else 0)
 
 
 def unitary_channel(U) -> QuantumChannel:
@@ -99,6 +99,7 @@ def unitary_channel(U) -> QuantumChannel:
 
 def depolarizing_channel(d: int, p: float = 1.0) -> QuantumChannel:
     """rho -> (1-p) rho + p I/d via the |i><j|/sqrt(d) Kraus family."""
+    _check_count(d, "d", 1)
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     ops = []
@@ -115,6 +116,8 @@ def depolarizing_channel(d: int, p: float = 1.0) -> QuantumChannel:
 
 def apply_channel(E: QuantumChannel, rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (E.dim, E.dim):
+        raise ValueError(f"rho has shape {rho.shape}, expected ({E.dim}, {E.dim})")
     out = np.zeros_like(rho)
     for K in E.kraus:
         out += K @ rho @ dagger(K)

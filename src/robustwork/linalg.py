@@ -15,6 +15,7 @@ work/energy quantity is in the same unit as the Hamiltonian it came from.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,7 +168,7 @@ def gibbs_state(H, beta: float) -> np.ndarray:
 def _thermal_weights(w: np.ndarray, beta: float) -> np.ndarray:
     """Gibbs populations of the ascending spectrum ``w``: uniform on the ground
     window ``policy.ground_tol`` at beta = inf, else exp(-beta (w - w[0])), normalized."""
-    if beta == INF_BETA:
+    if beta == INF_BETA:  # inf * 0 is NaN, and the ground window is a tolerance, not a limit
         p = (w <= w[0] + policy.ground_tol).astype(float)
     else:
         p = np.exp(-beta * (w - w[0]))
@@ -199,9 +200,14 @@ def tensor(*ops) -> np.ndarray:
     return out
 
 
+def _check_count(n, name: str, least: int) -> None:
+    """ValueError unless ``n`` is an integer >= ``least``; numpy integers pass, bool does not."""
+    if isinstance(n, bool) or not (isinstance(n, numbers.Integral) and n >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {n!r}")
+
+
 def tensor_power(A, n: int) -> np.ndarray:
-    if n < 1:
-        raise ValueError("tensor power needs n >= 1")
+    _check_count(n, "n", 1)
     return tensor(*([A] * n))
 
 

@@ -671,8 +671,6 @@ def _fmt(x) -> str:
         return x
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, float) and math.isinf(x):
-        return "inf"
     return f"{x:.12g}"
 
 

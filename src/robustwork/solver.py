@@ -125,6 +125,7 @@ import numpy as np
 from .freesets import (STABILIZER_MAX_QUBITS, FreeSet, finite_hull, stabilizer_set,
                        stabilizer_state_count)
 from .linalg import (
+    _check_count,
     _psd_within,
     assert_density,
     assert_pure,
@@ -499,9 +500,7 @@ def robustness_dual(rho, spec: FreeSet, tol: float = DEFAULT_TOL,
     ValueError unless ``tol`` is finite and > 0 and ``max_newton`` an integer >= 0.
     """
     _check_tol(tol)
-    if isinstance(max_newton, bool) or not (isinstance(max_newton, numbers.Integral)
-                                            and max_newton >= 0):
-        raise ValueError(f"max_newton must be an integer >= 0, got {max_newton!r}")
+    _check_count(max_newton, "max_newton", 0)
     rho = assert_density(rho, "state")
     if spec.dim != rho.shape[0]:
         raise ValueError(f"state dimension {rho.shape[0]} does not match free set {spec.label()}")
@@ -758,8 +757,7 @@ def pure_coherence_witness(psi) -> tuple[float, np.ndarray]:
 
 def tstate_magic_robustness(n: int) -> float:
     """Magic robustness of |T>^{tensor n}: (4 - 2 sqrt 2)^n - 1."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _check_count(n, "n", 1)
     return float((4.0 - 2.0 * math.sqrt(2.0)) ** n - 1.0)
 
 

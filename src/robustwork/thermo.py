@@ -22,6 +22,11 @@ of witness feasibility rather than solver-trusted claims.  Achieved ratios
 maximize over the free set's extreme points only: the free energy is convex
 in the state (linear energy minus concave entropy), so the maximum over the
 hull is attained at an extreme point.
+
+Zero temperature is beta = inf.  Each bound is one formula in x = 1/(lambda
+beta), and IEEE arithmetic evaluates it at x = 0 (S/inf = 0, e^-inf = 0).
+Only the Gibbs populations' ground window (``linalg``) and the protocol's
+uniform free energy read beta = inf themselves.
 """
 
 from __future__ import annotations
@@ -80,7 +85,8 @@ _ZERO_WORK = 1e-12
 
 @dataclass(frozen=True)
 class ThermoContext:
-    """Inverse temperature and the multiplicative Hamiltonian scale."""
+    """Inverse temperature beta > 0, inf at zero temperature, and the Hamiltonian
+    scale lambda, finite and > 0."""
 
     beta: float
     lam: float
@@ -88,14 +94,12 @@ class ThermoContext:
     def __post_init__(self):
         if not (self.beta > 0.0):  # also rejects NaN; at beta = 0 no free energy is finite
             raise ValueError(f"beta must be > 0 or inf, got {self.beta}")
-        if not (self.lam > 0.0):
-            raise ValueError(f"lambda must be > 0, got {self.lam}")
+        if not (0.0 < self.lam < math.inf):  # also rejects NaN
+            raise ValueError(f"lambda must be finite and > 0, got {self.lam}")
 
     @property
     def inv_lam_beta(self) -> float:
-        """1/(lambda beta); zero at zero temperature."""
-        if self.beta == INF_BETA:
-            return 0.0
+        """x = 1/(lambda beta), the bounds' one temperature parameter; 0.0 at beta = inf."""
         return 1.0 / (self.lam * self.beta)
 
 
@@ -152,11 +156,6 @@ def _report(label, lhs, rhs, direction, precondition_met, tolerance=BOUND_TOL, d
 # ---------------------------------------------------------------------------
 
 
-def _over_beta(S, beta: float):
-    """The entropy term S/beta of a free energy; zero at beta = inf."""
-    return 0.0 if beta == INF_BETA else S / beta
-
-
 @dataclass(frozen=True)
 class WitnessSummary:
     """Everything the work checks read of a witness Y, a state rho and a free set.
@@ -188,12 +187,12 @@ class WitnessSummary:
         h = ctx.lam * self.spectrum
         p = _thermal_weights(h, ctx.beta)
         S_tau = _entropy(p)
-        return float(np.dot(p, h)) - _over_beta(S_tau, ctx.beta), S_tau
+        return float(np.dot(p, h)) - S_tau / ctx.beta, S_tau
 
     def free_energies(self, ctx: ThermoContext) -> tuple[float, np.ndarray]:
         """(F(rho), F(sigma_k)) under H = lambda * Y."""
-        return (ctx.lam * self.energy - _over_beta(self.S_rho, ctx.beta),
-                ctx.lam * self.constraints - _over_beta(self.S_free, ctx.beta))
+        return (ctx.lam * self.energy - self.S_rho / ctx.beta,
+                ctx.lam * self.constraints - self.S_free / ctx.beta)
 
 
 def _free_entropies(spec: FreeSet) -> np.ndarray:
@@ -224,8 +223,8 @@ def rank1_summary(c: float, y, psi, spec: FreeSet | None) -> WitnessSummary:
     max_k Tr[Y sigma_k] = 1, as every named closed-form witness is.
     """
     y, psi = assert_pure(y, "y"), assert_pure(psi)
-    if not c > 0:  # also rejects NaN
-        raise ValueError("c must be positive")
+    if not 0 < c < math.inf:  # also rejects NaN
+        raise ValueError(f"c must be positive and finite, got {c}")
     spectrum = np.zeros(y.shape[0])
     spectrum[-1] = c
     if spec is None:
@@ -307,8 +306,6 @@ def theorem1_precondition(R: float, S_rho: float, ctx: ThermoContext) -> bool:
     """lambda >= S(rho) / (beta R); degenerate (R ~ 0) counts as unmet."""
     if R <= _DEGENERATE_R:
         return False
-    if ctx.beta == INF_BETA:
-        return True
     return ctx.lam >= S_rho / (ctx.beta * R) - 1e-12
 
 
@@ -329,6 +326,7 @@ def simulate_protocol(rho, witness, ctx: ThermoContext) -> ProtocolTrace:
     if s.spectrum[0] < -1e-9:
         raise ValueError("witness must be PSD")
     f_tau, _ = s.gibbs(ctx)
+    # -log d / inf is -0.0, which would flip the sign of a zero dW_a or dW_d
     f_uniform = 0.0 if ctx.beta == INF_BETA else -math.log(s.d) / ctx.beta
     dw_a = f_uniform - f_tau
     dw_b = 0.0
@@ -370,10 +368,7 @@ def eq10_report(s: WitnessSummary, ctx: ThermoContext, epsilon: float = 0.05,
     """Achieved work ratio >= (1 + R)(1 - epsilon), for lambda*beta >= factor * ln d."""
     w_rho, w_free, _ = _works(s, ctx)
     ratio, skipped = _advantage(w_rho, w_free)
-    if ctx.beta == INF_BETA:
-        pre = True
-    else:
-        pre = ctx.lam * ctx.beta >= min_lambda_beta_factor * math.log(s.d)
+    pre = ctx.lam * ctx.beta >= min_lambda_beta_factor * math.log(s.d)
     rhs = (1.0 + s.R) * (1.0 - epsilon)
     detail = {"R": s.R, "epsilon": epsilon, "skipped_free_states": skipped}
     return _report("eq10", ratio, rhs, "lower", pre, detail=detail)
@@ -456,10 +451,8 @@ def residual_thermal_closed_form(y, c: float, ctx: ThermoContext, d: int) -> np.
 
 def residual_weight(c: float, ctx: ThermoContext) -> float:
     """a = 1 - e^{-beta lambda c}, the only way (lambda, beta) enter the residual state."""
-    if not c > 0:  # also rejects NaN
-        raise ValueError("c must be positive")
-    if ctx.beta == INF_BETA:
-        return 1.0
+    if not 0 < c < math.inf:  # also rejects NaN
+        raise ValueError(f"c must be positive and finite, got {c}")
     return 1.0 - math.exp(-ctx.beta * ctx.lam * c)
 
 

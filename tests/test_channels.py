@@ -105,6 +105,19 @@ class TestChannelAction:
         with pytest.raises(ValueError, match="shape"):
             unitary_channel(np.ones((2, 3)) / np.sqrt(2))
 
+    def test_make_channel_names_an_empty_kraus_list(self):
+        with pytest.raises(ValueError, match="kraus must hold at least one operator"):
+            make_channel([])
+
+    @pytest.mark.parametrize("d", [0, 1.5, True])
+    def test_depolarizing_channel_names_a_bad_dimension(self, d):
+        with pytest.raises(ValueError, match="d must be an integer >= 1"):
+            depolarizing_channel(d, 0.5)
+
+    def test_apply_channel_names_a_mismatched_state(self):
+        with pytest.raises(ValueError, match=r"rho has shape \(3, 3\), expected \(2, 2\)"):
+            apply_channel(unitary_channel(np.eye(2)), np.eye(3) / 3)
+
     def test_unitary_channel_rejects_nan(self):
         # the completeness residual is NaN here, and NaN > tol is False
         with pytest.raises(ValueError, match="K\\^dag K = I"):

@@ -16,6 +16,8 @@ def test_demo_runs(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
+    # the suite's own filter: a numpy RuntimeWarning (say inf * 0) fails the demo
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(script)],
+                          cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -20,6 +20,7 @@ from robustwork.linalg import (
     policy,
     projector,
     tensor,
+    tensor_power,
     trace_inner,
     transpose,
     von_neumann_entropy,
@@ -169,6 +170,14 @@ class TestTensorAlgebra:
         ab = tensor(a, b)
         assert np.abs(partial_trace(ab, 1, (2, 4)) - a).max() < 1e-12
         assert np.abs(partial_trace(ab, 0, (2, 4)) - b).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [0, 1.5, True, "2"])
+    def test_tensor_power_needs_an_integer_count(self, n):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            tensor_power(PAULI_Z, n)
+
+    def test_tensor_power_takes_numpy_integers(self):
+        assert np.array_equal(tensor_power(PAULI_Z, np.int64(2)), tensor(PAULI_Z, PAULI_Z))
 
     def test_trace_inner_pauli(self):
         assert trace_inner(PAULI_Z, PAULI_Z) == pytest.approx(2.0, abs=1e-12)

@@ -627,6 +627,11 @@ class TestSweep:
             n = int(row[3])
             assert float(row[6]) == pytest.approx(2**n - 1, rel=1e-12)
 
+    @pytest.mark.parametrize("x, text", [(math.inf, "inf"), (-math.inf, "-inf"),
+                                         (np.float64(-np.inf), "-inf")])
+    def test_fmt_writes_signed_infinities(self, x, text):
+        assert scenarios._fmt(x) == text
+
     def test_csv_round_trip(self):
         text = sweep_to_csv(sweep(load_scenario(scenario_dict())))
         lines = text.strip().split("\n")

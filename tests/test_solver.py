@@ -219,6 +219,15 @@ class TestWitnesses:
         with pytest.raises(ValueError):
             tstate_magic_witness(0)
 
+    @pytest.mark.parametrize("n", [1.5, True])
+    @pytest.mark.parametrize("make", [t_state, tstate_magic_witness, tstate_magic_robustness])
+    def test_copies_must_be_an_integer(self, make, n):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            make(n)
+
+    def test_numpy_integer_copies(self):
+        assert tstate_magic_robustness(np.int64(2)) == tstate_magic_robustness(2)
+
     def test_pure_coherence_witness_is_optimal(self):
         for _ in range(10):
             d = int(rng.integers(2, 7))

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from robustwork.freesets import finite_hull, incoherent_set, stabilizer_set
 from robustwork.linalg import (
     INF_BETA,
+    _entropy,
     gibbs_state,
     maximally_mixed,
+    policy,
     projector,
     tensor_power,
     trace_inner,
@@ -102,6 +104,11 @@ class TestFreeEnergy:
         # no free energy is finite at beta = 0, so no check may start from such a context
         with pytest.raises(ValueError, match="beta must be > 0 or inf"):
             ThermoContext(beta=0.0, lam=1.0)
+
+    def test_context_rejects_infinite_lambda(self):
+        # only beta may be infinite: H = inf * Y is NaN wherever Y has a zero
+        with pytest.raises(ValueError, match="lambda must be finite and > 0"):
+            ThermoContext(beta=1.0, lam=math.inf)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -361,6 +368,10 @@ class TestResidualThermal:
     def test_residual_weight_rejects_nan(self):
         with pytest.raises(ValueError, match="c must be positive"):
             thermo.residual_weight(math.nan, ThermoContext(beta=1.0, lam=1.0))
+
+    def test_residual_weight_rejects_infinite_c(self):
+        with pytest.raises(ValueError, match="c must be positive and finite"):
+            thermo.residual_weight(math.inf, ThermoContext(beta=1.0, lam=1.0))
 
     def test_two_outcome_eigenvalues(self):
         # beta*lam*c = 1, d = 2, y = |+>: eigenvalues e^-1/(1+e^-1), 1/(1+e^-1)
@@ -689,6 +700,11 @@ class TestWitnessSummary:
         with pytest.raises(ValueError, match="c must be positive"):
             rank1_summary(math.nan, psi, psi, stabilizer_set(1))
 
+    def test_rank1_summary_rejects_infinite_c(self):
+        psi = t_state(1)
+        with pytest.raises(ValueError, match="c must be positive and finite"):
+            rank1_summary(math.inf, psi, psi, stabilizer_set(1))
+
     def test_unenumerable_free_set_is_tight(self):
         c, psi = 4.0 - 2.0 * math.sqrt(2.0), t_state(1)
         closed = rank1_summary(c, psi, psi, None)
@@ -699,3 +715,52 @@ class TestWitnessSummary:
             ctx = ThermoContext(beta=beta, lam=100.0)
             assert theorem1_report(closed, ctx).lhs == pytest.approx(
                 theorem1_report(full, ctx).lhs, rel=1e-12)
+
+
+FREE_SETS = st.one_of(st.integers(2, 6).map(incoherent_set), st.integers(1, 2).map(stabilizer_set))
+
+
+class TestZeroTemperature:
+    @settings(max_examples=60, deadline=None)
+    @given(spec=FREE_SETS, seed=st.integers(0, 2**32 - 1), lam=LAMBDAS, scale=st.floats(0.5, 4.0),
+           pure=st.booleans(), c=st.floats(1e-3, 1e3))
+    def test_formulas_at_x_zero(self, spec, seed, lam, scale, pure, c):
+        # beta = inf is x = 1/(lambda beta) = 0 in every formula: entropy terms 0.0,
+        # theorem 1 is 1 + R, corollary 1 is 1/(1 + R), each precondition R > 0, a = 1
+        g = np.random.default_rng(seed)
+        d = spec.dim
+        rho = projector(random_pure_state(d, g)) if pure else random_density_matrix(d, g)
+        s = witness_summary(scale * random_psd_witness(d, g), rho, spec)
+        ctx = ThermoContext(beta=INF_BETA, lam=lam)
+        h = lam * s.spectrum
+        ground = (h <= h[0] + policy.ground_tol).astype(float)
+        p = ground / ground.sum()
+        f_tau, S_tau = float(np.dot(p, h)), _entropy(p)
+        w_rho, w_free = lam * s.energy - f_tau, lam * s.constraints - f_tau
+        R = s.R
+        pre = R > thermo._DEGENERATE_R
+        ratio, skipped = thermo._advantage(w_rho, w_free)
+        if w_rho <= thermo._ZERO_WORK:
+            want_c1 = thermo._report("corollary1", math.inf, 1.0, "upper", False, detail={
+                "reason": "state is thermal under the witness Hamiltonian"})
+        else:
+            want_c1 = thermo._report("corollary1", max(float(w_free.max()), 0.0) / w_rho,
+                                     1.0 / (1.0 + R), "upper", pre,
+                                     detail={"R": R, "S_rho": s.S_rho, "S_tau": S_tau})
+
+        assert ctx.inv_lam_beta == 0.0
+        assert s.gibbs(ctx) == (f_tau, S_tau)
+        f_rho, f_free = s.free_energies(ctx)
+        assert f_rho == lam * s.energy
+        assert (f_free == lam * s.constraints).all()
+        assert theorem1_bound(R, s.S_rho, S_tau, ctx) == 1.0 + R
+        assert corollary1_bound(R, s.S_rho, S_tau, ctx) == 1.0 / (1.0 + R)
+        assert theorem1_precondition(R, s.S_rho, ctx) == pre
+        assert theorem1_report(s, ctx) == thermo._report(
+            "theorem1", ratio, 1.0 + R, "lower", pre,
+            detail={"R": R, "S_rho": s.S_rho, "S_tau": S_tau, "skipped_free_states": skipped})
+        assert eq10_report(s, ctx) == thermo._report(
+            "eq10", ratio, (1.0 + R) * (1.0 - 0.05), "lower", True,
+            detail={"R": R, "epsilon": 0.05, "skipped_free_states": skipped})
+        assert corollary1_report(s, ctx) == want_c1
+        assert thermo.residual_weight(c, ctx) == 1.0
