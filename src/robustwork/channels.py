@@ -89,7 +89,8 @@ class ChoiState:
 
 def make_channel(kraus_list) -> QuantumChannel:
     kraus = tuple(np.asarray(K, dtype=complex) for K in kraus_list)
-    return QuantumChannel(kraus=kraus, dim=kraus[0].shape[0] if kraus else 0)
+    # a 0-d entry has no dimension to read; QuantumChannel then names its shape ()
+    return QuantumChannel(kraus=kraus, dim=kraus[0].shape[0] if kraus and kraus[0].ndim else 0)
 
 
 def unitary_channel(U) -> QuantumChannel:

@@ -4,7 +4,8 @@ A free set is stored extensionally as its list of extreme points, because the
 robustness programs need the constraint list explicitly.  Pure extreme points
 are kept as state vectors, mixed ones (hulls only) as density matrices, and
 every program and recheck reads one array, ``FreeSet.points``: the vectors as
-columns when all points are pure, else every point as a matrix.
+columns when all points are pure, else every point as a matrix, in float64 when
+every entry is real.
 
 Stabilizer states are written in their affine form 2^{-k/2} sum_u i^{l.u}
 (-1)^{m.u + u^T Q u} |t + uG> (Dehaene & De Moor, PRA 68, 042318, 2003; Van den
@@ -68,7 +69,9 @@ class FreeSet:
     def points(self) -> np.ndarray:
         """The extreme points in one read-only array, stacked and checked on first use: the
         columns of a (d, m) array when every point is pure, else the (m, d, d) stack of
-        ``density_matrices()``.  ValueError unless each has dimension d and unit norm or trace."""
+        ``density_matrices()``; float64 when every entry is real (every incoherent set), so the
+        solver's products with it run in real arithmetic.  ValueError unless each has dimension
+        d and unit norm or trace."""
         if self.matrices:
             P = np.stack(self.density_matrices())
             unit, what = np.trace(P, axis1=1, axis2=2).real, "trace"
@@ -81,6 +84,7 @@ class FreeSet:
         if (bad := np.flatnonzero(~(np.abs(unit - 1.0) <= policy.trace_tol))).size:  # or NaN
             raise ValueError(f"{self.label()}: extreme point {bad[0]} has {what} "
                              f"{float(unit[bad[0]])!r}, expected 1")
+        P = P if P.imag.any() else P.real.copy()
         P.flags.writeable = False
         return P
 

@@ -87,9 +87,11 @@ def _psd_within(A: np.ndarray, tol: float) -> bool:
     d ~ 2000.  For a large trace at a tolerance near rounding it is looser: the solver's slack
     recheck (tol 8 d eps, trace R) proves only about -(4d + (d+1) R/2) eps, O(d^2 eps) for a
     golden state (about 4x tol at d = 60, 17x at 256), the order of eigvalsh's own backward error
-    on that slack.  Only where the factorisation fails does lambda_min decide."""
+    on that slack.  Only where the factorisation fails does lambda_min decide.  A complex A whose
+    imaginary part is exactly zero is the real symmetric A.real, factorised in real arithmetic."""
     if not np.isfinite(A).all():  # numpy factors a NaN matrix into NaNs without raising
         return False
+    A = A.real if np.iscomplexobj(A) and not A.imag.any() else A
     shifted = A.copy()
     shifted.flat[::len(A) + 1] += 0.5 * tol
     try:

@@ -51,7 +51,11 @@ sigma; the objective Tr[Y rho] is unchanged too, so real symmetric witnesses
 reach the Hermitian optimum.  The NT scaling of real PSD matrices is real,
 so every array of the solve inherits the program's dtype, a witness step has
 r(r+1)/2 real coordinates instead of r^2, and the returned witness is cast
-back to complex.
+back to complex.  Outside the loop the same data stays real: a real free set's points are
+float64 (``FreeSet.points``), so the closed pairs' placements and the public rechecks mix and
+overlap them in real products, a constraint value reads Re Y (Tr[Y sigma] = Tr[Re(Y) sigma] for
+real sigma), and ``_psd_within`` factorises a matrix with no imaginary part as real; a golden
+state's validation, slack recheck and witness recheck take no complex O(d^3) step.
 
 Theorem 2's residual (I - a|T^n><T^n|)/(d - a) and stabilizer(n) are invariant
 under qubit permutations and (X+Y)/sqrt 2 on any qubit, which fixes |T> (Gatermann &
@@ -249,11 +253,9 @@ class _Program:
 
     @classmethod
     def from_spec(cls, rho: np.ndarray, spec: FreeSet) -> "_Program":
-        points = spec.points
-        if not (rho.imag.any() or points.imag.any()):
-            # real data: solve over real symmetric witnesses (module docstring)
-            rho, points = rho.real.copy(), points.real.copy()
-        return cls(rho, points)
+        if not (np.iscomplexobj(spec.points) or rho.imag.any()):
+            rho = rho.real.copy()  # real data: solve over real symmetric witnesses (module docstring)
+        return cls(rho, spec.points)
 
     def expand(self, Y: np.ndarray) -> np.ndarray:
         """Lift an operator from the compressed subspace back to this
@@ -679,7 +681,10 @@ def _mix(points: np.ndarray, coeff: np.ndarray) -> np.ndarray:
 
 
 def _constraint_values(points: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Tr[Y sigma_k] for every point."""
+    """Tr[Y sigma_k] for every point; against real points, Tr[Re(Y) sigma_k] in real arithmetic,
+    which is Re Tr[Y sigma_k] for any Y."""
+    if not np.iscomplexobj(points):
+        Y = Y.real
     if points.ndim == 2:
         return ((Y @ points) * points.conj()).real.sum(axis=0)
     return (points.reshape(len(points), -1) @ Y.T.reshape(-1)).real

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -108,6 +109,12 @@ class TestChannelAction:
     def test_make_channel_names_an_empty_kraus_list(self):
         with pytest.raises(ValueError, match="kraus must hold at least one operator"):
             make_channel([])
+
+    @pytest.mark.parametrize("kraus, shape", [([1.0], "()"), ([[1.0, 0.0]], "(2,)"),
+                                              ([1.0, np.eye(2)], "()")])
+    def test_make_channel_names_a_kraus_entry_that_is_not_a_matrix(self, kraus, shape):
+        with pytest.raises(ValueError, match=f"Kraus operator shape {re.escape(shape)} "):
+            make_channel(kraus)
 
     @pytest.mark.parametrize("d", [0, 1.5, True])
     def test_depolarizing_channel_names_a_bad_dimension(self, d):

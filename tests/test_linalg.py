@@ -260,6 +260,23 @@ class TestPsdWithin:
         with _cholesky(fallback):
             assert _psd_within(np.full((3, 3), value, dtype=complex), 1e-9) is False
 
+    @settings(max_examples=80, deadline=None)
+    @given(d=st.integers(1, 16), seed=st.integers(0, 2**32 - 1),
+           tol=st.sampled_from([1e-9, 1e-6, 1e-3]),
+           depth=st.one_of(st.floats(-0.98, 1.0), st.floats(-2.0, -1.02)))
+    def test_real_symmetric_matrix_keeps_its_verdict_as_complex(self, d, seed, tol, depth):
+        # a complex A with no imaginary part is factorised as A.real: within +-tol of the PSD
+        # boundary the verdict on A and on A.astype(complex) is the same, and it is right
+        gen = np.random.default_rng(seed)
+        U = np.linalg.qr(gen.normal(size=(d, d)))[0]
+        w = depth * tol + np.concatenate([[0.0], gen.uniform(0.0, 1.0, d - 1)])
+        A = (U * w) @ U.T
+        A = 0.5 * (A + A.T)
+        with _cholesky(False) as factor:
+            verdicts = [_psd_within(A, tol), _psd_within(A.astype(complex), tol)]
+        assert verdicts == [depth >= -1.0] * 2
+        assert [call.args[0].dtype for call in factor.call_args_list] == [np.float64] * 2
+
     @pytest.mark.parametrize("d", [32, 60, 256])
     @pytest.mark.parametrize("seed", range(3))
     def test_slack_recheck_scale(self, d, seed):

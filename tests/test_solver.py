@@ -1026,6 +1026,49 @@ class TestContractions:
         assert np.abs(_constraint_values(M, Y) - planned).max() <= 1e-12 * scale
 
 
+def _factorised_dtypes(monkeypatch) -> list:
+    """np.linalg.cholesky wrapped to record the dtype of every array it factorises."""
+    dtypes, cholesky = [], np.linalg.cholesky
+
+    def recorded(A, *args, **kwargs):
+        dtypes.append(np.asarray(A).dtype)
+        return cholesky(A, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recorded)
+    return dtypes
+
+
+class TestRealArithmetic:
+    # real data stays real: incoherent points are float64, so a golden state's validation, its
+    # l1 pair's slack recheck and the public rechecks factorise real matrices; stabilizer
+    # points are complex and keep every factorisation complex
+    def _certify(self, rho, spec):
+        res = robustness_dual(rho, spec)
+        assert witness_is_feasible(res.witness, spec)
+        primal_slack(res.primal_weights, rho, spec)
+        return res
+
+    @pytest.mark.parametrize("d", [32, 64])
+    def test_golden_state_factorises_no_complex_array(self, monkeypatch, d):
+        spec = incoherent_set(d)
+        assert spec.points.dtype == np.float64
+        dtypes = _factorised_dtypes(monkeypatch)
+        res = self._certify(projector(golden_state(d)), spec)
+        assert res.newton_iterations == 0
+        assert dtypes == [np.float64] * 3  # assert_density, _placed's recheck, witness_is_feasible
+
+    def test_tstate_keeps_complex_factorisations(self, monkeypatch):
+        spec = stabilizer_set(2)
+        assert spec.points.dtype == np.complex128
+        dtypes = _factorised_dtypes(monkeypatch)
+        self._certify(projector(t_state(2)), spec)
+        assert dtypes == [np.complex128] * 3
+
+    def test_real_hull_points_are_float64(self):
+        assert finite_hull([basis_state(2, 0), maximally_mixed(2)]).points.dtype == np.float64
+        assert finite_hull([basis_state(2, 0), t_state(1)]).points.dtype == np.complex128
+
+
 class TestIndependentOracles:
     @settings(max_examples=60, deadline=None)
     @given(bloch=st.tuples(*[st.floats(-1.0, 1.0)] * 3))
@@ -1135,6 +1178,42 @@ class TestMetamorphic:
                  (U @ rho @ U.conj().T, finite_hull(list(vecs @ U.T)))]
         assert all(spec.n_points > spec.dim**2 for _, spec in pairs)
         self._assert_same_robustness(pairs, [np.float64, np.complex128])
+
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.integers(2, 16), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["golden", "ginibre", "flat residual"]))
+    def test_phased_points_keep_every_recheck(self, d, seed, kind):
+        # e^{i theta_k}|k> leaves every sigma_k = |k><k| as it is, but its array is complex, so the
+        # phased copy of incoherent(d) is solved and rechecked in complex arithmetic and the
+        # float64 set in real arithmetic: every recheck agrees to rounding, every solve's status
+        # too, and the intervals agree to rounding where no iteration runs, else share a point
+        gen = np.random.default_rng(seed)
+        spec = incoherent_set(d)
+        phases = np.exp(2j * np.pi * gen.uniform(size=d))
+        phased = FreeSet("incoherent", d, vectors=tuple(phases * np.eye(d)))
+        assert phased.points.dtype == np.complex128
+        if kind == "ginibre":
+            G = gen.normal(size=(d, d))
+            rho = G @ G.T / np.trace(G @ G.T)
+        else:
+            rho = projector(golden_state(d))
+            rho = rho if kind == "golden" else _residual(golden_state(d), gen.uniform(0.05, 0.95))
+        res, ref = robustness_dual(rho, spec), robustness_dual(rho, phased)
+        assert res.status == ref.status == CONVERGED
+        assert max(res.lower_bound, ref.lower_bound) <= min(res.upper_bound, ref.upper_bound) + 1e-12
+        if res.newton_iterations == ref.newton_iterations == 0:
+            assert res.lower_bound == pytest.approx(ref.lower_bound, rel=1e-12, abs=1e-12)
+            assert res.upper_bound == pytest.approx(ref.upper_bound, rel=1e-12, abs=1e-12)
+        Z = gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d))  # Re Tr[Z sigma] for any Z
+        for Y in (res.witness, ref.witness, random_hermitian(d, gen), Z):
+            scale = np.abs(Y).max()
+            assert np.abs(witness_constraints(Y, spec)
+                          - witness_constraints(Y, phased)).max() <= 1e-12 * scale
+        for W in (res.witness, ref.witness):
+            assert witness_is_feasible(W, spec) is witness_is_feasible(W, phased) is True
+        for q in (res.primal_weights, ref.primal_weights):
+            assert np.abs(primal_slack(q, rho, spec)
+                          - primal_slack(q, rho, phased)).max() <= 1e-12 * max(1.0, q.max())
 
     @settings(max_examples=25, deadline=None)
     @given(d=st.integers(2, 5), ranks=st.tuples(st.integers(1, 5), st.integers(1, 5)),
